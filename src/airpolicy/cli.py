@@ -20,9 +20,9 @@ import numpy as np
 from . import evaluation, models, report, similarity, synth
 from .config import PipelineConfig, default_max_levels, load_config
 from .dataset import (
-    MEASURES,
     CityDataset,
     PollutantKind,
+    feature_row,
     read_city_csv,
     write_city_csv,
 )
@@ -181,26 +181,13 @@ def _last_complete_input(ds_list: list[CityDataset], pollutant: PollutantKind):
     found = None
     for ds in ds_list:
         for rec in ds.records:
-            if rec.has_all_measures() and rec.has_pollutant(pollutant):
-                found = (ds.city_name, rec)
+            x = feature_row(rec, pollutant)
+            if x is not None:
+                found = (ds.city_name, rec.period_index, x)
     if found is None:
         return None
-    city, rec = found
-    mean, std = rec.pollutant_stats[pollutant]
-    x = [rec.measures[m] for m in MEASURES] + [mean, std]
-    return city, rec.period_index, np.array(x, dtype=np.float64)
-
-
-def _forecast(model: models.TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Next-period (mean, std) in original units.
-
-    Models fitted under a scaling mode expect transformed inputs and emit
-    transformed targets; the fitted spec travels with the model file.
-    """
-    if model.scaling.fitted:
-        pred = model.predict(model.scaling.transform_inputs(x))
-        return model.scaling.invert_targets(pred)[0]
-    return model.predict(x)[0]
+    city, period, x = found
+    return city, period, np.array(x, dtype=np.float64)
 
 
 def cmd_benchmark(args) -> int:
@@ -209,7 +196,7 @@ def cmd_benchmark(args) -> int:
     specs = config.model_specs()
     eval_report, trained = evaluation.run_benchmark(
         city_sets, list(config.pollutants), specs, config.split,
-        scaling_mode=config.scaling_mode, jobs=args.jobs,
+        scaling_mode=config.scaling_mode,
     )
     evaluation.write_report_csv(eval_report, os.path.join(config.out_dir, "report.csv"))
     evaluation.write_report_json(eval_report, os.path.join(config.out_dir, "report.json"),
@@ -234,7 +221,7 @@ def cmd_benchmark(args) -> int:
         if last is None:
             continue
         city, period, x = last
-        pred = _forecast(model, x)
+        pred = models.predict(model, x)[0]
         print(f"{pollutant.value} ({city}, period {period}): "
               f"mean {x[-2]:.4e} mol/m2 -> next-period forecast "
               f"{pred[0]:.4e} mol/m2 (std {pred[1]:.4e})")
@@ -263,7 +250,7 @@ def cmd_predict(args) -> int:
                 f"no complete period found for {pollutant.value}"
             )
         city, period, x = last
-        pred = _forecast(model, x)
+        pred = models.predict(model, x)[0]
         rows.append((pollutant.value, config.predict_kind, city, period,
                      x[-2], x[-1], pred[0], pred[1]))
         print(f"{pollutant.value} ({city}, period {period}): "
@@ -314,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config and env)")
         p.add_argument("--seed", type=int, default=None, help="override the global seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; no effect (cells run serially)")
         p.add_argument("--set", action="append", metavar="K=V",
                        help="dotted config override, e.g. split.test_fraction=0.3")
 

@@ -225,6 +225,27 @@ def target_names(pollutant: PollutantKind) -> list[str]:
     return [f"{pollutant.value}_mean_next", f"{pollutant.value}_std_next"]
 
 
+def feature_row(rec: PeriodRecord, pollutant: PollutantKind) -> list[float] | None:
+    """One input row in the canonical layout, or None if any feature is absent."""
+    if not (rec.has_all_measures() and rec.has_pollutant(pollutant)):
+        return None
+    return [rec.measures[m] for m in MEASURES] + list(rec.pollutant_stats[pollutant])
+
+
+def affine_fit(M: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (offset, scale) of the map v -> (v - offset) / scale.
+
+    min_max gives (min, max - min); z_score gives (mean, population std).
+    A constant column gets scale 0; each caller decides what that means.
+    """
+    if mode == "min_max":
+        lo = M.min(axis=0)
+        return lo, M.max(axis=0) - lo
+    if mode == "z_score":
+        return M.mean(axis=0), M.std(axis=0)
+    raise DomainError(f"unknown scaling mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class ScalingSpec:
     """Per-column affine transform v -> (v - offset) / scale for inputs and targets."""
@@ -358,11 +379,9 @@ def build_supervised(
     for ds in city_sets:
         for rec, nxt in zip(ds.records, ds.records[1:]):
             pollutant_seen = pollutant_seen or rec.has_pollutant(pollutant)
-            if not (rec.has_all_measures() and rec.has_pollutant(pollutant)
-                    and nxt.has_pollutant(pollutant)):
+            x = feature_row(rec, pollutant)
+            if x is None or not nxt.has_pollutant(pollutant):
                 continue
-            mean_t, std_t = rec.pollutant_stats[pollutant]
-            x = [rec.measures[m] for m in MEASURES] + [mean_t, std_t]
             rows_x.append(x)
             rows_y.append(list(nxt.pollutant_stats[pollutant]))
             prov.append((ds.city_name, rec.period_index))
@@ -394,35 +413,21 @@ def fit_scaling(sset: SupervisedSet, mode: str = "min_max") -> ScalingSpec:
             target_offset=(0.0,) * N_TARGETS,
             target_scale=(1.0,) * N_TARGETS,
         )
-    if mode not in ("min_max", "z_score"):
-        raise DomainError(f"unknown scaling mode {mode!r}")
     if sset.n < 2:
         raise InsufficientDataError(f"need at least 2 rows to fit scaling, got {sset.n}")
+    in_off, in_sc = affine_fit(sset.inputs, mode)
+    tg_off, tg_sc = affine_fit(sset.targets, mode)
     names = feature_names(sset.pollutant) + target_names(sset.pollutant)
-
-    def fit_block(M: np.ndarray, name_offset: int) -> tuple[tuple, tuple]:
-        if mode == "min_max":
-            lo = M.min(axis=0)
-            hi = M.max(axis=0)
-            scale = hi - lo
-            offset = lo
-        else:
-            offset = M.mean(axis=0)
-            scale = M.std(axis=0)  # population std
-        for j, s in enumerate(scale):
-            if not (s > 0.0):
-                raise DegenerateColumnError(names[name_offset + j])
-        return tuple(float(v) for v in offset), tuple(float(v) for v in scale)
-
-    in_off, in_sc = fit_block(sset.inputs, 0)
-    tg_off, tg_sc = fit_block(sset.targets, N_FEATURES)
+    for name, s in zip(names, [*in_sc, *tg_sc]):
+        if not (s > 0.0):
+            raise DegenerateColumnError(name)
     return ScalingSpec(
         mode=mode,
         fitted=True,
-        input_offset=in_off,
-        input_scale=in_sc,
-        target_offset=tg_off,
-        target_scale=tg_sc,
+        input_offset=tuple(float(v) for v in in_off),
+        input_scale=tuple(float(v) for v in in_sc),
+        target_offset=tuple(float(v) for v in tg_off),
+        target_scale=tuple(float(v) for v in tg_sc),
     )
 
 

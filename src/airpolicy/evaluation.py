@@ -4,8 +4,10 @@ The default split is chronological per city (forecasting leaks badly under
 random splits); a seeded random split exists for parity experiments. RMSE
 is always reported in original units: when a scaling mode is configured it
 is fitted on training rows only and predictions are inverted before
-scoring. Benchmark cells are independent, may run on a thread pool, and a
-failed cell is recorded in the report instead of aborting the run.
+scoring. Each pollutant's rows are built, split and scaled once, then its
+learners run one after another on that shared data. A failed cell,
+including one whose predictions are not finite, is recorded in the report
+instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from .dataset import (
     CityDataset,
     PollutantKind,
     SupervisedSet,
+    apply_scaling,
     build_supervised,
     fit_scaling,
 )
@@ -138,34 +140,17 @@ class EvalReport:
 
 
 def _run_cell(
-    city_sets: list[CityDataset],
-    pollutant: PollutantKind,
-    spec: ModelSpec,
-    split_spec: SplitSpec,
-    scaling_mode: str,
+    train: SupervisedSet, test: SupervisedSet, spec: ModelSpec
 ) -> tuple[EvalCell, TrainedModel | None]:
     try:
-        sset = build_supervised(city_sets, pollutant)
-        train, test = split(sset, split_spec)
-        if scaling_mode != "none":
-            scaler = fit_scaling(train, scaling_mode)
-            train = replace(
-                train,
-                inputs=scaler.transform_inputs(train.inputs),
-                targets=scaler.transform_targets(train.targets),
-                scaling=scaler,
-            )
-            model = models.fit(spec, train)
-            raw_pred = model.predict(scaler.transform_inputs(test.inputs))
-            pred = scaler.invert_targets(raw_pred)
-        else:
-            model = models.fit(spec, train)
-            pred = model.predict(test.inputs)
-        m, s, joint = rmse(pred, test.targets)
+        model = models.fit(spec, train)
+        m, s, joint = rmse(models.predict(model, test.inputs), test.targets)
+        if not math.isfinite(joint):
+            raise DomainError(f"{spec.kind}: predictions or RMSE not finite")
         denom = float(np.abs(test.targets[:, 0]).mean())
         rel = m / denom if denom > 0.0 else float("inf")
         cell = EvalCell(
-            pollutant=pollutant,
+            pollutant=train.pollutant,
             kind=spec.kind,
             rmse_mean=m,
             rmse_std=s,
@@ -176,7 +161,7 @@ def _run_cell(
         )
         return cell, model
     except AirPolicyError as exc:
-        return EvalCell(pollutant=pollutant, kind=spec.kind, error=str(exc)), None
+        return EvalCell(pollutant=train.pollutant, kind=spec.kind, error=str(exc)), None
 
 
 def run_benchmark(
@@ -185,41 +170,32 @@ def run_benchmark(
     specs: list[ModelSpec],
     split_spec: SplitSpec,
     scaling_mode: str = "none",
-    jobs: int = 1,
 ) -> tuple[EvalReport, dict[tuple[PollutantKind, str], TrainedModel]]:
     """Score every (pollutant, learner) cell; failures become report rows.
 
-    The report is sorted by canonical pollutant order then learner order and
-    does not depend on ``jobs``.
+    Each pollutant's data is prepared once and shared by its learners. The
+    report is sorted by canonical pollutant order then learner order.
     """
-    cells = [(p, spec) for p in pollutants for spec in specs]
-    if jobs <= 1:
-        results = [
-            _run_cell(city_sets, p, spec, split_spec, scaling_mode)
-            for p, spec in cells
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, city_sets, p, spec, split_spec, scaling_mode)
-                for p, spec in cells
-            ]
-            results = [f.result() for f in futures]
-    kinds = [spec.kind for spec in specs]
-    order = {
-        (p.value, k): (POLLUTANTS.index(p), KINDS.index(k))
-        for p in pollutants for k in kinds
-    }
-    rows = sorted(
-        (cell for cell, _ in results),
-        key=lambda c: order[(c.pollutant.value, c.kind)],
-    )
+    specs = sorted(specs, key=lambda spec: KINDS.index(spec.kind))
+    results = []
+    for p in sorted(pollutants, key=POLLUTANTS.index):
+        try:
+            train, test = split(build_supervised(city_sets, p), split_spec)
+            if scaling_mode != "none":
+                train = apply_scaling(train, fit_scaling(train, scaling_mode))
+        except AirPolicyError as exc:
+            results.extend(
+                (EvalCell(pollutant=p, kind=spec.kind, error=str(exc)), None)
+                for spec in specs
+            )
+            continue
+        results.extend(_run_cell(train, test, spec) for spec in specs)
     trained = {
         (cell.pollutant, cell.kind): model
         for cell, model in results
         if model is not None
     }
-    return EvalReport(rows=tuple(rows)), trained
+    return EvalReport(rows=tuple(cell for cell, _ in results)), trained
 
 
 # ---------------------------------------------------------------------------

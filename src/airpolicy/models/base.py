@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataset import IDENTITY_SCALING, ScalingSpec, SupervisedSet
-from ..errors import ConfigError, ShapeError
+from ..errors import AirPolicyError, ConfigError, ShapeError
 
 MODEL_FORMAT = "airpolicy-model"
 MODEL_VERSION = 1
@@ -163,7 +163,15 @@ def fit(spec: ModelSpec, train: SupervisedSet) -> TrainedModel:
 
 
 def predict(model: TrainedModel, inputs: np.ndarray) -> np.ndarray:
-    return model.predict(inputs)
+    """Predict in original units.
+
+    A model fitted under a scaling mode expects transformed inputs and emits
+    transformed targets; its fitted spec travels with it and its file.
+    """
+    scaling = model.scaling
+    if not scaling.fitted:
+        return model.predict(inputs)
+    return scaling.invert_targets(model.predict(scaling.transform_inputs(inputs)))
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -171,19 +179,27 @@ def model_to_json(model: TrainedModel) -> str:
 
 
 def model_from_json(text: str) -> TrainedModel:
-    d = json.loads(text)
-    if d.get("format") != MODEL_FORMAT:
-        raise ConfigError(f"not a model file (format {d.get('format')!r})")
-    if d.get("version") != MODEL_VERSION:
-        raise ConfigError(f"unsupported model version {d.get('version')!r}")
-    spec = ModelSpec.from_dict(d["spec"])
-    loader = _LOADERS.get(spec.kind)
-    if loader is None:  # pragma: no cover
-        raise ConfigError(f"kind {spec.kind!r} has no registered loader")
-    model = loader(spec, d["input_dim"], d["output_dim"], d["params"])
-    model.scaling = ScalingSpec.from_dict(d["scaling"])
-    model.metadata = dict(d["metadata"])
-    return model
+    """Rebuild a saved model; a malformed document raises ConfigError."""
+    try:
+        d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ConfigError("not a model file (not a JSON object)")
+        if d.get("format") != MODEL_FORMAT:
+            raise ConfigError(f"not a model file (format {d.get('format')!r})")
+        if d.get("version") != MODEL_VERSION:
+            raise ConfigError(f"unsupported model version {d.get('version')!r}")
+        spec = ModelSpec.from_dict(d["spec"])
+        loader = _LOADERS.get(spec.kind)
+        if loader is None:  # pragma: no cover
+            raise ConfigError(f"kind {spec.kind!r} has no registered loader")
+        model = loader(spec, d["input_dim"], d["output_dim"], d["params"])
+        model.scaling = ScalingSpec.from_dict(d["scaling"])
+        model.metadata = dict(d["metadata"])
+        return model
+    except AirPolicyError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
+        raise ConfigError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
 
 
 def save_model(model: TrainedModel, path: str) -> None:
@@ -193,5 +209,9 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
-    with open(path) as fh:
-        return model_from_json(fh.read())
+    """Read a model file; a malformed one raises ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            return model_from_json(fh.read())
+    except (AirPolicyError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

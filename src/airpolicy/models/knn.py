@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import affine_fit
 from ..errors import InsufficientDataError
 from .base import ModelSpec, TrainedModel, register_kind
-
-
-def _fit_bounds(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = X.min(axis=0)
-    span = X.max(axis=0) - lo
-    span = np.where(span > 0.0, span, 1.0)
-    return lo, span
 
 
 class KnnModel(TrainedModel):
@@ -54,7 +48,8 @@ def _fit_knn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> KnnModel:
     k = spec.params["k"]
     if X.shape[0] < k:
         raise InsufficientDataError(f"k = {k} exceeds training rows = {X.shape[0]}")
-    lo, span = _fit_bounds(X)
+    lo, span = affine_fit(X, "min_max")
+    span = np.where(span > 0.0, span, 1.0)
     return KnnModel(spec, X.shape[1], Y.shape[1], lo, span, (X - lo) / span, Y.copy())
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
+from ..dataset import affine_fit
 from ..errors import InsufficientDataError
 from ..rng import SplitMix64
 from .base import ModelSpec, TrainedModel, register_kind
@@ -82,20 +83,15 @@ def _fit_ridge(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> LinearModel:
     return _fit_ols_like(spec, X, Y, float(spec.params["lam"]))
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)  # population std; constant columns keep scale 1
-    sd = np.where(sd > 0.0, sd, 1.0)
-    return (X - mu) / sd, mu, sd
-
-
 def _fit_lasso(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> LinearModel:
     if X.shape[0] < 2:
         raise InsufficientDataError("need at least 2 rows")
     lam = float(spec.params["lam"])
     tol = float(spec.params["tol"])
     max_sweeps = int(spec.params["max_sweeps"])
-    Xs, mu, sd = _standardize(X)
+    mu, sd = affine_fit(X, "z_score")
+    sd = np.where(sd > 0.0, sd, 1.0)  # constant columns keep scale 1
+    Xs = (X - mu) / sd
     d = X.shape[1]
     beta = np.zeros((d + 1, Y.shape[1]))
     traces = []
@@ -142,7 +138,9 @@ def _fit_mgbr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> SgdLinearModel:
     epochs = int(spec.params["epochs"])
     eta0 = float(spec.params["eta0"])
     l2 = float(spec.params["l2"])
-    Xs, mu, sd = _standardize(X)
+    mu, sd = affine_fit(X, "z_score")
+    sd = np.where(sd > 0.0, sd, 1.0)  # constant columns keep scale 1
+    Xs = (X - mu) / sd
     W = np.zeros((d, Y.shape[1]))
     b = np.zeros(Y.shape[1])
     root = SplitMix64(spec.seed)

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from ..dataset import affine_fit
 from ..errors import InsufficientDataError
 from ..rng import SplitMix64
 from .base import ModelSpec, TrainedModel, register_kind
@@ -106,17 +107,6 @@ def loss_and_gradients(params, Xs: np.ndarray, Ys: np.ndarray, loss_scale: float
     return loss, grads
 
 
-def _fit_minmax(M: np.ndarray, constant_to_midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
-    lo = M.min(axis=0)
-    span = M.max(axis=0) - lo
-    flat = ~(span > 0.0)
-    if constant_to_midpoint:
-        # A flat column scales to exactly 0.5, reachable by the zero net.
-        lo = np.where(flat, lo - 0.5, lo)
-    span = np.where(flat, 1.0, span)
-    return lo, span
-
-
 class DnnModel(TrainedModel):
     def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int,
                  in_lo, in_span, tg_lo, tg_span, params):
@@ -156,8 +146,12 @@ def _fit_dnn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> DnnModel:
     epochs = int(spec.params["epochs"])
     batch_size = int(spec.params["batch_size"])
     lr = float(spec.params["learning_rate"])
-    in_lo, in_span = _fit_minmax(X, constant_to_midpoint=False)
-    tg_lo, tg_span = _fit_minmax(Y, constant_to_midpoint=True)
+    in_lo, in_span = affine_fit(X, "min_max")
+    in_span = np.where(in_span > 0.0, in_span, 1.0)
+    tg_lo, tg_span = affine_fit(Y, "min_max")
+    # A flat target scales to exactly 0.5, reachable by the zero net.
+    tg_lo = np.where(tg_span > 0.0, tg_lo, tg_lo - 0.5)
+    tg_span = np.where(tg_span > 0.0, tg_span, 1.0)
     Xs = (X - in_lo) / in_span
     Ys = (Y - tg_lo) / tg_span
     gen = SplitMix64(spec.seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ class FigureData:
         if self.figure_id not in FIGURE_IDS:
             raise DomainError(f"unknown figure id {self.figure_id!r}")
         for row in self.rows:
-            if row.value is not None and not (row.value == row.value):
+            if row.value is not None and not math.isfinite(row.value):
                 raise DomainError("figure values must be finite or None")
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from airpolicy.cli import EXIT_CONFIG, EXIT_OK, main
+from airpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 
 SMALL_KINDS = '--set=models.kinds=["knn","linreg"]'
 PREDICT_LINREG = "--set=predict.kind=linreg"
@@ -75,6 +75,52 @@ def test_full_pipeline(tmp_path, capsys):
                        "forecast_mean,forecast_std")
     assert len(rows) == 5
     assert rows[1].startswith("CO,linreg,city_d,182,")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_predictions_are_failed_cells(tmp_path, capsys):
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["benchmark", "--config", cfg, "--out", out,
+                 '--set=models.kinds=["mgbr","linreg"]',
+                 '--set=models.overrides={"mgbr":{"eta0":1000}}']) == EXIT_PARTIAL
+    assert "cells: 8 total, 4 failed" in capsys.readouterr().out
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    failed = [r for r in report["rows"] if r["error"]]
+    assert [r["kind"] for r in failed] == ["mgbr"] * 4
+    assert all(r["rmse_joint"] is None for r in failed)
+    for fname in ("fig_RMSE_CO_O3.json", "fig_RMSE_NO2_SO2.json"):
+        assert os.path.isfile(os.path.join(out, fname)), fname
+
+
+def test_malformed_model_file_is_exit_2_without_traceback(tmp_path):
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    for cmd in ("ingest", "benchmark"):
+        assert main([cmd, "--config", cfg, "--out", out,
+                     '--set=models.kinds=["linreg"]']) == EXIT_OK
+    path = os.path.join(out, "models", "CO_linreg.json")
+    with open(path) as fh:
+        good = fh.read()
+    no_spec = json.loads(good)
+    del no_spec["spec"]
+    for text in (good[:len(good) // 2], json.dumps(no_spec)):
+        with open(path, "w") as fh:
+            fh.write(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "airpolicy.cli", "predict", "--config", cfg,
+             "--out", out, PREDICT_LINREG],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and path in proc.stderr
 
 
 def test_missing_config_is_exit_2(capsys):

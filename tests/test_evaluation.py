@@ -159,15 +159,42 @@ def test_benchmark_rows_in_canonical_order():
     assert [k for k in KINDS if k in ("knn", "linreg", "ridge")] == ["knn", "linreg", "ridge"]
 
 
-def test_benchmark_jobs_do_not_change_results():
-    cities = [make_city("a", n_periods=21, seed=11),
-              make_city("b", n_periods=16, seed=12)]
-    args = (cities, [PollutantKind.CO, PollutantKind.O3], FAST_SPECS, SplitSpec())
-    report1, trained1 = run_benchmark(*args, jobs=1)
-    report8, trained8 = run_benchmark(*args, jobs=8)
-    assert report_to_json(report1) == report_to_json(report8)
-    for key in trained1:
-        assert trained1[key].to_dict() == trained8[key].to_dict()
+def test_benchmark_prepares_each_pollutant_once(monkeypatch):
+    from airpolicy import evaluation
+
+    calls = {"build_supervised": 0, "split": 0, "fit_scaling": 0}
+    for name in calls:
+        original = getattr(evaluation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    cities = [make_city("a", n_periods=21, seed=11)]
+    pollutants = [PollutantKind.CO, PollutantKind.O3, PollutantKind.SO2]
+    report, _ = run_benchmark(cities, pollutants, FAST_SPECS, SplitSpec(),
+                              scaling_mode="z_score")
+    assert report.n_failed == 0 and len(report.rows) == 9
+    assert calls == {"build_supervised": 3, "split": 3, "fit_scaling": 3}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_benchmark_non_finite_predictions_fail_the_cell():
+    cities = [make_city("a", n_periods=41, seed=11)]
+    specs = [ModelSpec(kind="mgbr", hyperparameters={"eta0": 1000.0}),
+             ModelSpec(kind="linreg")]
+    report, trained = run_benchmark(cities, [PollutantKind.CO], specs, SplitSpec())
+    cell = report.cell(PollutantKind.CO, "mgbr")
+    assert not cell.ok and "not finite" in cell.error
+    assert cell.rmse_mean is None and cell.rmse_joint is None
+    assert report.cell(PollutantKind.CO, "linreg").ok
+    assert set(trained) == {(PollutantKind.CO, "linreg")}
+    json.loads(report_to_json(report), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def test_benchmark_records_failures_as_cells():

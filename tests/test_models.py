@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from airpolicy import models
-from airpolicy.dataset import IDENTITY_SCALING
+from airpolicy.dataset import (
+    IDENTITY_SCALING,
+    PollutantKind,
+    apply_scaling,
+    build_supervised,
+    fit_scaling,
+)
 from airpolicy.errors import ConfigError, InsufficientDataError, ShapeError
 from airpolicy.models import ModelSpec, fit_arrays, model_from_json, model_to_json
 from airpolicy.models.boost import _weighted_median
@@ -25,6 +31,8 @@ from airpolicy.models.nnet import (
 )
 from airpolicy.models.tree import TreeNode, grow_tree, tree_predict
 from airpolicy.rng import SplitMix64
+
+from conftest import make_city
 
 
 def random_problem(seed, n=30, d=4, outputs=2):
@@ -535,13 +543,39 @@ def test_every_kind_round_trips_bitwise(spec):
 def test_model_json_guards():
     X, Y = random_problem(331, n=20, d=3)
     model = fit_arrays(ModelSpec(kind="linreg"), X, Y, IDENTITY_SCALING)
-    d = json.loads(model_to_json(model))
+    text = model_to_json(model)
+    d = json.loads(text)
     bad = dict(d, format="other-format")
     with pytest.raises(ConfigError):
         model_from_json(json.dumps(bad))
     bad = dict(d, version=999)
     with pytest.raises(ConfigError):
         model_from_json(json.dumps(bad))
+    no_spec = {k: v for k, v in d.items() if k != "spec"}
+    wrong_type = dict(d, params={"beta": None})
+    wrong_size = dict(d, params={"beta": [[1.0]]})
+    for doc in (text[:len(text) // 2], json.dumps(no_spec), json.dumps(wrong_type),
+                json.dumps(wrong_size), "[]"):
+        with pytest.raises(ConfigError):
+            model_from_json(doc)
+
+
+@pytest.mark.parametrize("mode", ["z_score", "none"])
+def test_scaled_predict_matches_manual_path(mode):
+    sset = build_supervised([make_city(n_periods=40, seed=17)], PollutantKind.NO2)
+    train = sset
+    if mode != "none":
+        train = apply_scaling(sset, fit_scaling(sset, mode))
+    for kind in ("knn", "linreg"):
+        model = models.fit(ModelSpec(kind=kind), train)
+        got = models.predict(model, sset.inputs)
+        if mode == "none":
+            assert not model.scaling.fitted
+            want = model.predict(sset.inputs)
+        else:
+            sc = model.scaling
+            want = sc.invert_targets(model.predict(sc.transform_inputs(sset.inputs)))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_predict_validates_shape_and_finiteness():

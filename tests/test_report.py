@@ -81,9 +81,10 @@ def test_figure_dtw_degenerate_cell_keeps_distance():
 
 
 def test_figure_data_rejects_nan_and_bad_id():
-    with pytest.raises(DomainError):
-        FigureData(figure_id="R2_bars",
-                   rows=(FigureRow("a", "b", float("nan")),), caption="x")
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            FigureData(figure_id="R2_bars",
+                       rows=(FigureRow("a", "b", bad),), caption="x")
     with pytest.raises(DomainError):
         FigureData(figure_id="scatter", rows=(), caption="x")
 
