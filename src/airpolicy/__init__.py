@@ -14,17 +14,14 @@ from .dataset import (
     resample_to_periods,
 )
 from .errors import AirPolicyError
-from .kernels import BACKEND, HAS_NUMBA
 from .similarity import Band, band_of, dtw, pearson, screen_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AirPolicyError",
-    "BACKEND",
     "Band",
     "CityDataset",
-    "HAS_NUMBA",
     "MEASURES",
     "MeasureKind",
     "N_FEATURES",

@@ -341,10 +341,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AirPolicyError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (AirPolicyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

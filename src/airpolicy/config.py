@@ -15,6 +15,7 @@ from .errors import ConfigError, DomainError
 from .evaluation import SplitSpec
 from .ingest import DEFAULT_COLUMN_MAP
 from .models import HYPER_DEFAULTS, KINDS, ModelSpec
+from .models.base import HYPER_ALIASES
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
@@ -179,9 +180,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
             raise ConfigError(f"override for unknown model kind {k!r}")
         if not isinstance(over, dict):
             raise ConfigError(f"models.overrides.{k} must be an object")
-        allowed = set(HYPER_DEFAULTS[k]) | {"seed"}
-        if k == "mgbr":
-            allowed.add("estimators")
+        allowed = set(HYPER_DEFAULTS[k]) | set(HYPER_ALIASES.get(k, {})) | {"seed"}
         _check_keys(over, allowed, f"models.overrides.{k}")
         overrides[k] = dict(over)
 

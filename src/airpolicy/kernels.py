@@ -1,44 +1,18 @@
 """Hot numeric kernels: alignment DP, tree split search, lasso sweeps.
 
-Each kernel exists twice: a numba ``@njit`` build and a pure-numpy build.
-The active backend is chosen once at import time: numba when it is
-importable, unless the environment variable ``AIRPOLICY_NO_NUMBA`` is set to
-a non-empty value other than ``0``. ``BACKEND`` reports the choice and
-``benchmarks/bench_kernels.py`` compares the two.
-
-Both builds produce bit-identical results at every input shape, so the
-backend flag changes speed and nothing else. That requires every reduction
-feeding a result or a comparison to accumulate in the same order on both
-sides: the compiled build uses plain running loops, and the numpy build
-pins the matching order with ``np.cumsum`` (strictly left to right, one
-element at a time) instead of ``sum``/``@``, whose pairwise and BLAS
-schedules drift by an ulp and can flip a near-tied argmin. The twin tests
-assert bitwise equality, including shapes past numpy's pairwise-block and
-BLAS thresholds.
+Every reduction that feeds a result or a comparison accumulates in a
+pinned, strictly left-to-right order: ``np.cumsum`` (one element at a
+time) or ``_seqsum`` rather than ``sum``/``@``. numpy's pairwise blocking
+and the BLAS build and its thread count would otherwise move a total by an
+ulp from one machine to the next, which can flip a near-tied argmin and
+change a tree. The pipeline's output bytes are defined by this order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("AIRPOLICY_NO_NUMBA", "").strip()
-    return flag in ("", "0")
-
-
-HAS_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+BACKEND = "numpy"  # one build only; kept because pipebench/run.py records it
 
 
 def _seqsum(a: np.ndarray) -> float:
@@ -51,15 +25,15 @@ def _seqsum(a: np.ndarray) -> float:
 # Alignment-cost accumulation (dynamic time warping)
 # ---------------------------------------------------------------------------
 
-def dtw_accumulate_numpy(cost: np.ndarray, window: int = -1) -> np.ndarray:
+def dtw_accumulate(cost: np.ndarray, window: int = -1) -> np.ndarray:
     """Accumulated-cost table for the monotone alignment recurrence.
 
     acc[i, j] = cost[i, j] + min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1])
     with acc[0, 0] = cost[0, 0] and borders accumulated along their axis.
     ``window >= 0`` restricts cells to ``|i - j| <= window`` (others inf).
 
-    Interior cells are filled one anti-diagonal at a time; every cell sees
-    exactly the same operands as the sequential build.
+    Interior cells are filled one anti-diagonal at a time; each cell is one
+    addition to an exact minimum, so the table equals a row-by-row sweep's.
     """
     n, m = cost.shape
     acc = np.full((n, m), np.inf)
@@ -86,40 +60,11 @@ def dtw_accumulate_numpy(cost: np.ndarray, window: int = -1) -> np.ndarray:
     return acc
 
 
-if HAS_NUMBA:
-
-    @_njit(cache=True, nogil=True)
-    def _dtw_accumulate_numba(cost, window):
-        n, m = cost.shape
-        acc = np.full((n, m), np.inf)
-        acc[0, 0] = cost[0, 0]
-        jmax = m - 1 if window < 0 else min(m - 1, window)
-        for j in range(1, jmax + 1):
-            acc[0, j] = acc[0, j - 1] + cost[0, j]
-        imax = n - 1 if window < 0 else min(n - 1, window)
-        for i in range(1, imax + 1):
-            acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        for i in range(1, n):
-            jlo = 1 if window < 0 else max(1, i - window)
-            jhi = m - 1 if window < 0 else min(m - 1, i + window)
-            for j in range(jlo, jhi + 1):
-                best = acc[i - 1, j - 1]
-                if acc[i - 1, j] < best:
-                    best = acc[i - 1, j]
-                if acc[i, j - 1] < best:
-                    best = acc[i, j - 1]
-                acc[i, j] = cost[i, j] + best
-        return acc
-
-    def dtw_accumulate_numba(cost: np.ndarray, window: int = -1) -> np.ndarray:
-        return _dtw_accumulate_numba(np.ascontiguousarray(cost, dtype=np.float64), window)
-
-
 # ---------------------------------------------------------------------------
 # Best split for the regression tree (weighted, multi-output)
 # ---------------------------------------------------------------------------
 
-def best_split_numpy(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
+def best_split(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     """Exhaustive axis-aligned split search minimizing child SSE.
 
     Returns ``(feature, threshold, score)`` where score is the summed
@@ -129,9 +74,9 @@ def best_split_numpy(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     broken toward the lower feature index, then the lower threshold.
     """
     n, n_feat = X.shape
-    # cumsum, not sum/@: the totals must accumulate in the compiled build's
-    # left-to-right order or the centering mean drifts by an ulp and deep
-    # trees can take a different split.
+    # cumsum, not sum/@: a strict left-to-right total does not depend on
+    # numpy's pairwise blocking or the BLAS build; an ulp of drift in the
+    # centering mean can make deep trees take a different split.
     wsum = _seqsum(w)
     mean = np.cumsum(w[:, None] * Y, axis=0)[-1] / wsum
     Yc = Y - mean
@@ -167,93 +112,11 @@ def best_split_numpy(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     return best_feat, best_thr, best_score
 
 
-if HAS_NUMBA:
-
-    @_njit(cache=True, nogil=True)
-    def _best_split_numba(X, Y, w):
-        n, n_feat = X.shape
-        n_out = Y.shape[1]
-        wsum = 0.0
-        for i in range(n):
-            wsum += w[i]
-        mean = np.zeros(n_out)
-        for i in range(n):
-            for c in range(n_out):
-                mean[c] += w[i] * Y[i, c]
-        for c in range(n_out):
-            mean[c] /= wsum
-        best_feat = -1
-        best_thr = 0.0
-        best_score = np.inf
-        sl = np.zeros(n_out)
-        s2l = np.zeros(n_out)
-        st = np.zeros(n_out)
-        s2t = np.zeros(n_out)
-        for f in range(n_feat):
-            order = np.argsort(X[:, f], kind="mergesort")
-            if X[order[0], f] == X[order[n - 1], f]:
-                continue
-            for c in range(n_out):
-                st[c] = 0.0
-                s2t[c] = 0.0
-            wt = 0.0
-            for k in range(n):
-                i = order[k]
-                wi = w[i]
-                wt += wi
-                for c in range(n_out):
-                    yc = Y[i, c] - mean[c]
-                    st[c] += wi * yc
-                    s2t[c] += wi * yc * yc
-            wl = 0.0
-            for c in range(n_out):
-                sl[c] = 0.0
-                s2l[c] = 0.0
-            for k in range(n - 1):
-                i = order[k]
-                wi = w[i]
-                wl += wi
-                for c in range(n_out):
-                    yc = Y[i, c] - mean[c]
-                    sl[c] += wi * yc
-                    s2l[c] += wi * yc * yc
-                xa = X[i, f]
-                xb = X[order[k + 1], f]
-                if xa == xb:
-                    continue
-                wr = wt - wl
-                if wl <= 0.0 or wr <= 0.0:
-                    continue
-                # Left terms summed before right terms, matching the numpy
-                # build's combine order, so equal-partition candidates score
-                # identically under either backend.
-                score_l = 0.0
-                score_r = 0.0
-                for c in range(n_out):
-                    sr = st[c] - sl[c]
-                    score_l += s2l[c] - sl[c] * sl[c] / wl
-                    score_r += (s2t[c] - s2l[c]) - sr * sr / wr
-                score = score_l + score_r
-                if score < best_score:
-                    best_score = score
-                    best_feat = f
-                    best_thr = 0.5 * (xa + xb)
-        return best_feat, best_thr, best_score
-
-    def best_split_numba(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
-        feat, thr, score = _best_split_numba(
-            np.ascontiguousarray(X, dtype=np.float64),
-            np.ascontiguousarray(Y, dtype=np.float64),
-            np.ascontiguousarray(w, dtype=np.float64),
-        )
-        return int(feat), float(thr), float(score)
-
-
 # ---------------------------------------------------------------------------
 # Lasso coordinate descent
 # ---------------------------------------------------------------------------
 
-def lasso_cd_numpy(X: np.ndarray, y: np.ndarray, lam: float, tol: float, max_sweeps: int):
+def lasso_cd(X: np.ndarray, y: np.ndarray, lam: float, tol: float, max_sweeps: int):
     """Cyclic coordinate descent with soft thresholding.
 
     X columns are expected centered (intercept handled by the caller);
@@ -262,8 +125,9 @@ def lasso_cd_numpy(X: np.ndarray, y: np.ndarray, lam: float, tol: float, max_swe
     coefficient change in a sweep drops below ``tol``.
     """
     n, d = X.shape
-    # cumsum keeps every reduction in the compiled build's sequential
-    # order; sum/@ would land an ulp away and break bitwise twin equality.
+    # cumsum/_seqsum pin every reduction to left-to-right order; sum/@
+    # depend on numpy's pairwise blocking and the BLAS build and can land an
+    # ulp away, which moves the coefficients and so the output bytes.
     aj = np.cumsum(X * X, axis=0)[-1] / n
     w = np.zeros(d)
     r = y.copy()
@@ -293,74 +157,3 @@ def lasso_cd_numpy(X: np.ndarray, y: np.ndarray, lam: float, tol: float, max_swe
         if max_delta < tol:
             break
     return w, sweeps, obj[:sweeps].copy()
-
-
-if HAS_NUMBA:
-
-    @_njit(cache=True, nogil=True)
-    def _lasso_cd_numba(X, y, lam, tol, max_sweeps):
-        n, d = X.shape
-        aj = np.zeros(d)
-        for j in range(d):
-            s = 0.0
-            for i in range(n):
-                s += X[i, j] * X[i, j]
-            aj[j] = s / n
-        w = np.zeros(d)
-        r = y.copy()
-        obj = np.empty(max_sweeps)
-        sweeps = 0
-        for sweep in range(max_sweeps):
-            max_delta = 0.0
-            for j in range(d):
-                if aj[j] == 0.0:
-                    continue
-                wj = w[j]
-                dot = 0.0
-                for i in range(n):
-                    dot += X[i, j] * r[i]
-                rho = dot / n + aj[j] * wj
-                if rho > lam:
-                    wnew = (rho - lam) / aj[j]
-                elif rho < -lam:
-                    wnew = (rho + lam) / aj[j]
-                else:
-                    wnew = 0.0
-                delta = wnew - wj
-                if delta != 0.0:
-                    for i in range(n):
-                        r[i] -= delta * X[i, j]
-                    w[j] = wnew
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-            rss = 0.0
-            for i in range(n):
-                rss += r[i] * r[i]
-            l1 = 0.0
-            for j in range(d):
-                l1 += abs(w[j])
-            obj[sweep] = rss / (2.0 * n) + lam * l1
-            sweeps = sweep + 1
-            if max_delta < tol:
-                break
-        return w, sweeps, obj[:sweeps].copy()
-
-    def lasso_cd_numba(X: np.ndarray, y: np.ndarray, lam: float, tol: float, max_sweeps: int):
-        w, sweeps, obj = _lasso_cd_numba(
-            np.ascontiguousarray(X, dtype=np.float64),
-            np.ascontiguousarray(y, dtype=np.float64),
-            float(lam),
-            float(tol),
-            int(max_sweeps),
-        )
-        return w, int(sweeps), obj
-
-
-if HAS_NUMBA:
-    dtw_accumulate = dtw_accumulate_numba
-    best_split = best_split_numba
-    lasso_cd = lasso_cd_numba
-else:
-    dtw_accumulate = dtw_accumulate_numpy
-    best_split = best_split_numpy
-    lasso_cd = lasso_cd_numpy

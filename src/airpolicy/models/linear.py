@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import kernels
 from ..dataset import affine_fit
-from ..errors import InsufficientDataError
+from ..errors import DomainError, InsufficientDataError
 from ..rng import SplitMix64
 from .base import ModelSpec, TrainedModel, register_kind
 
@@ -150,14 +150,21 @@ def _fit_mgbr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> SgdLinearModel:
         bias = 0.0
         t = 0
         order = np.arange(n)
-        for _ in range(epochs):
+        for epoch in range(epochs):
             gen.shuffle(order)
-            for i in order:
-                t += 1
-                eta = eta0 / t ** 0.25
-                g = (Xs[i] @ w + bias) - Y[i, c]
-                w -= eta * (g * Xs[i] + l2 * w)  # bias stays unpenalized
-                bias -= eta * g
+            # A step size too large overflows; that is reported below as a
+            # diverged fit, not as numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in order:
+                    t += 1
+                    eta = eta0 / t ** 0.25
+                    g = (Xs[i] @ w + bias) - Y[i, c]
+                    w -= eta * (g * Xs[i] + l2 * w)  # bias stays unpenalized
+                    bias -= eta * g
+            if not (np.isfinite(w).all() and np.isfinite(bias)):
+                raise DomainError(
+                    f"SGD diverged: weights not finite after epoch {epoch + 1} "
+                    f"(eta0={eta0:g}; lower eta0)")
         W[:, c] = w
         b[c] = bias
     return SgdLinearModel(spec, d, Y.shape[1], mu, sd, W, b)

@@ -81,7 +81,6 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_predictions_are_failed_cells(tmp_path, capsys):
     cfg = run_synth(tmp_path)
     out = str(tmp_path / "run")
@@ -121,6 +120,20 @@ def test_malformed_model_file_is_exit_2_without_traceback(tmp_path):
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and path in proc.stderr
+
+
+def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
+    cfg = run_synth(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "airpolicy.cli", "ingest", "--config", cfg,
+         "--out", str(afile / "x")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_missing_config_is_exit_2(capsys):

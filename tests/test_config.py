@@ -124,6 +124,10 @@ def test_model_overrides_flow_into_specs():
     # The alias lands on the canonical hyperparameter name.
     assert specs["mgbr"].hyperparameters["epochs"] == 7
     assert "estimators" not in specs["mgbr"].hyperparameters
+    # The alias belongs to mgbr alone.
+    doc["models"] = {"kinds": ["rfr"], "overrides": {"rfr": {"estimators": 3}}}
+    with pytest.raises(ConfigError, match="estimators"):
+        config_from_dict(doc)
 
 
 def test_parse_set_override_values():

@@ -179,7 +179,6 @@ def test_benchmark_prepares_each_pollutant_once(monkeypatch):
     assert calls == {"build_supervised": 3, "split": 3, "fit_scaling": 3}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_benchmark_non_finite_predictions_fail_the_cell():
     cities = [make_city("a", n_periods=41, seed=11)]
     specs = [ModelSpec(kind="mgbr", hyperparameters={"eta0": 1000.0}),

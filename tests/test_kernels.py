@@ -1,58 +1,28 @@
-"""Cross-backend agreement: the compiled kernels and the numpy fallbacks
-must return bit-identical results at every shape, so switching backends
-can never change a pipeline's output. Shapes deliberately cross numpy's
-pairwise-summation block (128) where an unpinned reduction order would
-drift."""
-
-import os
-import subprocess
-import sys
+"""Kernel contracts: the DTW table's borders, window and recurrence, and
+the split search's no-split result. The acceptance oracles (exhaustive
+DTW and split enumeration) check the kernels against independent
+references."""
 
 import numpy as np
-import pytest
 
 from airpolicy import kernels
 from airpolicy.rng import SplitMix64
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
 
 
 def random_cost(gen, n, m):
     return np.abs(np.array(gen.normals(n * m))).reshape(n, m)
 
 
-@needs_numba
-def test_dtw_tables_bitwise_identical_across_backends():
-    gen = SplitMix64(101)
-    shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (5, 9), (9, 5), (40, 40), (33, 57)]
-    for n, m in shapes:
-        cost = random_cost(gen, n, m)
-        a = kernels.dtw_accumulate_numpy(cost, -1)
-        b = kernels._dtw_accumulate_numba(cost, -1)
-        assert np.array_equal(a, b), (n, m)
-
-
-@needs_numba
-def test_dtw_windowed_tables_bitwise_identical():
-    gen = SplitMix64(102)
-    for n, m, w in [(10, 10, 0), (10, 10, 2), (10, 10, 3), (12, 8, 4),
-                    (8, 12, 5), (20, 20, 19), (20, 20, 50)]:
-        cost = random_cost(gen, n, m)
-        a = kernels.dtw_accumulate_numpy(cost, w)
-        b = kernels._dtw_accumulate_numba(cost, w)
-        assert np.array_equal(a, b), (n, m, w)
-
-
 def test_dtw_window_larger_than_needed_equals_unwindowed():
     gen = SplitMix64(103)
     cost = random_cost(gen, 15, 11)
-    assert np.array_equal(kernels.dtw_accumulate_numpy(cost, 100),
-                          kernels.dtw_accumulate_numpy(cost, -1))
+    assert np.array_equal(kernels.dtw_accumulate(cost, 100),
+                          kernels.dtw_accumulate(cost, -1))
 
 
 def test_dtw_table_corner_and_borders():
     cost = np.array([[1.0, 2.0, 4.0], [3.0, 1.0, 1.0]])
-    acc = kernels.dtw_accumulate_numpy(cost, -1)
+    acc = kernels.dtw_accumulate(cost, -1)
     # Borders are running sums; interior takes the cheapest predecessor.
     assert acc[0, 0] == 1.0
     assert np.array_equal(acc[0], np.cumsum(cost[0]))
@@ -61,80 +31,9 @@ def test_dtw_table_corner_and_borders():
     assert acc[1, 2] == cost[1, 2] + acc[1, 1]
 
 
-@needs_numba
-def test_best_split_bitwise_identical_across_backends():
-    """Every candidate scores identically under both builds and both scan
-    candidates in the same order, so even exact-arithmetic ties resolve to
-    the same (feature, threshold, score), bit for bit."""
-    gen = SplitMix64(104)
-    for trial in range(80):
-        n = 2 + gen.randint(300)
-        d = 1 + gen.randint(6)
-        X = np.array(gen.normals(n * d)).reshape(n, d)
-        if trial % 2:
-            X = np.round(X)  # heavy ties exercise the ordering contract
-        Y = np.array(gen.normals(n * 2)).reshape(n, 2)
-        if trial % 3:
-            w = np.abs(np.array(gen.normals(n))) + 0.1
-        else:
-            # Bootstrap-style integer counts, the forest's weight shape.
-            w = np.array([float(1 + gen.randint(3)) for _ in range(n)])
-        a = kernels.best_split_numpy(X, Y, w)
-        b = kernels._best_split_numba(X, Y, w)
-        assert a == (int(b[0]), float(b[1]), float(b[2])), trial
-
-
 def test_best_split_no_valid_split_on_constant_feature():
     X = np.ones((6, 2))
     Y = np.arange(12.0).reshape(6, 2)
     w = np.ones(6)
-    f, t, s = kernels.best_split_numpy(X, Y, w)
+    f, t, s = kernels.best_split(X, Y, w)
     assert f == -1 and not np.isfinite(s)
-
-
-@needs_numba
-def test_lasso_bitwise_identical_across_backends():
-    gen = SplitMix64(105)
-    for _ in range(25):
-        n = 10 + gen.randint(280)
-        d = 1 + gen.randint(8)
-        X = np.array(gen.normals(n * d)).reshape(n, d)
-        y = np.array(gen.normals(n))
-        lam = 0.05 * gen.uniform()
-        w_np, sweeps_np, obj_np = kernels.lasso_cd_numpy(X, y, lam, 1e-10, 500)
-        w_nb, sweeps_nb, obj_nb = kernels._lasso_cd_numba(X, y, lam, 1e-10, 500)
-        assert sweeps_np == sweeps_nb
-        assert np.array_equal(w_np, w_nb)
-        assert np.array_equal(obj_np, obj_nb)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, AIRPOLICY_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from airpolicy import kernels; print(kernels.BACKEND, kernels.HAS_NUMBA)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["numpy", "False"]
-
-
-@needs_numba
-def test_default_backend_is_numba_when_available():
-    env = {k: v for k, v in os.environ.items() if k != "AIRPOLICY_NO_NUMBA"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from airpolicy import kernels; print(kernels.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numba"
-
-
-def test_public_names_point_at_selected_backend():
-    if kernels.BACKEND == "numba":
-        assert kernels.dtw_accumulate is kernels.dtw_accumulate_numba
-        assert kernels.best_split is kernels.best_split_numba
-        assert kernels.lasso_cd is kernels.lasso_cd_numba
-    else:
-        assert kernels.dtw_accumulate is kernels.dtw_accumulate_numpy
-        assert kernels.best_split is kernels.best_split_numpy
-        assert kernels.lasso_cd is kernels.lasso_cd_numpy

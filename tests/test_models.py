@@ -5,6 +5,7 @@ persistence for every kind."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from airpolicy.dataset import (
     build_supervised,
     fit_scaling,
 )
-from airpolicy.errors import ConfigError, InsufficientDataError, ShapeError
+from airpolicy.errors import ConfigError, DomainError, InsufficientDataError, ShapeError
 from airpolicy.models import ModelSpec, fit_arrays, model_from_json, model_to_json
 from airpolicy.models.boost import _weighted_median
 from airpolicy.models.forest import ForestModel
@@ -380,6 +381,15 @@ def test_mgbr_deterministic_and_learns_linear_trend():
     rmse_model = np.sqrt(((pred - Y) ** 2).mean())
     rmse_mean = np.sqrt(((Y - Y.mean(axis=0)) ** 2).mean())
     assert rmse_model < 0.5 * rmse_mean
+
+
+def test_mgbr_divergence_raises_without_numpy_warnings():
+    X, Y = random_problem(319, n=120, d=3)
+    spec = ModelSpec(kind="mgbr", hyperparameters={"eta0": 1000.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite.*eta0"):
+            fit_arrays(spec, X, Y, IDENTITY_SCALING)
 
 
 # -- boosting ---------------------------------------------------------------
