@@ -8,6 +8,7 @@ the raw document and the result is re-validated as a whole.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dataset import MeasureKind, PollutantKind, DEFAULT_MAX_LEVEL
@@ -247,6 +248,21 @@ def config_from_dict(d: dict) -> PipelineConfig:
     )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text} is out of range")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"{name} is not a number the config accepts")
+
+
+# Reports echo the config as strict JSON, which has no NaN or Infinity.
+_FINITE_JSON = {"parse_float": _finite_float, "parse_constant": _reject_constant}
+
+
 def parse_set_override(text: str) -> tuple[list[str], object]:
     """Parse one K=V override; the key is a dotted path, V parses as JSON or stays a string."""
     if "=" not in text:
@@ -256,7 +272,7 @@ def parse_set_override(text: str) -> tuple[list[str], object]:
     if not key:
         raise ConfigError(f"override {text!r} has an empty key")
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, **_FINITE_JSON)
     except json.JSONDecodeError:
         value = raw
     return key.split("."), value
@@ -286,7 +302,7 @@ def load_config(path: str, overrides: list[str] | None = None,
     """Read, override, and validate a config file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, **_FINITE_JSON)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -6,8 +6,9 @@ is always reported in original units: when a scaling mode is configured it
 is fitted on training rows only and predictions are inverted before
 scoring. Each pollutant's rows are built, split and scaled once, then its
 learners run one after another on that shared data. A failed cell,
-including one whose predictions are not finite, is recorded in the report
-instead of aborting the run.
+including one whose predictions are not finite or whose learner raised a
+numeric error (``LinAlgError``, ``FloatingPointError``), is recorded in the
+report instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _run_cell(
         if not math.isfinite(joint):
             raise DomainError(f"{spec.kind}: predictions or RMSE not finite")
         denom = float(np.abs(test.targets[:, 0]).mean())
-        rel = m / denom if denom > 0.0 else float("inf")
+        rel = m / denom if denom > 0.0 else None  # undefined on all-zero targets
         cell = EvalCell(
             pollutant=train.pollutant,
             kind=spec.kind,
@@ -162,6 +163,9 @@ def _run_cell(
         return cell, model
     except AirPolicyError as exc:
         return EvalCell(pollutant=train.pollutant, kind=spec.kind, error=str(exc)), None
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        error = f"{spec.kind}: {type(exc).__name__}: {exc}"
+        return EvalCell(pollutant=train.pollutant, kind=spec.kind, error=error), None
 
 
 def run_benchmark(
@@ -241,7 +245,7 @@ def report_to_json(report: EvalReport, config_echo: dict | None = None) -> str:
         })
     return json.dumps(
         {"rows": rows, "config": config_echo or {}},
-        sort_keys=True, indent=2,
+        sort_keys=True, indent=2, allow_nan=False,
     )
 
 

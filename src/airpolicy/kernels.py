@@ -64,6 +64,14 @@ def dtw_accumulate(cost: np.ndarray, window: int = -1) -> np.ndarray:
 # Best split for the regression tree (weighted, multi-output)
 # ---------------------------------------------------------------------------
 
+def _lsum(a: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the first axis; equals np.cumsum(a, axis=0)[-1]."""
+    acc = a[0]
+    for c in range(1, a.shape[0]):
+        acc = acc + a[c]
+    return acc
+
+
 def best_split(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     """Exhaustive axis-aligned split search minimizing child SSE.
 
@@ -72,44 +80,50 @@ def best_split(X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     when no value pair differs. Thresholds are midpoints of consecutive
     distinct sorted values; rows with value <= threshold go left. Ties are
     broken toward the lower feature index, then the lower threshold.
+
+    All features are scanned in one pass over (output, feature, row)
+    arrays. Every candidate's score goes through the operations of a scan
+    of that feature alone, in the same order, so the result is the same to
+    the bit; a feature whose valid scores contain a NaN is passed over, as
+    such a scan's argmin/compare does.
     """
     n, n_feat = X.shape
+    if n < 2 or n_feat == 0:
+        return -1, 0.0, np.inf
     # cumsum, not sum/@: a strict left-to-right total does not depend on
     # numpy's pairwise blocking or the BLAS build; an ulp of drift in the
     # centering mean can make deep trees take a different split.
     wsum = _seqsum(w)
     mean = np.cumsum(w[:, None] * Y, axis=0)[-1] / wsum
-    Yc = Y - mean
-    best_feat = -1
-    best_thr = 0.0
-    best_score = np.inf
-    for f in range(n_feat):
-        order = np.argsort(X[:, f], kind="mergesort")
-        xv = X[order, f]
-        if xv[0] == xv[-1]:
-            continue
-        yv = Yc[order]
-        wv = w[order]
-        cw = np.cumsum(wv)
-        wy = np.cumsum(wv[:, None] * yv, axis=0)
-        wy2 = np.cumsum(wv[:, None] * yv * yv, axis=0)
-        wl = cw[:-1]
-        wr = cw[-1] - wl
-        sl = wy[:-1]
-        s2l = wy2[:-1]
-        sr = wy[-1] - sl
-        s2r = wy2[-1] - s2l
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.cumsum(s2l - sl * sl / wl[:, None], axis=1)[:, -1]
-            score = score + np.cumsum(s2r - sr * sr / wr[:, None], axis=1)[:, -1]
-        valid = (xv[1:] != xv[:-1]) & (wl > 0.0) & (wr > 0.0)
-        score = np.where(valid, score, np.inf)
-        s = int(np.argmin(score))
-        if score[s] < best_score:
-            best_score = float(score[s])
-            best_feat = f
-            best_thr = 0.5 * (xv[s] + xv[s + 1])
-    return best_feat, best_thr, best_score
+    Yc = np.ascontiguousarray((Y - mean).T)
+    order = np.argsort(X.T, axis=1, kind="mergesort")
+    xv = np.take_along_axis(X.T, order, axis=1)
+    wv = w[order]
+    yv = np.take(Yc, order, axis=1)
+    cw = np.cumsum(wv, axis=1)
+    # In place where possible: fresh arrays of this size cost page faults.
+    wy = wv * yv
+    wy2 = np.multiply(wy, yv, out=yv)  # (w*y)*y, the per-feature association
+    np.cumsum(wy, axis=2, out=wy)
+    np.cumsum(wy2, axis=2, out=wy2)
+    wl = cw[:, :-1]
+    wr = cw[:, -1:] - wl
+    sl = wy[..., :-1]
+    s2l = wy2[..., :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = _lsum(s2l - sl * sl / wl)
+        sr = np.subtract(wy[..., -1:], sl, out=sl)
+        s2r = np.subtract(wy2[..., -1:], s2l, out=s2l)
+        score = score + _lsum(s2r - sr * sr / wr)
+    valid = (xv[:, 1:] != xv[:, :-1]) & (wl > 0.0) & (wr > 0.0)
+    score = np.where(valid, score, np.inf)
+    score[np.isnan(score).any(axis=1)] = np.inf
+    flat = score.ravel()  # feature-major: argmin prefers the lower feature
+    best = int(np.argmin(flat))
+    if not flat[best] < np.inf:
+        return -1, 0.0, np.inf
+    f, s = divmod(best, n - 1)
+    return f, 0.5 * (xv[f, s] + xv[f, s + 1]), float(flat[best])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _fit_rfr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> ForestModel:
     child_gens = [root_gen.spawn() for _ in range(n_trees)]
     roots = []
     for gen in child_gens:
-        idx = np.array([gen.randint(n) for _ in range(n)], dtype=np.int64)
+        idx = gen.randints(n, n)
         roots.append(grow_tree(X[idx], Y[idx], max_depth=max_depth))
     return ForestModel(spec, X.shape[1], Y.shape[1], roots)
 

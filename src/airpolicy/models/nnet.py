@@ -27,21 +27,23 @@ SELU_SCALE = 1.0507009873554805
 HIDDEN_SIZES = (20, 10, 20)
 
 
+def selu_and_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SELU and its derivative at ``z``; one exp(min(z, 0)) serves both."""
+    pos = z > 0.0
+    e = np.exp(np.minimum(z, 0.0))
+    return (SELU_SCALE * np.where(pos, z, SELU_ALPHA * (e - 1.0)),
+            SELU_SCALE * np.where(pos, 1.0, SELU_ALPHA * e))
+
+
 def selu(z: np.ndarray) -> np.ndarray:
-    return SELU_SCALE * np.where(z > 0.0, z, SELU_ALPHA * (np.exp(np.minimum(z, 0.0)) - 1.0))
-
-
-def selu_grad(z: np.ndarray) -> np.ndarray:
-    return SELU_SCALE * np.where(z > 0.0, 1.0, SELU_ALPHA * np.exp(np.minimum(z, 0.0)))
+    return selu_and_grad(z)[0]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so no exp
+    overflows; exp(-|z|) is the exponential either branch needs."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _layer_sizes(input_dim: int, output_dim: int) -> list[tuple[int, int]]:
@@ -81,29 +83,26 @@ def loss_and_gradients(params, Xs: np.ndarray, Ys: np.ndarray, loss_scale: float
     """MSE loss (mean over batch and outputs) and its parameter gradients."""
     n_layers = len(params)
     acts = [Xs]
-    zs = []
+    slopes = []
     h = Xs
     for W, b in params[:-1]:
-        z = h @ W + b
-        zs.append(z)
-        h = selu(z)
+        h, slope = selu_and_grad(h @ W + b)
         acts.append(h)
+        slopes.append(slope)
     W, b = params[-1]
-    z = h @ W + b
-    zs.append(z)
-    out = sigmoid(z)
+    out = sigmoid(h @ W + b)
     diff = out - Ys
-    loss = loss_scale * float((diff * diff).mean())
+    # np.add.reduce is what ndarray.mean/sum call, minus their Python layer.
+    loss = loss_scale * float(np.add.reduce(diff * diff, axis=None) / diff.size)
     grads = [None] * n_layers
     delta = loss_scale * 2.0 * diff / diff.size  # d loss / d z through the sigmoid next
     delta = delta * out * (1.0 - out)
     for li in range(n_layers - 1, -1, -1):
-        W, _ = params[li]
         gW = acts[li].T @ delta
-        gb = delta.sum(axis=0)
+        gb = np.add.reduce(delta, axis=0)
         grads[li] = (gW, gb)
         if li > 0:
-            delta = (delta @ W.T) * selu_grad(zs[li - 1])
+            delta = (delta @ params[li][0].T) * slopes[li - 1]
     return loss, grads
 
 
@@ -159,13 +158,14 @@ def _fit_dnn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> DnnModel:
     order = np.arange(n)
     for _ in range(epochs):
         gen.shuffle(order)
+        # One permuted copy per epoch; its batches are contiguous slices.
+        Xe, Ye = Xs[order], Ys[order]
         for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            _, grads = loss_and_gradients(params, Xs[batch], Ys[batch])
-            params = [
-                (W - lr * gW, b - lr * gb)
-                for (W, b), (gW, gb) in zip(params, grads)
-            ]
+            stop = start + batch_size
+            _, grads = loss_and_gradients(params, Xe[start:stop], Ye[start:stop])
+            for (W, b), (gW, gb) in zip(params, grads):
+                W -= lr * gW
+                b -= lr * gb
     return DnnModel(spec, X.shape[1], Y.shape[1], in_lo, in_span, tg_lo, tg_span, params)
 
 

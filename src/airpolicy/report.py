@@ -214,9 +214,10 @@ def render_benchmark_summary(report: EvalReport) -> str:
             lines.append(f"{p.value}: every cell failed")
             continue
         best = min(ok, key=lambda r: r.rmse_joint)
+        rel = "--" if best.relative_error is None else f"{best.relative_error:.4f}"
         lines.append(
             f"{p.value}: best {best.kind} "
-            f"(joint rmse {best.rmse_joint:.4e}, relative error {best.relative_error:.4f})"
+            f"(joint rmse {best.rmse_joint:.4e}, relative error {rel})"
         )
     failed = report.n_failed
     lines.append("")

@@ -15,11 +15,21 @@ golden-ratio increment 0x9E3779B97F4A7C15 and each output is the finalizer
 applied to the advanced state. Derived draws are defined on top of the raw
 64-bit stream as documented on each method, so any implementation of the same
 scheme reproduces them bit for bit.
+
+Because the state only ever advances by the increment, the i-th state after
+the current one is ``state + i * gamma (mod 2**64)``. ``u64_block(k)`` uses
+that closed form to produce the next k raw outputs at once as a numpy
+``uint64`` array, equal to k calls of ``u64()``, and leaves the generator
+where those calls would. ``randints(bound, k)`` is ``u64_block(k) % bound``,
+element for element the values of k ``randint(bound)`` calls, and
+``shuffle`` takes its swap indices from one block.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -39,6 +49,15 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
+
+    def u64_block(self, k: int) -> np.ndarray:
+        """Next k raw outputs as a uint64 array; the state advances by k."""
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        self._state = (self._state + k * _GAMMA) & _MASK
+        return z ^ (z >> np.uint64(31))
 
     def spawn(self) -> "SplitMix64":
         """Child generator seeded with the next raw output."""
@@ -68,11 +87,23 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.u64() % n
 
+    def randints(self, bound: int, k: int) -> np.ndarray:
+        """k integers in [0, bound) as a uint64 array: u64_block(k) % bound,
+        the values of k randint(bound) calls. bound must fit in 64 bits."""
+        if not 0 < bound <= _MASK:
+            raise ValueError("bound must lie in [1, 2**64)")
+        return self.u64_block(k) % np.uint64(bound)
+
     def shuffle(self, items) -> None:
-        """In-place Fisher-Yates from the last element down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates from the last element down: for i = n-1 .. 1,
+        swap items i and u64() % (i + 1). Works on lists and numpy arrays."""
+        n = len(items)
+        js = (self.u64_block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        seq = list(items)
+        for i, j in zip(range(n - 1, 0, -1), js):
+            seq[i], seq[j] = seq[j], seq[i]
+        items[:] = seq
 
     def normals(self, n: int) -> list[float]:
+        """n successive normal() draws."""
         return [self.normal() for _ in range(n)]

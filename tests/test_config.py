@@ -153,6 +153,16 @@ def test_apply_overrides_nested_creation():
         apply_overrides({"year": 2020}, ["year.month=5"])
 
 
+def test_non_finite_numbers_are_rejected(tmp_path):
+    for raw in ("Infinity", "-Infinity", "NaN", "1e999"):
+        with pytest.raises(ConfigError):
+            parse_set_override(f'models.overrides={{"ridge": {{"lam": {raw}}}}}')
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_doc())[:-1] + f', "seed": {raw}}}')
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+
 def test_load_config_precedence(tmp_path):
     path = tmp_path / "cfg.json"
     doc = base_doc()

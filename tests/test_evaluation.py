@@ -20,6 +20,7 @@ from airpolicy.evaluation import (
     write_report_csv,
 )
 from airpolicy.models import KINDS, ModelSpec
+from airpolicy.report import render_benchmark_summary
 
 from conftest import make_city
 
@@ -216,14 +217,54 @@ def test_benchmark_records_failures_as_cells():
         report.cell(PollutantKind.NO2, "linreg")
 
 
-def test_relative_error_inf_when_targets_zero():
+def test_relative_error_null_when_targets_zero(tmp_path):
     cities = [make_city("a", n_periods=16, seed=3,
                         pollutant_fn=lambda t, j: (0.0, 0.001))]
     report, _ = run_benchmark(cities, [PollutantKind.CO],
                               [ModelSpec(kind="knn", hyperparameters={"k": 3})], SplitSpec())
     cell = report.cell(PollutantKind.CO, "knn")
-    assert cell.ok
-    assert cell.relative_error == float("inf")
+    assert cell.ok and cell.rmse_mean is not None
+    assert cell.relative_error is None
+    row = json.loads(report_to_json(report), parse_constant=_reject_constant)["rows"][0]
+    assert row["relative_error"] is None and row["rmse_mean"] == cell.rmse_mean
+    path = tmp_path / "report.csv"
+    write_report_csv(report, str(path))
+    with open(path, newline="") as fh:
+        assert next(csv.DictReader(fh))["relative_error"] == ""
+    assert "relative error --)" in render_benchmark_summary(report)
+
+
+ALL_KINDS_LIGHT = [
+    ModelSpec(kind=kind, hyperparameters={"rfr": {"n_trees": 2}, "madab": {"estimators": 2},
+                                          "dnn": {"epochs": 1}}.get(kind, {}))
+    for kind in KINDS
+]
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"),
+                                 FloatingPointError("overflow encountered in exp")],
+                         ids=lambda e: type(e).__name__)
+def test_learner_numeric_errors_fail_only_their_cell(monkeypatch, exc):
+    from airpolicy.models import base
+
+    fit_ridge = base._FITTERS["ridge"]
+    calls = []
+
+    def fails_first(spec, X, Y):  # the first pollutant's ridge cell only
+        calls.append(spec.kind)
+        if len(calls) == 1:
+            raise exc
+        return fit_ridge(spec, X, Y)
+
+    monkeypatch.setitem(base._FITTERS, "ridge", fails_first)
+    cities = [make_city("a", n_periods=41, seed=11)]
+    report, trained = run_benchmark(cities, list(POLLUTANTS), ALL_KINDS_LIGHT, SplitSpec())
+    assert len(report.rows) == 36 and report.n_failed == 1
+    cell = report.cell(PollutantKind.CO, "ridge")
+    assert cell.error == f"ridge: {type(exc).__name__}: {exc}"
+    assert cell.rmse_mean is None
+    assert all(r.ok for r in report.rows if r is not cell)
+    assert len(trained) == 35
 
 
 def test_scaling_mode_scores_in_original_units():

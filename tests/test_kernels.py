@@ -1,9 +1,12 @@
 """Kernel contracts: the DTW table's borders, window and recurrence, and
-the split search's no-split result. The acceptance oracles (exhaustive
-DTW and split enumeration) check the kernels against independent
-references."""
+the split search's no-split result and bit-identity with a per-feature
+scan. The acceptance oracles (exhaustive DTW and split enumeration) check
+the kernels against independent references."""
 
 import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from airpolicy import kernels
 from airpolicy.rng import SplitMix64
@@ -37,3 +40,78 @@ def test_best_split_no_valid_split_on_constant_feature():
     w = np.ones(6)
     f, t, s = kernels.best_split(X, Y, w)
     assert f == -1 and not np.isfinite(s)
+
+
+def per_feature_best_split(X, Y, w):
+    """The split search one feature at a time: the definition the one-pass
+    kernel must reproduce bit for bit."""
+    n, n_feat = X.shape
+    wsum = kernels._seqsum(w)
+    mean = np.cumsum(w[:, None] * Y, axis=0)[-1] / wsum
+    Yc = Y - mean
+    best_feat, best_thr, best_score = -1, 0.0, np.inf
+    for f in range(n_feat):
+        order = np.argsort(X[:, f], kind="mergesort")
+        xv = X[order, f]
+        if xv[0] == xv[-1]:
+            continue
+        yv = Yc[order]
+        wv = w[order]
+        cw = np.cumsum(wv)
+        wy = np.cumsum(wv[:, None] * yv, axis=0)
+        wy2 = np.cumsum(wv[:, None] * yv * yv, axis=0)
+        wl = cw[:-1]
+        wr = cw[-1] - wl
+        sl = wy[:-1]
+        s2l = wy2[:-1]
+        sr = wy[-1] - sl
+        s2r = wy2[-1] - s2l
+        score = np.cumsum(s2l - sl * sl / wl[:, None], axis=1)[:, -1]
+        score = score + np.cumsum(s2r - sr * sr / wr[:, None], axis=1)[:, -1]
+        valid = (xv[1:] != xv[:-1]) & (wl > 0.0) & (wr > 0.0)
+        score = np.where(valid, score, np.inf)
+        s = int(np.argmin(score))
+        if score[s] < best_score:  # a NaN at the argmin skips the feature
+            best_score = float(score[s])
+            best_feat = f
+            best_thr = 0.5 * (xv[s] + xv[s + 1])
+    return best_feat, best_thr, best_score
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 60))
+    n_feat = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 2))
+    X = draw(hnp.arrays(np.float64, (n, n_feat), elements=st.integers(-3, 3).map(float)))
+    Y = draw(hnp.arrays(np.float64, (n, k),
+                        elements=st.floats(-100.0, 100.0, allow_subnormal=False)))
+    w = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
+    # 1e154 puts squared deviations next to the float64 limit, so sums
+    # overflow and scores turn inf or NaN.
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e154]))
+    return X, Y * scale, w
+
+
+@given(split_problems())
+def test_best_split_bitwise_equals_per_feature_scan(problem):
+    X, Y, w = problem
+    assume(w.sum() > 0.0)
+    with np.errstate(all="ignore"):
+        want = per_feature_best_split(X, Y, w)
+        got = kernels.best_split(X, Y, w)
+    assert got[0] == want[0]
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+def test_best_split_skips_features_with_nan_scores():
+    # Weights near the float64 limit overflow the sums: feature 1 has a NaN
+    # among its valid scores and is passed over, feature 0 wins with -inf.
+    X = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 0.0], [2.0, 1.0]])
+    Y = np.array([[0.0], [0.0], [0.5], [-1.0], [0.0], [5e159]])
+    w = np.array([1e308, 3.0, 1e308, 0.0, 0.0, 1e-300])
+    with np.errstate(all="ignore"):
+        got = kernels.best_split(X, Y, w)
+        assert got == per_feature_best_split(X, Y, w)
+    assert got == (0, 0.5, -np.inf)

@@ -2,6 +2,7 @@
 every downstream seed contract depends on it."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -104,3 +105,53 @@ def test_shuffle_numpy_array_in_place():
     arr2 = np.arange(100)
     SplitMix64(4).shuffle(arr2)
     assert np.array_equal(arr, arr2)
+
+
+@pytest.mark.parametrize("seed", [0, M64])
+@pytest.mark.parametrize("k", [0, 1, 1000])
+def test_u64_block_equals_scalar_draws(seed, k):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = block.u64_block(k)
+    assert got.dtype == np.uint64 and got.shape == (k,)
+    assert got.tolist() == [scalar.u64() for _ in range(k)]
+    assert block.u64() == scalar.u64()
+
+
+@pytest.mark.parametrize("seed", [0, M64])
+@pytest.mark.parametrize("k", [0, 1, 1000])
+def test_randints_equal_scalar_randint(seed, k):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    for bound in (1, 7, 580, M64):
+        got = block.randints(bound, k)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [scalar.randint(bound) for _ in range(k)]
+    assert block.u64() == scalar.u64()
+
+
+def test_randints_rejects_bounds_outside_64_bits():
+    for bound in (0, -1, M64 + 1):
+        with pytest.raises(ValueError):
+            SplitMix64(0).randints(bound, 3)
+
+
+def scalar_shuffle(gen, items):
+    """Fisher-Yates one u64() at a time, the definition shuffle must match."""
+    for i in range(len(items) - 1, 0, -1):
+        j = gen.u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 580])
+def test_shuffle_equals_scalar_fisher_yates(n):
+    for seed in (0, 9, M64):
+        want = list(range(n))
+        ref = SplitMix64(seed)
+        scalar_shuffle(ref, want)
+        as_list = [f"r{i}" for i in range(n)]
+        as_array = np.arange(n)
+        gen_list, gen_array = SplitMix64(seed), SplitMix64(seed)
+        gen_list.shuffle(as_list)
+        gen_array.shuffle(as_array)
+        assert as_list == [f"r{i}" for i in want]
+        assert as_array.tolist() == want
+        assert gen_list.u64() == gen_array.u64() == ref.u64()
