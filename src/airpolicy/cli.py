@@ -41,27 +41,15 @@ EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
 
-def _resolve_out(args, config: PipelineConfig | None = None, default: str = "out") -> str:
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("AIRPOLICY_OUT", "").strip()
-    if env:
-        return env
-    if config is not None:
-        return config.out_dir
-    return default
+def _resolve_out(args) -> str | None:
+    """--out, else AIRPOLICY_OUT; None leaves the choice to the caller."""
+    return args.out or os.environ.get("AIRPOLICY_OUT", "").strip() or None
 
 
 def _load(args) -> PipelineConfig:
     if not args.config:
         raise ConfigError("--config is required for this command")
-    config = load_config(args.config, overrides=args.set or [],
-                         out_dir=None, seed=args.seed)
-    out = _resolve_out(args, config)
-    if out != config.out_dir:
-        config = load_config(args.config, overrides=args.set or [],
-                             out_dir=out, seed=args.seed)
-    return config
+    return load_config(args.config, overrides=args.set or [], out_dir=_resolve_out(args))
 
 
 def _city_csv_path(out_dir: str, name: str) -> str:
@@ -176,8 +164,12 @@ def cmd_screen(args) -> int:
 # benchmark
 # ---------------------------------------------------------------------------
 
-def _last_complete_input(ds_list: list[CityDataset], pollutant: PollutantKind):
-    """Latest (over cities in order) record with all 10 features present."""
+def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
+    """Print and return (city, period, inputs, prediction) for the next period.
+
+    The inputs are the latest record (over cities in order) with all 10
+    features present; None when there is none.
+    """
     found = None
     for ds in ds_list:
         for rec in ds.records:
@@ -187,7 +179,12 @@ def _last_complete_input(ds_list: list[CityDataset], pollutant: PollutantKind):
     if found is None:
         return None
     city, period, x = found
-    return city, period, np.array(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)
+    pred = models.predict(model, x)[0]
+    print(f"{pollutant.value} ({city}, period {period}): "
+          f"mean {x[-2]:.4e} mol/m2 -> next-period forecast "
+          f"{pred[0]:.4e} mol/m2 (std {pred[1]:.4e})")
+    return city, period, x, pred
 
 
 def cmd_benchmark(args) -> int:
@@ -215,16 +212,8 @@ def cmd_benchmark(args) -> int:
     # Forecast demo: current density and next-period prediction per pollutant.
     for pollutant in config.pollutants:
         model = trained.get((pollutant, config.predict_kind))
-        if model is None:
-            continue
-        last = _last_complete_input(city_sets, pollutant)
-        if last is None:
-            continue
-        city, period, x = last
-        pred = models.predict(model, x)[0]
-        print(f"{pollutant.value} ({city}, period {period}): "
-              f"mean {x[-2]:.4e} mol/m2 -> next-period forecast "
-              f"{pred[0]:.4e} mol/m2 (std {pred[1]:.4e})")
+        if model is not None:
+            _forecast(model, city_sets, pollutant)
     return EXIT_PARTIAL if eval_report.n_failed else EXIT_OK
 
 
@@ -243,19 +232,12 @@ def cmd_predict(args) -> int:
             raise ConfigError(
                 f"model file not found: {path} (run the benchmark command first)"
             )
-        model = models.load_model(path)
-        last = _last_complete_input(city_sets, pollutant)
-        if last is None:
-            raise ConfigError(
-                f"no complete period found for {pollutant.value}"
-            )
-        city, period, x = last
-        pred = models.predict(model, x)[0]
+        forecast = _forecast(models.load_model(path), city_sets, pollutant)
+        if forecast is None:
+            raise ConfigError(f"no complete period found for {pollutant.value}")
+        city, period, x, pred = forecast
         rows.append((pollutant.value, config.predict_kind, city, period,
                      x[-2], x[-1], pred[0], pred[1]))
-        print(f"{pollutant.value} ({city}, period {period}): "
-              f"mean {x[-2]:.4e} mol/m2 -> next-period forecast "
-              f"{pred[0]:.4e} mol/m2 (std {pred[1]:.4e})")
     with open(os.path.join(config.out_dir, "forecast.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pollutant", "kind", "city", "period",
@@ -273,11 +255,10 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = _resolve_out(args, None, default="synth")
     result = synth.generate(
-        out_dir=out,
+        out_dir=_resolve_out(args) or "synth",
         profile=args.profile,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         noise=args.noise,
         emit_grids=args.emit_grids,
     )
@@ -300,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config and env)")
-        p.add_argument("--seed", type=int, default=None, help="override the global seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; no effect (cells run serially)")
         p.add_argument("--set", action="append", metavar="K=V",
@@ -324,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate synthetic city inputs")
     add_common(p_synth)
+    p_synth.add_argument("--seed", type=int, default=0, help="seed of the generated data")
     p_synth.add_argument("--profile", choices=["linear", "null"], default="linear")
     p_synth.add_argument("--noise", type=float, default=0.01,
                          help="relative noise level for the linear profile")

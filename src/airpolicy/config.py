@@ -298,7 +298,7 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 
 def load_config(path: str, overrides: list[str] | None = None,
-                out_dir: str | None = None, seed: int | None = None) -> PipelineConfig:
+                out_dir: str | None = None) -> PipelineConfig:
     """Read, override, and validate a config file."""
     try:
         with open(path) as fh:
@@ -310,8 +310,6 @@ def load_config(path: str, overrides: list[str] | None = None,
     doc = apply_overrides(doc, overrides or [])
     if out_dir is not None:
         doc["out_dir"] = out_dir
-    if seed is not None:
-        doc["seed"] = seed
     return config_from_dict(doc)
 
 

@@ -87,7 +87,7 @@ def periods_in_year(year: int) -> int:
 
 def period_of_date(date: dt.date) -> int:
     """0-based period index of a calendar date within its own year."""
-    return (date.timetuple().tm_yday - 1) // 2
+    return (date.toordinal() - dt.date(date.year, 1, 1).toordinal()) // 2
 
 
 def period_start_date(year: int, period_index: int) -> dt.date:
@@ -171,19 +171,20 @@ class CityDataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def measure_series(self, measure: MeasureKind) -> tuple[np.ndarray, np.ndarray]:
-        """(period indices, intensities) over records where the measure is present."""
-        idx = [r.period_index for r in self.records if measure in r.measures]
-        val = [r.measures[measure] for r in self.records if measure in r.measures]
-        return np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)
 
-    def pollutant_series(self, pollutant: PollutantKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(period indices, means, stds) over records where the pollutant is present."""
-        recs = [r for r in self.records if pollutant in r.pollutant_stats]
-        idx = np.array([r.period_index for r in recs], dtype=np.int64)
-        mean = np.array([r.pollutant_stats[pollutant][0] for r in recs], dtype=np.float64)
-        std = np.array([r.pollutant_stats[pollutant][1] for r in recs], dtype=np.float64)
-        return idx, mean, std
+def group_by_period(rows, year: int) -> list[tuple[int, list]]:
+    """Rows whose first item is a date, grouped by 2-day period.
+
+    Periods come in ascending order, each with its rows in input order;
+    periods with no row are omitted. Every date must fall inside ``year``.
+    """
+    groups: dict[int, list] = {}
+    for row in rows:
+        date = row[0]
+        if date.year != year:
+            raise DomainError(f"date {date} outside year {year}")
+        groups.setdefault(period_of_date(date), []).append(row)
+    return sorted(groups.items())
 
 
 def resample_to_periods(
@@ -195,19 +196,11 @@ def resample_to_periods(
     in it (one present day stands alone); periods with no present day are
     omitted. Dates must fall inside ``year`` and repeat nowhere.
     """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    seen: set[dt.date] = set()
-    for date, value in daily:
-        if date.year != year:
-            raise DomainError(f"date {date} outside year {year}")
-        if date in seen:
-            raise AmbiguousInputError(f"duplicate date {date}")
-        seen.add(date)
-        p = period_of_date(date)
-        sums[p] = sums.get(p, 0.0) + float(value)
-        counts[p] = counts.get(p, 0) + 1
-    return [(p, sums[p] / counts[p]) for p in sorted(sums)]
+    groups = group_by_period(daily, year)
+    dates = [date for date, _ in daily]
+    if len(set(dates)) < len(dates):
+        raise AmbiguousInputError(f"duplicate date {max(dates, key=dates.count)}")
+    return [(p, sum([float(v) for _, v in days]) / len(days)) for p, days in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +266,6 @@ class ScalingSpec:
         self._require_fitted()
         return (Y - np.array(self.target_offset)) / np.array(self.target_scale)
 
-    def invert_inputs(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        return X * np.array(self.input_scale) + np.array(self.input_offset)
-
     def invert_targets(self, Y: np.ndarray) -> np.ndarray:
         self._require_fitted()
         return Y * np.array(self.target_scale) + np.array(self.target_offset)
@@ -338,30 +327,6 @@ class SupervisedSet:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def to_json(self) -> str:
-        # Python float repr is shortest-round-trip, so json preserves doubles exactly.
-        return json.dumps(
-            {
-                "pollutant": self.pollutant.value,
-                "inputs": [[float(v) for v in row] for row in self.inputs],
-                "targets": [[float(v) for v in row] for row in self.targets],
-                "row_provenance": [[c, int(p)] for c, p in self.row_provenance],
-                "scaling": self.scaling.to_dict(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SupervisedSet":
-        d = json.loads(text)
-        return cls(
-            pollutant=PollutantKind(d["pollutant"]),
-            inputs=np.array(d["inputs"], dtype=np.float64).reshape(-1, N_FEATURES),
-            targets=np.array(d["targets"], dtype=np.float64).reshape(-1, N_TARGETS),
-            row_provenance=tuple((c, int(p)) for c, p in d["row_provenance"]),
-            scaling=ScalingSpec.from_dict(d["scaling"]),
-        )
-
-
 def build_supervised(
     city_sets: list[CityDataset], pollutant: PollutantKind
 ) -> SupervisedSet:
@@ -400,19 +365,10 @@ def fit_scaling(sset: SupervisedSet, mode: str = "min_max") -> ScalingSpec:
     """Fit per-column affine scaling on a training set.
 
     min_max maps each column onto [0, 1]; z_score centers to zero mean and
-    unit population std; none is the identity. A column that cannot be
-    scaled (constant under min_max, zero variance under z_score) raises and
-    names the offending column.
+    unit population std. A column that cannot be scaled (constant under
+    min_max, zero variance under z_score) raises and names the offending
+    column.
     """
-    if mode == "none":
-        return ScalingSpec(
-            mode="none",
-            fitted=True,
-            input_offset=(0.0,) * N_FEATURES,
-            input_scale=(1.0,) * N_FEATURES,
-            target_offset=(0.0,) * N_TARGETS,
-            target_scale=(1.0,) * N_TARGETS,
-        )
     if sset.n < 2:
         raise InsufficientDataError(f"need at least 2 rows to fit scaling, got {sset.n}")
     in_off, in_sc = affine_fit(sset.inputs, mode)
@@ -438,17 +394,6 @@ def apply_scaling(sset: SupervisedSet, spec: ScalingSpec) -> SupervisedSet:
         inputs=spec.transform_inputs(sset.inputs),
         targets=spec.transform_targets(sset.targets),
         scaling=spec,
-    )
-
-
-def invert_scaling(sset: SupervisedSet) -> SupervisedSet:
-    """Undo apply_scaling, returning the set to original units."""
-    spec = sset.scaling
-    return replace(
-        sset,
-        inputs=spec.invert_inputs(sset.inputs),
-        targets=spec.invert_targets(sset.targets),
-        scaling=IDENTITY_SCALING,
     )
 
 

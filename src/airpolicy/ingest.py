@@ -24,8 +24,8 @@ from .dataset import (
     PeriodRecord,
     PollutantKind,
     DEFAULT_MAX_LEVEL,
+    group_by_period,
     normalize_measure,
-    period_of_date,
     period_start_date,
     periods_in_year,
     resample_to_periods,
@@ -74,16 +74,17 @@ class DensityGrid:
         return self.values != self.nodata
 
 
+def _valid_values(grid: DensityGrid) -> np.ndarray:
+    vals = grid.values[grid.valid_mask()]
+    if vals.size == 0:
+        raise NoValidPixelsError(f"grid {grid.label!r} has no valid pixels")
+    return vals
+
+
 def grid_stats(grid: DensityGrid) -> tuple[float, float, float]:
     """(mean, population std, valid_fraction) over non-nodata pixels."""
-    mask = grid.valid_mask()
-    count = int(mask.sum())
-    if count == 0:
-        raise NoValidPixelsError(f"grid {grid.label!r} has no valid pixels")
-    vals = grid.values[mask]
-    mean = float(vals.mean())
-    std = float(vals.std())
-    return mean, std, count / grid.values.size
+    vals = _valid_values(grid)
+    return float(vals.mean()), float(vals.std()), vals.size / grid.values.size
 
 
 def aggregate_stat_periods(
@@ -94,18 +95,11 @@ def aggregate_stat_periods(
     Multiple rows in one period contribute the average of their means and
     the average of their stds; periods with no row are omitted.
     """
-    by_period: dict[int, list[tuple[float, float]]] = {}
-    for date, mean, std in entries:
-        if date.year != year:
-            raise DomainError(f"date {date} outside year {year}")
-        by_period.setdefault(period_of_date(date), []).append((float(mean), float(std)))
-    out = []
-    for p in sorted(by_period):
-        rows = by_period[p]
-        m = sum(r[0] for r in rows) / len(rows)
-        s = sum(r[1] for r in rows) / len(rows)
-        out.append((p, m, s))
-    return out
+    return [
+        (p, sum(float(m) for _, m, _ in rows) / len(rows),
+         sum(float(s) for _, _, s in rows) / len(rows))
+        for p, rows in group_by_period(entries, year)
+    ]
 
 
 def aggregate_periods(
@@ -128,17 +122,9 @@ def aggregate_periods(
         return aggregate_stat_periods(entries, year)
     if mode != "pooled_pixels":
         raise DomainError(f"unknown aggregation mode {mode!r}")
-    by_period: dict[int, list[np.ndarray]] = {}
-    for date, grid in grids:
-        if date.year != year:
-            raise DomainError(f"date {date} outside year {year}")
-        mask = grid.valid_mask()
-        if not mask.any():
-            raise NoValidPixelsError(f"grid {grid.label!r} has no valid pixels")
-        by_period.setdefault(period_of_date(date), []).append(grid.values[mask])
     out = []
-    for p in sorted(by_period):
-        pool = np.concatenate(by_period[p])
+    for p, rows in group_by_period(grids, year):
+        pool = np.concatenate([_valid_values(grid) for _, grid in rows])
         out.append((p, float(pool.mean()), float(pool.std())))
     return out
 
@@ -198,7 +184,6 @@ class PolicyTable:
     """Per-date raw ordinal levels for the 8 measures; cells may be missing."""
 
     rows: tuple[tuple[dt.date, dict[MeasureKind, int]], ...]
-    source: str = ""
 
     def __post_init__(self):
         prev = None
@@ -255,28 +240,7 @@ def parse_policy_csv(
     for (a, _), (b, _) in zip(parsed, parsed[1:]):
         if a == b:
             raise AmbiguousInputError(f"duplicate date {a} in {path}")
-    return PolicyTable(rows=tuple(parsed), source=path)
-
-
-def serialize_policy_csv(
-    table: PolicyTable,
-    path: str,
-    column_map: dict[MeasureKind, str] | None = None,
-    date_column: str = "date",
-) -> None:
-    """Inverse of parse_policy_csv for well-formed tables."""
-    column_map = column_map or {m: m.value for m in MEASURES}
-    header = [date_column] + [column_map[m] for m in MEASURES if m in column_map]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for date, cells in table.rows:
-            row = [date.isoformat()]
-            for m in MEASURES:
-                if m not in column_map:
-                    continue
-                row.append(str(cells[m]) if m in cells else "")
-            writer.writerow(row)
+    return PolicyTable(rows=tuple(parsed))
 
 
 DEFAULT_COLUMN_MAP: dict[MeasureKind, str] = {m: m.value for m in MEASURES}

@@ -46,50 +46,34 @@ class FigureData:
                 raise DomainError("figure values must be finite or None")
 
 
-def _pooled_cells(cells: list[ScreenCell]) -> dict[tuple[str, str], ScreenCell]:
-    return {
-        (c.measure.value, c.pollutant.value): c
-        for c in cells
-        if c.city == POOLED_SCOPE
-    }
-
-
-def figure_r2(cells: list[ScreenCell]) -> FigureData:
-    """Pooled R² per (measure, pollutant), measures in canonical order."""
-    pooled = _pooled_cells(cells)
-    pollutants = [p.value for p in POLLUTANTS
-                  if any(key[1] == p.value for key in pooled)]
+def _pooled_figure(cells: list[ScreenCell], figure_id: str, field: str,
+                   caption: str) -> FigureData:
+    """One pooled statistic per (measure, pollutant), measures in canonical order."""
+    pooled = {(c.measure, c.pollutant): c for c in cells if c.city == POOLED_SCOPE}
+    pollutants = [p for p in POLLUTANTS if any(key[1] is p for key in pooled)]
     rows = []
     for m in MEASURES:
         for p in pollutants:
-            cell = pooled.get((m.value, p))
-            value = None if cell is None else cell.r_squared
-            rows.append(FigureRow(group=m.value, category=p, value=value))
-    return FigureData(
-        figure_id="R2_bars",
-        rows=tuple(rows),
-        caption="Coefficient of determination between each measure and each "
-                "pollutant's mean density, pooled across cities.",
-    )
+            cell = pooled.get((m, p))
+            value = None if cell is None else getattr(cell, field)
+            rows.append(FigureRow(group=m.value, category=p.value, value=value))
+    return FigureData(figure_id=figure_id, rows=tuple(rows), caption=caption)
+
+
+def figure_r2(cells: list[ScreenCell]) -> FigureData:
+    """Pooled R² per (measure, pollutant)."""
+    return _pooled_figure(
+        cells, "R2_bars", "r_squared",
+        "Coefficient of determination between each measure and each "
+        "pollutant's mean density, pooled across cities.")
 
 
 def figure_dtw(cells: list[ScreenCell]) -> FigureData:
     """Pooled alignment distance per (measure, pollutant)."""
-    pooled = _pooled_cells(cells)
-    pollutants = [p.value for p in POLLUTANTS
-                  if any(key[1] == p.value for key in pooled)]
-    rows = []
-    for m in MEASURES:
-        for p in pollutants:
-            cell = pooled.get((m.value, p))
-            value = None if cell is None else cell.dtw_distance
-            rows.append(FigureRow(group=m.value, category=p, value=value))
-    return FigureData(
-        figure_id="DTW_bars",
-        rows=tuple(rows),
-        caption="Alignment distance between each measure series and each "
-                "pollutant's mean-density series, pooled across cities.",
-    )
+    return _pooled_figure(
+        cells, "DTW_bars", "dtw_distance",
+        "Alignment distance between each measure series and each "
+        "pollutant's mean-density series, pooled across cities.")
 
 
 def figure_rmse(report: EvalReport) -> tuple[FigureData, FigureData]:
@@ -147,22 +131,6 @@ def figure_to_dict(fig: FigureData) -> dict:
     }
 
 
-def figure_from_dict(d: dict) -> FigureData:
-    return FigureData(
-        figure_id=d["figure_id"],
-        caption=d["caption"],
-        rows=tuple(
-            FigureRow(group=r["group"], category=r["category"], value=r["value"])
-            for r in d["rows"]
-        ),
-    )
-
-
-def read_figure_json(path: str) -> FigureData:
-    with open(path) as fh:
-        return figure_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Summaries
 # ---------------------------------------------------------------------------
@@ -184,17 +152,11 @@ def render_screen_summary(cells: list[ScreenCell]) -> str:
         if c.city != POOLED_SCOPE:
             continue
         if c.r is None:
-            lines.append(
-                f"{c.measure.value:<12} {c.pollutant.value:<9} "
-                f"{'--':>8} {'--':>7} {'--':>9} {'undefined':<10} "
-                + (f"{c.dtw_distance:8.3f}" if c.dtw_distance is not None else f"{'--':>8}")
-            )
-            continue
-        lines.append(
-            f"{c.measure.value:<12} {c.pollutant.value:<9} "
-            f"{c.r:8.4f} {c.r_squared:7.4f} {c.p_value:9.2e} {c.band.value:<10} "
-            + (f"{c.dtw_distance:8.3f}" if c.dtw_distance is not None else f"{'--':>8}")
-        )
+            stats = f"{'--':>8} {'--':>7} {'--':>9} {'undefined':<10}"
+        else:
+            stats = f"{c.r:8.4f} {c.r_squared:7.4f} {c.p_value:9.2e} {c.band.value:<10}"
+        dtw = f"{'--':>8}" if c.dtw_distance is None else f"{c.dtw_distance:8.3f}"
+        lines.append(f"{c.measure.value:<12} {c.pollutant.value:<9} {stats} {dtw}")
     lines.append("")
     flag = "yes" if all_cod_below_threshold(cells) else "no"
     lines.append(f"all measures CoD < {COD_THRESHOLD:.2f}: {flag}")

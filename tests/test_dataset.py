@@ -21,7 +21,6 @@ from airpolicy.dataset import (
     apply_scaling,
     build_supervised,
     fit_scaling,
-    invert_scaling,
     normalize_measure,
     period_of_date,
     period_start_date,
@@ -142,15 +141,6 @@ def test_city_dataset_requires_consecutive_periods():
         CityDataset(city_name="x", year=2021, records=recs)
 
 
-def test_city_series_accessors():
-    ds = make_city(n_periods=10)
-    t, v = ds.measure_series(MeasureKind.C_SCHOOL)
-    assert t.tolist() == list(range(10))
-    assert v.shape == (10,) and (0 <= v).all() and (v <= 1).all()
-    t, mean, std = ds.pollutant_series(PollutantKind.NO2)
-    assert t.tolist() == list(range(10)) and mean.shape == std.shape == (10,)
-
-
 # -- supervised build -------------------------------------------------------
 
 def test_build_supervised_pairs_consecutive_periods():
@@ -221,11 +211,12 @@ def test_fit_scaling_z_score_moments():
 
 def test_scaling_round_trip():
     sset = _sset()
-    for mode in ("min_max", "z_score", "none"):
+    for mode in ("min_max", "z_score"):
         spec = fit_scaling(sset, mode)
-        back = invert_scaling(apply_scaling(sset, spec))
-        np.testing.assert_allclose(back.inputs, sset.inputs, atol=1e-12)
-        np.testing.assert_allclose(back.targets, sset.targets, atol=1e-12)
+        back = spec.invert_targets(apply_scaling(sset, spec).targets)
+        np.testing.assert_allclose(back, sset.targets, atol=1e-12)
+    with pytest.raises(DomainError):
+        fit_scaling(sset, "none")
 
 
 def test_fit_scaling_degenerate_column_named():
@@ -254,8 +245,8 @@ def test_scaling_spec_invert_is_exact_inverse_pointwise(offset, scale):
     spec = ScalingSpec(mode="min_max", fitted=True,
                        input_offset=(offset,) * 10, input_scale=(scale,) * 10,
                        target_offset=(offset, offset), target_scale=(scale, scale))
-    X = np.linspace(-3, 3, 30).reshape(3, 10)
-    np.testing.assert_allclose(spec.invert_inputs(spec.transform_inputs(X)), X,
+    Y = np.linspace(-3, 3, 30).reshape(15, 2)
+    np.testing.assert_allclose(spec.invert_targets(spec.transform_targets(Y)), Y,
                                rtol=1e-12, atol=1e-9)
 
 
@@ -264,17 +255,6 @@ def test_scaling_spec_dict_round_trip():
     spec = fit_scaling(sset, "z_score")
     again = ScalingSpec.from_dict(spec.to_dict())
     assert again == spec
-
-
-# -- supervised serialization ----------------------------------------------
-
-def test_supervised_json_round_trip_is_lossless():
-    sset = _sset()
-    again = type(sset).from_json(sset.to_json())
-    assert np.array_equal(again.inputs, sset.inputs)
-    assert np.array_equal(again.targets, sset.targets)
-    assert again.row_provenance == sset.row_provenance
-    assert again.pollutant == sset.pollutant
 
 
 def test_supervised_arrays_are_read_only():

@@ -28,7 +28,6 @@ from airpolicy.ingest import (
     parse_density_csv,
     parse_policy_csv,
     read_grid,
-    serialize_policy_csv,
     write_grid,
 )
 
@@ -251,15 +250,6 @@ def test_parse_policy_sorts_rows(tmp_path):
     body = "\n".join([full_row("2021-01-05", 1), full_row("2021-01-02", 2)])
     table = parse_policy_csv(write_policy(tmp_path, body), DEFAULT_COLUMN_MAP)
     assert [d for d, _ in table.rows] == [dt.date(2021, 1, 2), dt.date(2021, 1, 5)]
-
-
-def test_serialize_then_parse_identity(tmp_path):
-    body = "\n".join([full_row("2021-01-01", 0), full_row("2021-01-03", 4)])
-    table = parse_policy_csv(write_policy(tmp_path, body), DEFAULT_COLUMN_MAP)
-    out = str(tmp_path / "roundtrip.csv")
-    serialize_policy_csv(table, out, DEFAULT_COLUMN_MAP)
-    again = parse_policy_csv(out, DEFAULT_COLUMN_MAP)
-    assert again.rows == table.rows
 
 
 def test_policy_table_rejects_unsorted_rows():
