@@ -94,7 +94,8 @@ def cmd_ingest(args) -> int:
         if city.grids_dir is not None and not os.path.isdir(city.grids_dir):
             raise ConfigError(f"grid directory not found: {city.grids_dir}")
     max_levels = default_max_levels(config)
-    os.makedirs(os.path.join(config.out_dir, "cities"), exist_ok=True)
+    # Build every city before writing any, so a bad input leaves no output.
+    datasets = []
     for city in config.cities:
         policy = parse_policy_csv(city.policy_csv, city.column_map, city.date_column)
         densities = {}
@@ -106,18 +107,20 @@ def cmd_ingest(args) -> int:
             for p, entries in _collect_grids(city.grids_dir, config.year).items():
                 densities[p] = aggregate_periods(entries, config.year,
                                                  config.aggregation_mode)
-        ds = build_city_dataset(
+        datasets.append(build_city_dataset(
             city.name, config.year, policy, densities,
             max_levels=max_levels, center=city.center,
             box_half_width=city.box_half_width,
-        )
-        write_city_csv(ds, _city_csv_path(config.out_dir, city.name))
+        ))
+    os.makedirs(os.path.join(config.out_dir, "cities"), exist_ok=True)
+    for ds in datasets:
+        write_city_csv(ds, _city_csv_path(config.out_dir, ds.city_name))
         n_measures = sum(1 for r in ds.records if r.has_all_measures())
         cover = " ".join(
             f"{p.value}={sum(1 for r in ds.records if p in r.pollutant_stats)}"
             for p in config.pollutants
         )
-        print(f"{city.name}: {len(ds)} periods, complete-measure periods "
+        print(f"{ds.city_name}: {len(ds)} periods, complete-measure periods "
               f"{n_measures}, {cover}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,7 @@ from .errors import (
     DomainError,
     EmptyDatasetError,
     InsufficientDataError,
+    MalformedInputError,
     OrdinalRangeError,
     SchemaError,
     ShapeError,
@@ -398,6 +400,64 @@ def apply_scaling(sset: SupervisedSet, spec: ScalingSpec) -> SupervisedSet:
 
 
 # ---------------------------------------------------------------------------
+# Input files
+# ---------------------------------------------------------------------------
+
+def _utf8_text(path: str) -> io.StringIO:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedInputError(path, line, "bytes that are not UTF-8") from None
+
+
+def read_csv_rows(path: str) -> list[tuple[int, list[str]]]:
+    """(1-based line, cells) for every non-blank row of a UTF-8 CSV file.
+
+    Undecodable bytes and rows the csv module rejects raise
+    MalformedInputError naming the file and the line.
+    """
+    reader = csv.reader(_utf8_text(path))
+    rows = []
+    try:
+        for row in reader:
+            if row:
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        raise MalformedInputError(path, reader.line_num, exc) from None
+    return rows
+
+
+def read_meta(path: str, fields: dict) -> dict:
+    """The keys of a JSON sidecar, each passed through its converter in ``fields``.
+
+    Invalid JSON and missing or unusable keys raise MalformedInputError
+    naming the file.
+    """
+    try:
+        doc = json.load(_utf8_text(path))
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(path, exc.lineno, exc.msg) from None
+    out = {}
+    for key, convert in fields.items():
+        try:
+            out[key] = convert(doc[key])
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError):
+            raise MalformedInputError(path, None, f"missing or bad key {key!r}") from None
+    return out
+
+
+def parse_date(text: str) -> dt.date:
+    """An ISO date cell; the ValueError of a bad one names the cell."""
+    try:
+        return dt.date.fromisoformat(text.strip())
+    except ValueError:
+        raise ValueError(f"bad date {text!r}") from None
+
+
+# ---------------------------------------------------------------------------
 # City CSV serialization
 # ---------------------------------------------------------------------------
 
@@ -455,21 +515,28 @@ def _meta_path(csv_path: str) -> str:
 
 def read_city_csv(path: str) -> CityDataset:
     """Reload a city written by write_city_csv."""
-    with open(_meta_path(path)) as fh:
-        meta = json.load(fh)
+    meta = read_meta(_meta_path(path), {
+        "city_name": str,
+        # A year the calendar can hold; date() rejects the others.
+        "year": lambda v: dt.date(int(v), 1, 1).year,
+        "center": lambda v: (float(v[0]), float(v[1])),
+        "box_half_width": float,
+    })
+    rows = read_csv_rows(path)
+    expected = _city_header()
+    if not rows:
+        raise SchemaError(expected, path=path)
+    header = rows[0][1]
+    if header != expected:
+        missing = [c for c in expected if c not in header]
+        raise SchemaError(missing or expected, path=path)
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(_city_header(), path=path)
-        expected = _city_header()
-        if header != expected:
-            missing = [c for c in expected if c not in header]
-            raise SchemaError(missing or expected, path=path)
-        for row in reader:
+    for line, row in rows[1:]:
+        if len(row) != len(expected):
+            raise MalformedInputError(path, line, f"{len(row)} cells, header has {len(expected)}")
+        try:
             period_index = int(row[0])
-            start = dt.date.fromisoformat(row[1])
+            start = parse_date(row[1])
             measures = {}
             for k, m in enumerate(MEASURES):
                 cell = row[2 + k]
@@ -482,10 +549,12 @@ def read_city_csv(path: str) -> CityDataset:
                 if mc != "" and sc != "":
                     stats[p] = (float(mc), float(sc))
             records.append(PeriodRecord(period_index, start, measures, stats))
+        except ValueError as exc:
+            raise MalformedInputError(path, line, exc) from None
     return CityDataset(
         city_name=meta["city_name"],
         year=meta["year"],
         records=tuple(records),
-        center=(meta["center"][0], meta["center"][1]),
+        center=meta["center"],
         box_half_width=meta["box_half_width"],
     )

@@ -35,6 +35,16 @@ class SchemaError(AirPolicyError):
         super().__init__(f"missing columns{where}: {', '.join(self.missing)}")
 
 
+class MalformedInputError(AirPolicyError):
+    """An input file holds bytes, a row, a cell or a key that cannot be read."""
+
+    def __init__(self, path, line, detail):
+        self.path = path
+        self.line = line
+        where = path if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {detail}")
+
+
 class NoValidPixelsError(AirPolicyError):
     """Every pixel of a density grid carries the nodata sentinel."""
 

@@ -26,14 +26,18 @@ from .dataset import (
     DEFAULT_MAX_LEVEL,
     group_by_period,
     normalize_measure,
+    parse_date,
     period_start_date,
     periods_in_year,
+    read_csv_rows,
+    read_meta,
     resample_to_periods,
 )
 from .errors import (
     AmbiguousInputError,
     DomainError,
     EmptyInputError,
+    MalformedInputError,
     NoValidPixelsError,
     SchemaError,
 )
@@ -158,21 +162,21 @@ def write_grid(grid: DensityGrid, path: str) -> None:
 
 
 def read_grid(path: str) -> DensityGrid:
-    with open(_grid_meta_path(path)) as fh:
-        meta = json.load(fh)
+    meta = read_meta(_grid_meta_path(path), {
+        "width": int,
+        "height": int,
+        "pixel_size": float,
+        "bbox": lambda v: tuple(float(c) for c in v),
+        "label": str,
+        "nodata": float,
+    })
     values: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            values.extend(float(c) for c in row)
-    return DensityGrid(
-        width=meta["width"],
-        height=meta["height"],
-        values=np.array(values, dtype=np.float64),
-        pixel_size=meta["pixel_size"],
-        bbox=tuple(meta["bbox"]),
-        label=meta["label"],
-        nodata=meta["nodata"],
-    )
+    for line, row in read_csv_rows(path):
+        try:
+            values.extend([float(c) for c in row])
+        except ValueError as exc:
+            raise MalformedInputError(path, line, exc) from None
+    return DensityGrid(values=np.array(values, dtype=np.float64), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +209,21 @@ class PolicyTable:
         return out
 
 
+def _read_table(path: str, required) -> list[tuple[int, dict[str, str]]]:
+    """(line, column -> cell) for each data row of a CSV file with a header.
+
+    Cells missing from a short row read as blank.
+    """
+    rows = read_csv_rows(path)
+    if not rows:
+        raise EmptyInputError(f"{path} is empty")
+    header = rows[0][1]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise SchemaError(missing, path=path)
+    return [(line, dict(zip(header, row + [""] * len(header)))) for line, row in rows[1:]]
+
+
 def parse_policy_csv(
     path: str,
     column_map: dict[MeasureKind, str],
@@ -215,25 +234,19 @@ def parse_policy_csv(
     Blank or unparseable ordinal cells become missing cells, never level 0
     (0 is a real level meaning no measure). Rows are sorted by date.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyInputError(f"{path} is empty")
-        missing = [c for c in (date_column, *column_map.values())
-                   if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(missing, path=path)
-        parsed: list[tuple[dt.date, dict[MeasureKind, int]]] = []
-        for raw in reader:
-            date = dt.date.fromisoformat(raw[date_column].strip())
-            cells: dict[MeasureKind, int] = {}
-            for measure, col in column_map.items():
-                text = (raw[col] or "").strip()
-                try:
-                    cells[measure] = int(text)
-                except ValueError:
-                    continue
-            parsed.append((date, cells))
+    parsed: list[tuple[dt.date, dict[MeasureKind, int]]] = []
+    for line, raw in _read_table(path, (date_column, *column_map.values())):
+        try:
+            date = parse_date(raw[date_column])
+        except ValueError as exc:
+            raise MalformedInputError(path, line, exc) from None
+        cells: dict[MeasureKind, int] = {}
+        for measure, col in column_map.items():
+            try:
+                cells[measure] = int(raw[col].strip())
+            except ValueError:
+                continue
+        parsed.append((date, cells))
     if not parsed:
         raise EmptyInputError(f"{path} has a header but no data rows")
     parsed.sort(key=lambda item: item[0])
@@ -252,21 +265,14 @@ DEFAULT_COLUMN_MAP: dict[MeasureKind, str] = {m: m.value for m in MEASURES}
 
 def parse_density_csv(path: str) -> dict[PollutantKind, list[tuple[dt.date, float, float]]]:
     """Read pre-aggregated per-date density stats: date,pollutant,mean,std."""
-    required = ["date", "pollutant", "mean", "std"]
     out: dict[PollutantKind, list[tuple[dt.date, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyInputError(f"{path} is empty")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(missing, path=path)
-        for raw in reader:
+    for line, raw in _read_table(path, ("date", "pollutant", "mean", "std")):
+        try:
             pollutant = PollutantKind(raw["pollutant"].strip())
-            date = dt.date.fromisoformat(raw["date"].strip())
-            out.setdefault(pollutant, []).append(
-                (date, float(raw["mean"]), float(raw["std"]))
-            )
+            entry = (parse_date(raw["date"]), float(raw["mean"]), float(raw["std"]))
+        except ValueError as exc:
+            raise MalformedInputError(path, line, exc) from None
+        out.setdefault(pollutant, []).append(entry)
     return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on synthetic inputs."""
 
 import filecmp
+import importlib.util
 import json
 import os
 import subprocess
@@ -134,6 +135,96 @@ def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def _cli_input_error(argv):
+    """Run the CLI in a subprocess; assert exit 2 with one stderr line and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    return proc.stderr
+
+
+def _edit_line(path, line, edit):
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    edited = edit(lines[line - 1])
+    assert edited != lines[line - 1]
+    lines[line - 1] = edited
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+
+
+# The bad file belongs to the 4th city: an ingest that wrote as it went
+# would leave the first three cities behind.
+@pytest.mark.parametrize("fname, line, old, new, says", [
+    ("policy.csv", 3, b"2020-01-02", b"2020-13-04", "policy.csv, line 3: bad date"),
+    ("densities.csv", 3, b",CO,", b",XX,", "densities.csv, line 3: 'XX'"),
+    ("densities.csv", 3, b",CO,0.", b",CO,abc", "densities.csv, line 3: could not"),
+    ("densities.csv", 3, b",CO,", b",\xff\xfe,", "densities.csv, line 3: bytes"),
+    ("densities.csv", 1, b",std", b"", "missing columns"),
+], ids=["bad-date", "unknown-gas", "bad-mean", "undecodable", "missing-column"])
+def test_malformed_ingest_input_is_exit_2_and_writes_nothing(tmp_path, fname, line,
+                                                             old, new, says):
+    cfg = run_synth(tmp_path, seed=0)
+    path = os.path.join(os.path.dirname(cfg), "city_d", fname)
+    _edit_line(path, line, lambda b: b.replace(old, new, 1))
+    out = str(tmp_path / "run")
+    assert says in _cli_input_error(["ingest", "--config", cfg, "--out", out])
+    assert not os.path.exists(os.path.join(out, "cities"))
+
+
+def _bad_period(path):
+    _edit_line(path, 5, lambda b: b.replace(b"3,", b"x,", 1))
+
+
+def _cut_row(path):
+    _edit_line(path, 5, lambda b: b[:20])
+
+
+def _drop_year(path):
+    with open(path + ".meta.json") as fh:
+        meta = json.load(fh)
+    del meta["year"]
+    with open(path + ".meta.json", "w") as fh:
+        json.dump(meta, fh)
+
+
+@pytest.mark.parametrize("command, corrupt, says", [
+    ("screen", _bad_period, "city_b.csv, line 5: invalid literal"),
+    ("benchmark", _cut_row, "city_b.csv, line 5: 4 cells"),
+    ("screen", _drop_year, "city_b.csv.meta.json: missing or bad key 'year'"),
+], ids=["bad-period", "cut-row", "no-year"])
+def test_malformed_city_file_is_exit_2(tmp_path, capsys, command, corrupt, says):
+    cfg = run_synth(tmp_path, seed=0)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    corrupt(os.path.join(out, "cities", "city_b.csv"))
+    assert says in _cli_input_error([command, "--config", cfg, "--out", out])
+
+
+def test_benchmark_tracer_installs():
+    # pipebench/tracing.py wraps package functions by attribute name; a
+    # renamed attribute must fail here, not only in a traced benchmark run.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("pipebench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer("t")
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert patched
+    originals = {}
+    for owner, attr, original in patched:
+        originals.setdefault((owner, attr), original)
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original, (owner, attr)
 
 
 def test_missing_config_is_exit_2(capsys):

@@ -1,7 +1,9 @@
 """Grid statistics against a two-pass extended-precision oracle, policy CSV
-parsing against hand-built tables, and the dataset assembly rules."""
+parsing against hand-built tables, the dataset assembly rules, and the
+readers' handling of malformed files."""
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
@@ -9,11 +11,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from airpolicy.dataset import DEFAULT_MAX_LEVEL, MeasureKind, PollutantKind
+from airpolicy.dataset import (
+    DEFAULT_MAX_LEVEL,
+    MeasureKind,
+    PollutantKind,
+    read_city_csv,
+    write_city_csv,
+)
 from airpolicy.errors import (
+    AirPolicyError,
     AmbiguousInputError,
     DomainError,
     EmptyInputError,
+    MalformedInputError,
     NoValidPixelsError,
     SchemaError,
 )
@@ -30,6 +40,8 @@ from airpolicy.ingest import (
     read_grid,
     write_grid,
 )
+
+from conftest import make_city
 
 
 def two_pass_stats(values):
@@ -337,3 +349,105 @@ def test_build_city_dataset_rejects_bad_periods():
 def test_default_column_map_covers_all_measures():
     assert set(DEFAULT_COLUMN_MAP) == set(MeasureKind)
     assert DEFAULT_COLUMN_MAP[MeasureKind.C_SCHOOL] == "C_SCHOOL"
+
+
+# -- malformed files --------------------------------------------------------
+
+def _garble(lines, i, j, text):
+    cells = lines[i].split(b",")
+    cells[j % len(cells)] = text.encode()
+    return b"\n".join(lines[:i] + [b",".join(cells)] + lines[i + 1:])
+
+
+def fuzzed(valid: bytes):
+    """Arbitrary bytes, the valid file cut short, or one cell of it garbled."""
+    lines = valid.split(b"\n")
+    garbled = st.builds(_garble, st.just(lines), st.integers(0, len(lines) - 1),
+                        st.integers(0, 20), st.text(max_size=12))
+    return st.one_of(st.binary(max_size=300),
+                     st.integers(0, len(valid)).map(lambda k: valid[:k]),
+                     garbled)
+
+
+def _write_policy(path):
+    with open(path, "w") as fh:
+        fh.write("\n".join([POLICY_HEADER, full_row("2021-01-01", 2),
+                            full_row("2021-01-02", 4)]) + "\n")
+
+
+def _write_density(path):
+    with open(path, "w") as fh:
+        fh.write("date,pollutant,mean,std\n2021-01-01,CO,0.03,0.001\n"
+                 "2021-01-03,NO2,6e-05,1e-06\n")
+
+
+GRID = DensityGrid(width=2, height=2, values=np.array([0.1, float("nan"), 0.3, 0.4]))
+
+# name -> (reader, writer of a valid file and its sidecar)
+READERS = {
+    "policy": (lambda p: parse_policy_csv(p, DEFAULT_COLUMN_MAP), _write_policy),
+    "density": (parse_density_csv, _write_density),
+    "grid": (read_grid, lambda p: write_grid(GRID, p)),
+    "city": (read_city_csv, lambda p: write_city_csv(make_city(n_periods=3), p)),
+}
+
+
+def _valid_file(directory, name):
+    path = str(directory / f"{name}.csv")
+    READERS[name][1](path)
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_readers_raise_only_package_errors_on_fuzzed_files(tmp_path, name):
+    read = READERS[name][0]
+    path, valid = _valid_file(tmp_path, name)
+
+    @given(fuzzed(valid))
+    def check(data):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            read(path)
+        except AirPolicyError:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("name, line, old, new", [
+    ("policy", 3, b"2021-01-02", b"2021-13-04"),
+    ("density", 2, b",CO,", b",XX,"),
+    ("density", 3, b"6e-05", b"six"),
+    ("density", 2, b"0.03", b"\xff\xfe"),
+    ("grid", 2, b"0.3", b"0.3x"),
+    ("city", 3, b"1,", b"one,"),
+])
+def test_malformed_cell_names_file_and_line(tmp_path, name, line, old, new):
+    path, valid = _valid_file(tmp_path, name)
+    lines = valid.split(b"\n")
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    with pytest.raises(MalformedInputError, match=f"{name}.csv, line {line}: "):
+        READERS[name][0](path)
+
+
+@pytest.mark.parametrize("name", ["grid", "city"])
+def test_sidecar_missing_or_bad_key_is_malformed(tmp_path, name):
+    path, _ = _valid_file(tmp_path, name)
+    with open(path + ".meta.json") as fh:
+        meta = json.load(fh)
+    bad = [{k: v for k, v in meta.items() if k != key} for key in meta]
+    bad += [dict(meta, **{key: "x"}) for key in meta if key not in ("label", "city_name")]
+    for doc in bad:
+        with open(path + ".meta.json", "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(MalformedInputError, match="missing or bad key"):
+            READERS[name][0](path)
+    with open(path + ".meta.json", "w") as fh:
+        fh.write("{not json")
+    with pytest.raises(MalformedInputError, match="meta.json, line 1"):
+        READERS[name][0](path)
