@@ -39,8 +39,6 @@ class MalformedInputError(AirPolicyError):
     """An input file holds bytes, a row, a cell or a key that cannot be read."""
 
     def __init__(self, path, line, detail):
-        self.path = path
-        self.line = line
         where = path if line is None else f"{path}, line {line}"
         super().__init__(f"{where}: {detail}")
 
