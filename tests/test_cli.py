@@ -99,6 +99,16 @@ def test_non_finite_predictions_are_failed_cells(tmp_path, capsys):
         assert os.path.isfile(os.path.join(out, fname)), fname
 
 
+def _cli_input_error(argv):
+    """Run the CLI in a subprocess; assert exit 2 with one stderr line and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    return proc.stderr
+
+
 def test_malformed_model_file_is_exit_2_without_traceback(tmp_path):
     cfg = run_synth(tmp_path)
     out = str(tmp_path / "run")
@@ -113,38 +123,15 @@ def test_malformed_model_file_is_exit_2_without_traceback(tmp_path):
     for text in (good[:len(good) // 2], json.dumps(no_spec)):
         with open(path, "w") as fh:
             fh.write(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "airpolicy.cli", "predict", "--config", cfg,
-             "--out", out, PREDICT_LINREG],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == EXIT_CONFIG
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1 and path in proc.stderr
+        assert path in _cli_input_error(["predict", "--config", cfg, "--out", out,
+                                         PREDICT_LINREG])
 
 
 def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
     cfg = run_synth(tmp_path)
     afile = tmp_path / "afile"
     afile.write_text("")
-    proc = subprocess.run(
-        [sys.executable, "-m", "airpolicy.cli", "ingest", "--config", cfg,
-         "--out", str(afile / "x")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == EXIT_CONFIG
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
-
-
-def _cli_input_error(argv):
-    """Run the CLI in a subprocess; assert exit 2 with one stderr line and no traceback."""
-    proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", *argv],
-                          capture_output=True, text=True)
-    assert proc.returncode == EXIT_CONFIG, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
-    return proc.stderr
+    _cli_input_error(["ingest", "--config", cfg, "--out", str(afile / "x")])
 
 
 def _edit_line(path, line, edit):
