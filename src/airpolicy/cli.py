@@ -61,6 +61,7 @@ def _city_csv_path(out_dir: str, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _collect_grids(grids_dir: str, year: int):
+    """Each pollutant's (date, grid) pairs for the grid files dated in ``year``."""
     by_pollutant = {}
     for p in PollutantKind:
         pdir = os.path.join(grids_dir, p.value)
@@ -77,7 +78,8 @@ def _collect_grids(grids_dir: str, year: int):
                 raise ConfigError(
                     f"grid file name {fname!r} in {pdir} is not an ISO date"
                 )
-            entries.append((date, read_grid(os.path.join(pdir, fname))))
+            if date.year == year:
+                entries.append((date, read_grid(os.path.join(pdir, fname))))
         if entries:
             by_pollutant[p] = entries
     return by_pollutant
@@ -102,7 +104,8 @@ def cmd_ingest(args) -> int:
         if city.density_csv is not None:
             per_date = parse_density_csv(city.density_csv)
             for p, entries in per_date.items():
-                densities[p] = aggregate_stat_periods(entries, config.year)
+                in_year = [e for e in entries if e[0].year == config.year]
+                densities[p] = aggregate_stat_periods(in_year, config.year)
         else:
             for p, entries in _collect_grids(city.grids_dir, config.year).items():
                 densities[p] = aggregate_periods(entries, config.year,
@@ -196,7 +199,7 @@ def cmd_benchmark(args) -> int:
     specs = config.model_specs()
     eval_report, trained = evaluation.run_benchmark(
         city_sets, list(config.pollutants), specs, config.split,
-        scaling_mode=config.scaling_mode,
+        scaling_mode=config.scaling_mode, jobs=args.jobs,
     )
     evaluation.write_report_csv(eval_report, os.path.join(config.out_dir, "report.csv"))
     evaluation.write_report_json(eval_report, os.path.join(config.out_dir, "report.json"),
@@ -285,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config and env)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; no effect (cells run serially)")
+                       help="benchmark: worker processes, at most one per pollutant "
+                            "(default 1); other commands ignore it")
         p.add_argument("--set", action="append", metavar="K=V",
                        help="dotted config override, e.g. split.test_fraction=0.3")
 
@@ -321,6 +325,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ random splits); a seeded random split exists for parity experiments. RMSE
 is always reported in original units: when a scaling mode is configured it
 is fitted on training rows only and predictions are inverted before
 scoring. Each pollutant's rows are built, split and scaled once, then its
-learners run one after another on that shared data. A failed cell,
+learners run one after another on that shared data, in this process or in
+a forked worker (``jobs``). A failed cell,
 including one whose predictions are not finite or whose learner raised a
 numeric error (``LinAlgError``, ``FloatingPointError``), is recorded in the
 report instead of aborting the run.
@@ -16,7 +17,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import select
+import signal
+import traceback
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -168,32 +175,176 @@ def _run_cell(
         return EvalCell(pollutant=train.pollutant, kind=spec.kind, error=error), None
 
 
+def _prepare(
+    city_sets: list[CityDataset],
+    pollutant: PollutantKind,
+    split_spec: SplitSpec,
+    scaling_mode: str,
+) -> tuple[SupervisedSet, SupervisedSet] | str:
+    """One pollutant's (train, test) parts, or the message of its failure."""
+    try:
+        train, test = split(build_supervised(city_sets, pollutant), split_spec)
+        if scaling_mode != "none":
+            train = apply_scaling(train, fit_scaling(train, scaling_mode))
+        return train, test
+    except AirPolicyError as exc:
+        return str(exc)
+
+
+def _run_share(share, specs: list[ModelSpec]):
+    """Yield (cell, model) for every learner of every pollutant in ``share``."""
+    for pollutant, prepared in share:
+        for spec in specs:
+            if isinstance(prepared, str):
+                yield EvalCell(pollutant=pollutant, kind=spec.kind, error=prepared), None
+            else:
+                yield _run_cell(*prepared, spec)
+
+
+def _frame(obj) -> bytes:
+    """``obj`` pickled at protocol 4, after its length as 8 bytes."""
+    data = pickle.dumps(obj, protocol=4)
+    return len(data).to_bytes(8, "little") + data
+
+
+def _send(fd: int, outbox: bytearray) -> None:
+    """Write as much of ``outbox`` as ``fd`` takes now; drop what was written."""
+    try:
+        while outbox:
+            del outbox[:os.write(fd, outbox)]
+    except BlockingIOError:
+        pass
+
+
+def _serve(share, specs: list[ModelSpec], fd: int) -> NoReturn:
+    """Worker body: send each result down ``fd`` as it is made, then exit.
+
+    Each result travels as one frame. Protocol 4, not 5: protocol 5 would
+    rebuild each tree node's array as a view onto its own buffer, which
+    grows an unpickled forest about fourfold. The pipe is written without blocking while cells remain, since
+    one rfr model outgrows the pipe's buffer and the parent reads only
+    between its own cells; the rest is written when the share is done. An
+    unexpected exception is sent as its traceback text. The process ends in
+    ``os._exit`` on every path, so it never returns into the caller's stack.
+    """
+    status = 1
+    try:
+        outbox = bytearray()
+        os.set_blocking(fd, False)
+        try:
+            for result in _run_share(share, specs):
+                outbox += _frame(result)
+                _send(fd, outbox)
+            status = 0
+        except Exception:
+            outbox += _frame(traceback.format_exc())
+        os.set_blocking(fd, True)
+        _send(fd, outbox)
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """A forked process running one share, read back over a pipe."""
+
+    def __init__(self, share, specs: list[ModelSpec], others: list[_Worker]):
+        self.pollutants = ", ".join(p.value for p, _ in share)
+        self.pending = len(share) * len(specs)
+        self.inbox = bytearray()
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            os.close(self.fd)
+            for other in others:  # only the parent may hold a read end
+                os.close(other.fd)
+            _serve(share, specs, w)
+        os.close(w)
+
+    def receive(self, results: list) -> None:
+        """Read what the pipe holds; append each complete result to ``results``.
+
+        Call only when the pipe is readable. Raises if the worker failed or
+        ended before sending all its results.
+        """
+        chunk = os.read(self.fd, 1 << 16)
+        if not chunk:
+            raise RuntimeError(f"benchmark worker for {self.pollutants} ended "
+                               f"with {self.pending} results unsent")
+        self.inbox += chunk
+        while len(self.inbox) >= 8:
+            end = 8 + int.from_bytes(self.inbox[:8], "little")
+            if len(self.inbox) < end:
+                return
+            result = pickle.loads(self.inbox[8:end])
+            del self.inbox[:end]
+            if isinstance(result, str):
+                raise RuntimeError(f"benchmark worker for {self.pollutants} failed:\n{result}")
+            results.append(result)
+            self.pending -= 1
+
+    def stop(self) -> None:
+        """Close the pipe, kill the process unless it sent everything, reap it."""
+        os.close(self.fd)
+        if self.pending:
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _receive_ready(workers: list[_Worker], results: list, timeout: float | None) -> None:
+    """Receive results while some worker's pipe turns readable within ``timeout``."""
+    while True:
+        waiting = {w.fd: w for w in workers if w.pending}
+        if not waiting:
+            return
+        ready, _, _ = select.select(list(waiting), [], [], timeout)
+        if not ready:
+            return
+        for fd in ready:
+            waiting[fd].receive(results)
+
+
 def run_benchmark(
     city_sets: list[CityDataset],
     pollutants: list[PollutantKind],
     specs: list[ModelSpec],
     split_spec: SplitSpec,
     scaling_mode: str = "none",
+    jobs: int = 1,
 ) -> tuple[EvalReport, dict[tuple[PollutantKind, str], TrainedModel]]:
     """Score every (pollutant, learner) cell; failures become report rows.
 
-    Each pollutant's data is prepared once and shared by its learners. The
+    Each pollutant's data is prepared once, in this process, and shared by
+    its learners. The pollutants are dealt round-robin into
+    ``min(jobs, len(pollutants))`` shares: this process runs share 0 and a
+    forked worker runs each other share on the inherited data. Every cell
+    seeds from its own spec, so the result does not depend on ``jobs``. The
     report is sorted by canonical pollutant order then learner order.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     specs = sorted(specs, key=lambda spec: KINDS.index(spec.kind))
-    results = []
-    for p in sorted(pollutants, key=POLLUTANTS.index):
-        try:
-            train, test = split(build_supervised(city_sets, p), split_spec)
-            if scaling_mode != "none":
-                train = apply_scaling(train, fit_scaling(train, scaling_mode))
-        except AirPolicyError as exc:
-            results.extend(
-                (EvalCell(pollutant=p, kind=spec.kind, error=str(exc)), None)
-                for spec in specs
-            )
-            continue
-        results.extend(_run_cell(train, test, spec) for spec in specs)
+    prepared = [(p, _prepare(city_sets, p, split_spec, scaling_mode))
+                for p in sorted(pollutants, key=POLLUTANTS.index)]
+    n = max(1, min(jobs, len(prepared)))
+    shares = [prepared[i::n] for i in range(n)]
+    results: list[tuple[EvalCell, TrainedModel | None]] = []
+    workers: list[_Worker] = []
+    try:
+        for share in shares[1:]:
+            workers.append(_Worker(share, specs, workers))
+        for result in _run_share(shares[0], specs):
+            results.append(result)
+            _receive_ready(workers, results, 0)
+        _receive_ready(workers, results, None)
+    finally:
+        for worker in workers:
+            worker.stop()
+    results.sort(key=lambda r: (POLLUTANTS.index(r[0].pollutant), KINDS.index(r[0].kind)))
     trained = {
         (cell.pollutant, cell.kind): model
         for cell, model in results

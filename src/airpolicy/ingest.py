@@ -264,7 +264,10 @@ DEFAULT_COLUMN_MAP: dict[MeasureKind, str] = {m: m.value for m in MEASURES}
 # ---------------------------------------------------------------------------
 
 def parse_density_csv(path: str) -> dict[PollutantKind, list[tuple[dt.date, float, float]]]:
-    """Read pre-aggregated per-date density stats: date,pollutant,mean,std."""
+    """Read pre-aggregated per-date density stats: date,pollutant,mean,std.
+
+    A mean must be finite, a std finite and non-negative.
+    """
     out: dict[PollutantKind, list[tuple[dt.date, float, float]]] = {}
     for line, raw in _read_table(path, ("date", "pollutant", "mean", "std")):
         try:
@@ -272,6 +275,10 @@ def parse_density_csv(path: str) -> dict[PollutantKind, list[tuple[dt.date, floa
             entry = (parse_date(raw["date"]), float(raw["mean"]), float(raw["std"]))
         except ValueError as exc:
             raise MalformedInputError(path, line, exc) from None
+        if not math.isfinite(entry[1]):
+            raise MalformedInputError(path, line, f"mean {entry[1]!r} is not a finite number")
+        if not (math.isfinite(entry[2]) and entry[2] >= 0.0):
+            raise MalformedInputError(path, line, f"std {entry[2]!r} is not a finite number >= 0")
         out.setdefault(pollutant, []).append(entry)
     return out
 

@@ -1,5 +1,6 @@
 """End-to-end command-line flows on synthetic inputs."""
 
+import datetime as dt
 import filecmp
 import importlib.util
 import json
@@ -7,9 +8,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from airpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
+from airpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, _collect_grids, main
+from airpolicy.dataset import PollutantKind
+from airpolicy.ingest import DensityGrid, write_grid
 
 SMALL_KINDS = '--set=models.kinds=["knn","linreg"]'
 PREDICT_LINREG = "--set=predict.kind=linreg"
@@ -152,7 +156,10 @@ def _edit_line(path, line, edit):
     ("densities.csv", 3, b",CO,0.", b",CO,abc", "densities.csv, line 3: could not"),
     ("densities.csv", 3, b",CO,", b",\xff\xfe,", "densities.csv, line 3: bytes"),
     ("densities.csv", 1, b",std", b"", "missing columns"),
-], ids=["bad-date", "unknown-gas", "bad-mean", "undecodable", "missing-column"])
+    ("densities.csv", 3, b"0.040318576887614484", b"nan", "densities.csv, line 3: mean nan"),
+    ("densities.csv", 3, b",0.0048", b",-0.0048", "densities.csv, line 3: std -0.0048"),
+], ids=["bad-date", "unknown-gas", "bad-mean", "undecodable", "missing-column",
+        "nan-mean", "negative-std"])
 def test_malformed_ingest_input_is_exit_2_and_writes_nothing(tmp_path, fname, line,
                                                              old, new, says):
     cfg = run_synth(tmp_path, seed=0)
@@ -264,6 +271,34 @@ def test_ingest_is_deterministic(tmp_path, capsys):
         assert filecmp.cmp(os.path.join(out1, "cities", f"{name}.csv"),
                            os.path.join(out2, "cities", f"{name}.csv"),
                            shallow=False)
+
+
+def test_ingest_skips_dates_outside_the_year(tmp_path, capsys):
+    cfg = run_synth(tmp_path, seed=0)
+    out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
+    assert main(["ingest", "--config", cfg, "--out", out1]) == EXIT_OK
+    with open(os.path.join(os.path.dirname(cfg), "city_a", "densities.csv"), "a") as fh:
+        fh.write("2021-01-01,CO,0.03,0.004\n")
+    assert main(["ingest", "--config", cfg, "--out", out2]) == EXIT_OK
+    capsys.readouterr()
+    names = sorted(os.listdir(os.path.join(out1, "cities")))
+    assert len(names) == 8 and names == sorted(os.listdir(os.path.join(out2, "cities")))
+    for name in names:
+        assert filecmp.cmp(os.path.join(out1, "cities", name),
+                           os.path.join(out2, "cities", name), shallow=False), name
+
+
+def test_grid_files_outside_the_year_are_skipped(tmp_path):
+    grid = DensityGrid(width=1, height=1, values=np.array([0.5]))
+    os.makedirs(tmp_path / "CO")
+    for name in ("2020-03-01", "2021-03-01"):
+        write_grid(grid, str(tmp_path / "CO" / f"{name}.csv"))
+    got = _collect_grids(str(tmp_path), 2020)
+    assert [date for date, _ in got[PollutantKind.CO]] == [dt.date(2020, 3, 1)]
+
+
+def test_jobs_below_one_is_exit_2():
+    assert "--jobs must be at least 1, got 0" in _cli_input_error(["benchmark", "--jobs", "0"])
 
 
 def test_null_profile_screen_flag(tmp_path, capsys):

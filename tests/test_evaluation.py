@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from airpolicy.evaluation import (
     split,
     write_report_csv,
 )
-from airpolicy.models import KINDS, ModelSpec
+from airpolicy.models import KINDS, ModelSpec, model_to_json
 from airpolicy.report import render_benchmark_summary
 
 from conftest import make_city
@@ -265,6 +267,107 @@ def test_learner_numeric_errors_fail_only_their_cell(monkeypatch, exc):
     assert cell.rmse_mean is None
     assert all(r.ok for r in report.rows if r is not cell)
     assert len(trained) == 35
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a test whose workers take over 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("benchmark workers still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# The city lacks O3, so O3's preparation fails; mgbr diverges on the other
+# three. Dealt round-robin, O3 and one diverging mgbr cell fall in a
+# worker's share for every jobs > 1 (O3 is always share 1).
+POOL_SPECS = [ModelSpec(kind="knn", hyperparameters={"k": 3}),
+              ModelSpec(kind="rfr", hyperparameters={"n_trees": 2}),
+              ModelSpec(kind="linreg"),
+              ModelSpec(kind="mgbr", hyperparameters={"eta0": 1000.0}),
+              ModelSpec(kind="dnn", hyperparameters={"epochs": 1})]
+
+
+def _pool_city():
+    return make_city("a", n_periods=41, seed=11,
+                     pollutants=(PollutantKind.CO, PollutantKind.NO2, PollutantKind.SO2))
+
+
+def test_benchmark_results_do_not_depend_on_jobs(deadline):
+    runs = {}
+    for jobs in (1, 2, 3, 8):
+        report, trained = run_benchmark([_pool_city()], list(POLLUTANTS), POOL_SPECS,
+                                        SplitSpec(), scaling_mode="z_score", jobs=jobs)
+        runs[jobs] = report, {key: model_to_json(m) for key, m in trained.items()}
+    report, models = runs[1]
+    assert len(report.rows) == 20 and report.n_failed == 5 + 3
+    assert not report.cell(PollutantKind.O3, "knn").ok
+    assert "not finite" in report.cell(PollutantKind.SO2, "mgbr").error
+    assert len(models) == 12
+    for jobs in (2, 3, 8):
+        assert runs[jobs][0] == report, jobs
+        assert list(runs[jobs][1].items()) == list(models.items()), jobs
+
+
+def _fit_failing_on(pollutant, fail):
+    from airpolicy import models
+
+    fit = models.fit
+
+    def failing(spec, train):
+        if train.pollutant is pollutant and spec.kind == "linreg":
+            fail()
+        return fit(spec, train)
+
+    return failing
+
+
+def _raise_boom():
+    raise RuntimeError("boom")
+
+
+def _die():
+    os._exit(3)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fail, says", [(_raise_boom, "(?s)NO2 failed:.*RuntimeError: boom"),
+                                        (_die, "NO2 ended with 3 results unsent")],
+                         ids=["raises", "exits"])
+def test_benchmark_worker_failure_raises_in_parent(monkeypatch, deadline, fail, says):
+    from airpolicy import models
+
+    # NO2 is share 1 at jobs=3; its linreg cell is the second of four.
+    monkeypatch.setattr(models, "fit", _fit_failing_on(PollutantKind.NO2, fail))
+    cities = [make_city("a", n_periods=21, seed=11)]
+    specs = FAST_SPECS + [ModelSpec(kind="lasso")]
+    with pytest.raises(RuntimeError, match=says):
+        run_benchmark(cities, list(POLLUTANTS), specs, SplitSpec(), jobs=3)
+    _assert_no_child_left()
+
+
+def test_benchmark_parent_failure_reaps_workers(monkeypatch, deadline):
+    from airpolicy import models
+
+    monkeypatch.setattr(models, "fit", _fit_failing_on(PollutantKind.CO, _raise_boom))
+    cities = [make_city("a", n_periods=21, seed=11)]
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_benchmark(cities, list(POLLUTANTS), POOL_SPECS, SplitSpec(), jobs=4)
+    _assert_no_child_left()
+
+
+def test_benchmark_rejects_jobs_below_one():
+    with pytest.raises(DomainError, match="jobs must be at least 1"):
+        run_benchmark([make_city("a", n_periods=21, seed=11)], [PollutantKind.CO],
+                      FAST_SPECS, SplitSpec(), jobs=0)
 
 
 def test_scaling_mode_scores_in_original_units():

@@ -421,6 +421,9 @@ def test_readers_raise_only_package_errors_on_fuzzed_files(tmp_path, name):
     ("density", 2, b",CO,", b",XX,"),
     ("density", 3, b"6e-05", b"six"),
     ("density", 2, b"0.03", b"\xff\xfe"),
+    ("density", 2, b"0.03", b"nan"),
+    ("density", 2, b"0.001", b"-0.001"),
+    ("density", 3, b"1e-06", b"inf"),
     ("grid", 2, b"0.3", b"0.3x"),
     ("city", 3, b"1,", b"one,"),
 ])
