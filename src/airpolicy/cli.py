@@ -118,6 +118,7 @@ def cmd_ingest(args) -> int:
     os.makedirs(os.path.join(config.out_dir, "cities"), exist_ok=True)
     for ds in datasets:
         write_city_csv(ds, _city_csv_path(config.out_dir, ds.city_name))
+    for ds in datasets:
         n_measures = sum(1 for r in ds.records if r.has_all_measures())
         cover = " ".join(
             f"{p.value}={sum(1 for r in ds.records if p in r.pollutant_stats)}"
@@ -171,7 +172,7 @@ def cmd_screen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
-    """Print and return (city, period, inputs, prediction) for the next period.
+    """Return (city, period, inputs, prediction) for the next period.
 
     The inputs are the latest record (over cities in order) with all 10
     features present; None when there is none.
@@ -186,11 +187,14 @@ def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
         return None
     city, period, x = found
     x = np.array(x, dtype=np.float64)
-    pred = models.predict(model, x)[0]
+    return city, period, x, models.predict(model, x)[0]
+
+
+def _print_forecast(pollutant: PollutantKind, forecast) -> None:
+    city, period, x, pred = forecast
     print(f"{pollutant.value} ({city}, period {period}): "
           f"mean {x[-2]:.4e} mol/m2 -> next-period forecast "
           f"{pred[0]:.4e} mol/m2 (std {pred[1]:.4e})")
-    return city, period, x, pred
 
 
 def cmd_benchmark(args) -> int:
@@ -218,8 +222,9 @@ def cmd_benchmark(args) -> int:
     # Forecast demo: current density and next-period prediction per pollutant.
     for pollutant in config.pollutants:
         model = trained.get((pollutant, config.predict_kind))
-        if model is not None:
-            _forecast(model, city_sets, pollutant)
+        forecast = None if model is None else _forecast(model, city_sets, pollutant)
+        if forecast is not None:
+            _print_forecast(pollutant, forecast)
     return EXIT_PARTIAL if eval_report.n_failed else EXIT_OK
 
 
@@ -230,7 +235,7 @@ def cmd_benchmark(args) -> int:
 def cmd_predict(args) -> int:
     config = _load(args)
     city_sets = _read_cities(config)
-    rows = []
+    forecasts = []
     for pollutant in config.pollutants:
         path = os.path.join(config.out_dir, "models",
                             f"{pollutant.value}_{config.predict_kind}.json")
@@ -241,18 +246,18 @@ def cmd_predict(args) -> int:
         forecast = _forecast(models.load_model(path), city_sets, pollutant)
         if forecast is None:
             raise ConfigError(f"no complete period found for {pollutant.value}")
-        city, period, x, pred = forecast
-        rows.append((pollutant.value, config.predict_kind, city, period,
-                     x[-2], x[-1], pred[0], pred[1]))
+        forecasts.append((pollutant, forecast))
     with open(os.path.join(config.out_dir, "forecast.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pollutant", "kind", "city", "period",
                          "current_mean", "current_std",
                          "forecast_mean", "forecast_std"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], str(row[3]),
-                             repr(float(row[4])), repr(float(row[5])),
-                             repr(float(row[6])), repr(float(row[7]))])
+        for pollutant, (city, period, x, pred) in forecasts:
+            writer.writerow([pollutant.value, config.predict_kind, city, str(period),
+                             repr(float(x[-2])), repr(float(x[-1])),
+                             repr(float(pred[0])), repr(float(pred[1]))])
+    for pollutant, forecast in forecasts:
+        _print_forecast(pollutant, forecast)
     return EXIT_OK
 
 
@@ -327,10 +332,18 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # Every command prints after its last write, so the outputs are
+        # complete; only the summary is lost. Point stdout at devnull so the
+        # interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARTIAL
     except (AirPolicyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,11 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"missing required key {key!r} in {where}")
@@ -148,7 +153,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
         raise ConfigError("config root must be an object")
     _check_keys(d, _TOP_KEYS, "config")
     year = _require(d, "year", "config")
-    if not isinstance(year, int):
+    if not _is_int(year):
         raise ConfigError("year must be an integer")
     cities_raw = _require(d, "cities", "config")
     if not isinstance(cities_raw, list) or not cities_raw:
@@ -206,7 +211,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
             measure = MeasureKind(key)
         except ValueError:
             raise ConfigError(f"unknown measure {key!r} in measure_max_levels")
-        if not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             raise ConfigError(f"measure_max_levels.{key} must be a positive integer")
         max_levels[measure] = v
 
@@ -216,8 +221,11 @@ def config_from_dict(d: dict) -> PipelineConfig:
     if dtw_cost not in ("absolute", "squared"):
         raise ConfigError(f"unknown dtw cost {dtw_cost!r}")
     dtw_window = dtw_raw.get("window")
-    if dtw_window is not None and (not isinstance(dtw_window, int) or dtw_window < 0):
+    if dtw_window is not None and (not _is_int(dtw_window) or dtw_window < 0):
         raise ConfigError("dtw.window must be a non-negative integer or null")
+    dtw_normalize = dtw_raw.get("normalize", True)
+    if not isinstance(dtw_normalize, bool):
+        raise ConfigError(f"dtw.normalize must be true or false, got {dtw_normalize!r}")
 
     aggregation_mode = d.get("aggregation_mode", "per_grid")
     if aggregation_mode not in ("per_grid", "pooled_pixels"):
@@ -239,7 +247,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
         scaling_mode=scaling_mode,
         measure_max_levels=max_levels,
         dtw_cost=dtw_cost,
-        dtw_normalize=bool(dtw_raw.get("normalize", True)),
+        dtw_normalize=dtw_normalize,
         dtw_window=dtw_window,
         aggregation_mode=aggregation_mode,
         predict_kind=predict_kind,

@@ -32,31 +32,45 @@ def dtw_accumulate(cost: np.ndarray, window: int = -1) -> np.ndarray:
     with acc[0, 0] = cost[0, 0] and borders accumulated along their axis.
     ``window >= 0`` restricts cells to ``|i - j| <= window`` (others inf).
 
-    Interior cells are filled one anti-diagonal at a time; each cell is one
-    addition to an exact minimum, so the table equals a row-by-row sweep's.
+    Each border is one ``np.cumsum``, which adds strictly left to right.
+    The interior is filled one anti-diagonal at a time: in the flat table,
+    cell (i, d - i) sits at offset i*(m-1) + d, so a diagonal and its up
+    (-m), left (-1) and diagonal (-m-1) predecessors are basic slices with
+    step m - 1. The diagonals' row bounds are computed in one vectorized
+    pass, and each diagonal then costs three ufunc calls into a reused
+    buffer, with no index arrays, gathers or scatters. Every cell is still ``cost + min`` of three exact operands, so
+    the table equals a row-by-row sweep's to the bit.
     """
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
     n, m = cost.shape
     acc = np.full((n, m), np.inf)
-    acc[0, 0] = cost[0, 0]
     jmax = m - 1 if window < 0 else min(m - 1, window)
-    for j in range(1, jmax + 1):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
     imax = n - 1 if window < 0 else min(n - 1, window)
-    for i in range(1, imax + 1):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-    for d in range(2, n + m - 1):
-        lo = max(1, d - m + 1)
-        hi = min(n - 1, d - 1)
-        if window >= 0:
-            # |i - j| <= window with j = d - i
-            lo = max(lo, (d - window + 1) // 2)
-            hi = min(hi, (d + window) // 2)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        best = np.minimum(acc[i - 1, j - 1], np.minimum(acc[i - 1, j], acc[i, j - 1]))
-        acc[i, j] = cost[i, j] + best
+    np.cumsum(cost[0, :jmax + 1], out=acc[0, :jmax + 1])
+    np.cumsum(cost[:imax + 1, 0], out=acc[:imax + 1, 0])
+    if n < 2 or m < 2:
+        return acc
+    A = acc.reshape(-1)
+    C = cost.reshape(-1)
+    step = m - 1
+    # Row bounds [lo, hi] of every interior anti-diagonal d, inside the band.
+    d = np.arange(2, n + m - 1)
+    lo = np.maximum(1, d - m + 1)
+    hi = np.minimum(n - 1, d - 1)
+    if window >= 0:
+        # |i - j| <= window with j = d - i
+        lo = np.maximum(lo, (d - window + 1) // 2)
+        hi = np.minimum(hi, (d + window) // 2)
+    keep = lo <= hi
+    start = (lo * step + d)[keep]
+    size = (hi - lo + 1)[keep]
+    stop = start + (size - 1) * step + 1
+    buf = np.empty(min(n, m))
+    for s, e, k in zip(start.tolist(), stop.tolist(), size.tolist()):
+        b = buf[:k]
+        np.minimum(A[s - m:e - m:step], A[s - 1:e - 1:step], out=b)
+        np.minimum(A[s - m - 1:e - m - 1:step], b, out=b)
+        np.add(C[s:e:step], b, out=A[s:e:step])
     return acc
 
 

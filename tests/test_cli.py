@@ -297,6 +297,31 @@ def test_grid_files_outside_the_year_are_skipped(tmp_path):
     assert [date for date, _ in got[PollutantKind.CO]] == [dt.date(2020, 3, 1)]
 
 
+def _run_into_closed_pipe(argv):
+    """Run the CLI with stdout a pipe whose reader closed at once (`| true`)."""
+    proc = subprocess.Popen([sys.executable, "-m", "airpolicy.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=120), stderr
+
+
+def test_closed_stdout_is_exit_1_with_complete_outputs(tmp_path, capsys):
+    cfg = run_synth(tmp_path)
+    piped, plain = str(tmp_path / "piped"), str(tmp_path / "plain")
+    for command in ("ingest", "screen"):
+        assert main([command, "--config", cfg, "--out", plain]) == EXIT_OK
+        code, stderr = _run_into_closed_pipe([command, "--config", cfg, "--out", piped])
+        assert (code, stderr) == (EXIT_PARTIAL, "")
+    capsys.readouterr()
+    names = ["screen.csv", "screen_summary.txt"] + [
+        os.path.join("cities", f"{c}.csv") for c in ("city_a", "city_b", "city_c", "city_d")]
+    for name in names:
+        assert filecmp.cmp(os.path.join(plain, name), os.path.join(piped, name),
+                           shallow=False), name
+
+
 def test_jobs_below_one_is_exit_2():
     assert "--jobs must be at least 1, got 0" in _cli_input_error(["benchmark", "--jobs", "0"])
 

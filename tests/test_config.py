@@ -179,6 +179,22 @@ def test_load_config_precedence(tmp_path):
     assert cfg.seed == 22
 
 
+@pytest.mark.parametrize("override, fragment", [
+    ("dtw.normalize=False", "dtw.normalize"),  # not JSON: stays the string "False"
+    ("dtw.normalize=1", "dtw.normalize"),
+    ("dtw.window=true", "dtw.window"),
+    ("year=true", "year must be an integer"),
+    ("measure_max_levels.RE_GAT=true", "measure_max_levels.RE_GAT"),
+])
+def test_booleans_and_integers_are_not_interchangeable(tmp_path, override, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_doc()))
+    assert load_config(str(path), overrides=["dtw.normalize=false"]).dtw_normalize is False
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path), overrides=[override])
+    assert fragment in str(exc.value)
+
+
 def test_load_config_bad_files(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "absent.json"))

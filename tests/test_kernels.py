@@ -16,6 +16,59 @@ def random_cost(gen, n, m):
     return np.abs(np.array(gen.normals(n * m))).reshape(n, m)
 
 
+def row_by_row_dtw(cost, window):
+    """The recurrence one cell at a time, row by row: the definition the
+    diagonal kernel must reproduce bit for bit."""
+    n, m = cost.shape
+    acc = np.full((n, m), np.inf)
+    for i in range(n):
+        for j in range(m):
+            if window >= 0 and abs(i - j) > window:
+                continue
+            if i == 0 and j == 0:
+                acc[i, j] = cost[i, j]
+            elif i == 0:
+                acc[i, j] = acc[i, j - 1] + cost[i, j]
+            elif j == 0:
+                acc[i, j] = acc[i - 1, j] + cost[i, j]
+            else:
+                acc[i, j] = cost[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j],
+                                             acc[i, j - 1])
+    return acc
+
+
+@st.composite
+def dtw_problems(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    values = (st.integers(-3, 3).map(float) if draw(st.booleans())  # ties
+              else st.floats(-1e3, 1e3, allow_subnormal=False))
+    a = draw(hnp.arrays(np.float64, n, elements=values))
+    b = draw(hnp.arrays(np.float64, m, elements=values))
+    diff = a[:, None] - b[None, :]
+    cost = np.abs(diff) if draw(st.booleans()) else diff * diff
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        cost = np.asfortranarray(cost)
+    elif layout == "transposed":
+        cost = np.ascontiguousarray(cost.T).T
+    elif layout == "strided":
+        wide = np.zeros((n, 2 * m))
+        wide[:, ::2] = cost
+        cost = wide[:, ::2]
+    gap = abs(n - m)
+    window = draw(st.sampled_from([-1, 0, max(gap - 1, 0), gap, max(n, m) + 1]
+                                  + [draw(st.integers(0, 45))]))
+    return cost, window
+
+
+@given(dtw_problems())
+def test_dtw_accumulate_bitwise_equals_row_by_row(problem):
+    cost, window = problem
+    want = row_by_row_dtw(cost, window)
+    assert kernels.dtw_accumulate(cost, window).tobytes() == want.tobytes()
+
+
 def test_dtw_window_larger_than_needed_equals_unwindowed():
     gen = SplitMix64(103)
     cost = random_cost(gen, 15, 11)
