@@ -1,10 +1,11 @@
 """Command-line pipeline: ingest, screen, benchmark, synth, predict.
 
 Every command validates its configuration and inputs fully before writing
-anything, so a config error never leaves partial outputs. Exit codes:
-0 success, 1 some cells failed but the run completed, 2 config or input
-error. The output directory comes from --out, else the AIRPOLICY_OUT
-environment variable, else the config.
+anything, so a config error never leaves partial outputs, and prints
+only after its last write. Exit codes: 0 success, 1 some cells failed but
+the run completed, or standard output closed before the summary was
+printed, 2 config or input error. The output directory comes from --out,
+else the AIRPOLICY_OUT environment variable, else the config.
 """
 
 from __future__ import annotations
