@@ -1,8 +1,9 @@
 """Pipeline configuration: one JSON document, fully validated up front.
 
 Unknown keys anywhere in the document are rejected so typos fail before any
-work starts or any output is created. Dotted --set overrides are applied to
-the raw document and the result is re-validated as a whole.
+work starts or any output is created, and so is a value of the wrong JSON
+type: nothing is coerced. Dotted --set overrides are applied to the raw
+document and the result is re-validated as a whole.
 """
 
 from __future__ import annotations
@@ -30,6 +31,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+               int: "an integer", float: "a number"}
+
+
+def _check_type(value, kind: type, name: str):
+    """``value`` if it has the JSON type ``kind``, else a ConfigError naming ``name``.
+
+    ``int`` takes only a JSON integer and ``float`` any JSON number.
+    """
+    if kind is int:
+        ok = _is_int(value)
+    elif kind is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _require(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"missing required key {key!r} in {where}")
@@ -49,34 +74,41 @@ class CityConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "CityConfig":
+        _check_type(d, dict, where)
         _check_keys(d, {"name", "policy_csv", "density_csv", "grids_dir",
                         "center", "box_half_width", "column_map", "date_column"}, where)
-        name = _require(d, "name", where)
-        policy_csv = _require(d, "policy_csv", where)
+        name = _check_type(_require(d, "name", where), str, f"{where}.name")
+        policy_csv = _check_type(_require(d, "policy_csv", where), str, f"{where}.policy_csv")
         density_csv = d.get("density_csv")
         grids_dir = d.get("grids_dir")
         if (density_csv is None) == (grids_dir is None):
             raise ConfigError(
                 f"{where}: exactly one of density_csv or grids_dir is required"
             )
+        source = "grids_dir" if density_csv is None else "density_csv"
+        _check_type(d[source], str, f"{where}.{source}")
         center = d.get("center", [0.0, 0.0])
-        if not (isinstance(center, (list, tuple)) and len(center) == 2):
-            raise ConfigError(f"{where}: center must be [lon, lat]")
+        if not (isinstance(center, list) and len(center) == 2
+                and all(_is_number(v) for v in center)):
+            raise ConfigError(f"{where}: center must be [lon, lat], got {center!r}")
         column_map = dict(DEFAULT_COLUMN_MAP)
-        for key, col in d.get("column_map", {}).items():
+        for key, col in _check_type(d.get("column_map", {}), dict,
+                                    f"{where}.column_map").items():
             try:
-                column_map[MeasureKind(key)] = str(col)
+                measure = MeasureKind(key)
             except ValueError:
                 raise ConfigError(f"{where}: unknown measure {key!r} in column_map")
+            column_map[measure] = _check_type(col, str, f"{where}.column_map.{key}")
         return cls(
-            name=str(name),
-            policy_csv=str(policy_csv),
-            density_csv=None if density_csv is None else str(density_csv),
-            grids_dir=None if grids_dir is None else str(grids_dir),
+            name=name,
+            policy_csv=policy_csv,
+            density_csv=density_csv,
+            grids_dir=grids_dir,
             center=(float(center[0]), float(center[1])),
-            box_half_width=float(d.get("box_half_width", 0.25)),
+            box_half_width=float(_check_type(d.get("box_half_width", 0.25), float,
+                                             f"{where}.box_half_width")),
             column_map=column_map,
-            date_column=str(d.get("date_column", "date")),
+            date_column=_check_type(d.get("date_column", "date"), str, f"{where}.date_column"),
         )
 
 
@@ -149,12 +181,9 @@ _TOP_KEYS = {
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be an object")
+    _check_type(d, dict, "config root")
     _check_keys(d, _TOP_KEYS, "config")
-    year = _require(d, "year", "config")
-    if not _is_int(year):
-        raise ConfigError("year must be an integer")
+    year = _check_type(_require(d, "year", "config"), int, "year")
     cities_raw = _require(d, "cities", "config")
     if not isinstance(cities_raw, list) or not cities_raw:
         raise ConfigError("cities must be a non-empty list")
@@ -165,7 +194,8 @@ def config_from_dict(d: dict) -> PipelineConfig:
     if len(set(names)) != len(names):
         raise ConfigError("duplicate city names")
 
-    pollutants_raw = d.get("pollutants", [p.value for p in PollutantKind])
+    pollutants_raw = _check_type(d.get("pollutants", [p.value for p in PollutantKind]),
+                                 list, "pollutants")
     try:
         pollutants = tuple(PollutantKind(p) for p in pollutants_raw)
     except ValueError as exc:
@@ -173,30 +203,35 @@ def config_from_dict(d: dict) -> PipelineConfig:
     if not pollutants:
         raise ConfigError("pollutants must be non-empty")
 
-    models_raw = d.get("models", {})
+    models_raw = _check_type(d.get("models", {}), dict, "models")
     _check_keys(models_raw, {"kinds", "overrides"}, "models")
-    kinds_raw = models_raw.get("kinds", list(KINDS))
+    kinds_raw = _check_type(models_raw.get("kinds", list(KINDS)), list, "models.kinds")
     for k in kinds_raw:
         if k not in KINDS:
             raise ConfigError(f"unknown model kind {k!r}; expected one of {KINDS}")
-    overrides_raw = models_raw.get("overrides", {})
+    overrides_raw = _check_type(models_raw.get("overrides", {}), dict, "models.overrides")
     overrides: dict[str, dict] = {}
     for k, over in overrides_raw.items():
         if k not in KINDS:
             raise ConfigError(f"override for unknown model kind {k!r}")
-        if not isinstance(over, dict):
-            raise ConfigError(f"models.overrides.{k} must be an object")
-        allowed = set(HYPER_DEFAULTS[k]) | set(HYPER_ALIASES.get(k, {})) | {"seed"}
-        _check_keys(over, allowed, f"models.overrides.{k}")
+        _check_type(over, dict, f"models.overrides.{k}")
+        defaults = HYPER_DEFAULTS[k]
+        aliases = HYPER_ALIASES.get(k, {})
+        _check_keys(over, set(defaults) | set(aliases) | {"seed"}, f"models.overrides.{k}")
+        for key, value in over.items():
+            # Each value takes the JSON type of its default; a seed is an integer.
+            default = 0 if key == "seed" else defaults[aliases.get(key, key)]
+            _check_type(value, type(default), f"models.overrides.{k}.{key}")
         overrides[k] = dict(over)
 
-    split_raw = d.get("split", {})
+    split_raw = _check_type(d.get("split", {}), dict, "split")
     _check_keys(split_raw, {"mode", "test_fraction", "seed"}, "split")
     try:
         split = SplitSpec(
             mode=split_raw.get("mode", "chronological"),
-            test_fraction=float(split_raw.get("test_fraction", 0.2)),
-            seed=int(split_raw.get("seed", 0)),
+            test_fraction=_check_type(split_raw.get("test_fraction", 0.2), float,
+                                      "split.test_fraction"),
+            seed=_check_type(split_raw.get("seed", 0), int, "split.seed"),
         )
     except DomainError as exc:
         raise ConfigError(f"split: {exc}")
@@ -206,7 +241,8 @@ def config_from_dict(d: dict) -> PipelineConfig:
         raise ConfigError(f"unknown scaling_mode {scaling_mode!r}")
 
     max_levels: dict[MeasureKind, int] = {}
-    for key, v in d.get("measure_max_levels", {}).items():
+    for key, v in _check_type(d.get("measure_max_levels", {}), dict,
+                              "measure_max_levels").items():
         try:
             measure = MeasureKind(key)
         except ValueError:
@@ -215,7 +251,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
             raise ConfigError(f"measure_max_levels.{key} must be a positive integer")
         max_levels[measure] = v
 
-    dtw_raw = d.get("dtw", {})
+    dtw_raw = _check_type(d.get("dtw", {}), dict, "dtw")
     _check_keys(dtw_raw, {"cost", "normalize", "window"}, "dtw")
     dtw_cost = dtw_raw.get("cost", "absolute")
     if dtw_cost not in ("absolute", "squared"):
@@ -223,15 +259,13 @@ def config_from_dict(d: dict) -> PipelineConfig:
     dtw_window = dtw_raw.get("window")
     if dtw_window is not None and (not _is_int(dtw_window) or dtw_window < 0):
         raise ConfigError("dtw.window must be a non-negative integer or null")
-    dtw_normalize = dtw_raw.get("normalize", True)
-    if not isinstance(dtw_normalize, bool):
-        raise ConfigError(f"dtw.normalize must be true or false, got {dtw_normalize!r}")
+    dtw_normalize = _check_type(dtw_raw.get("normalize", True), bool, "dtw.normalize")
 
     aggregation_mode = d.get("aggregation_mode", "per_grid")
     if aggregation_mode not in ("per_grid", "pooled_pixels"):
         raise ConfigError(f"unknown aggregation_mode {aggregation_mode!r}")
 
-    predict_raw = d.get("predict", {})
+    predict_raw = _check_type(d.get("predict", {}), dict, "predict")
     _check_keys(predict_raw, {"kind"}, "predict")
     predict_kind = predict_raw.get("kind", "rfr")
     if predict_kind not in KINDS:
@@ -251,8 +285,8 @@ def config_from_dict(d: dict) -> PipelineConfig:
         dtw_window=dtw_window,
         aggregation_mode=aggregation_mode,
         predict_kind=predict_kind,
-        out_dir=str(d.get("out_dir", "out")),
-        seed=int(d.get("seed", 0)),
+        out_dir=_check_type(d.get("out_dir", "out"), str, "out_dir"),
+        seed=_check_type(d.get("seed", 0), int, "seed"),
     )
 
 

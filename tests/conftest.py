@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ def record(year, t, measures=None, pollutant_stats=None):
     return PeriodRecord(period_index=t, start_date=period_start_date(year, t),
                         measures=measures or {},
                         pollutant_stats=pollutant_stats or {})
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, fail if a forked benchmark worker was left unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -323,7 +323,7 @@ def _pipeline_bytes(cfg_path, out, jobs):
     return blobs
 
 
-def test_10_byte_identical_reruns(capsys, tmp_path):
+def test_10_byte_identical_reruns(capsys, tmp_path, no_child_left):
     with gate(capsys, "10 byte-identical outputs across reruns, jobs 1 and 8"):
         root = str(tmp_path / "det")
         res = synth.generate(root, profile="linear", seed=3)

@@ -138,6 +138,13 @@ def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
     _cli_input_error(["ingest", "--config", cfg, "--out", str(afile / "x")])
 
 
+def test_wrongly_typed_config_value_is_exit_2_without_traceback(tmp_path):
+    cfg = run_synth(tmp_path)
+    says = _cli_input_error(["benchmark", "--config", cfg, "--out", str(tmp_path / "run"),
+                             '--set=models.overrides.knn.k="3"'])
+    assert "models.overrides.knn.k must be an integer" in says
+
+
 def _edit_line(path, line, edit):
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")

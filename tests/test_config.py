@@ -68,6 +68,24 @@ def test_minimal_document_fills_defaults():
     (lambda d: d.update(aggregation_mode="median"), "aggregation_mode"),
     (lambda d: d.update(predict={"kind": "svm"}), "predict kind"),
     (lambda d: d.update(predict={"model": "rfr"}), "unknown keys in predict"),
+    (lambda d: d.update(dtw=3), "dtw must be an object"),
+    (lambda d: d.update(pollutants=5), "pollutants must be a list"),
+    (lambda d: d.update(models=[]), "models must be an object"),
+    (lambda d: d.update(predict=[]), "predict must be an object"),
+    (lambda d: d.update(measure_max_levels=[]), "measure_max_levels must be an object"),
+    (lambda d: d.update(cities=[5]), "cities[0] must be an object"),
+    (lambda d: d["cities"][0].update(box_half_width="abc"),
+     "cities[0].box_half_width must be a number"),
+    (lambda d: d["cities"][0].update(center=["a", 1]), "center must be [lon, lat]"),
+    (lambda d: d["cities"][0].update(column_map=[]), "cities[0].column_map must be an object"),
+    (lambda d: d.update(split={"test_fraction": "abc"}), "split.test_fraction must be a number"),
+    (lambda d: d.update(split={"test_fraction": "0.3"}), "split.test_fraction must be a number"),
+    (lambda d: d.update(split={"seed": 2.9}), "split.seed must be an integer"),
+    (lambda d: d.update(seed="7"), "seed must be an integer"),
+    (lambda d: d.update(models={"overrides": {"dnn": {"epochs": 2.5}}}),
+     "models.overrides.dnn.epochs must be an integer"),
+    (lambda d: d.update(models={"overrides": {"knn": {"k": "3"}}}),
+     "models.overrides.knn.k must be an integer"),
 ])
 def test_invalid_documents_are_rejected(mutate, fragment):
     doc = base_doc()
@@ -115,7 +133,7 @@ def test_model_overrides_flow_into_specs():
     doc["models"] = {
         "kinds": ["knn", "mgbr"],
         "overrides": {"knn": {"k": 3, "seed": 9},
-                      "mgbr": {"estimators": 7}},
+                      "mgbr": {"estimators": 7, "eta0": 1}},
     }
     cfg = config_from_dict(doc)
     specs = {s.kind: s for s in cfg.model_specs()}
@@ -124,6 +142,8 @@ def test_model_overrides_flow_into_specs():
     # The alias lands on the canonical hyperparameter name.
     assert specs["mgbr"].hyperparameters["epochs"] == 7
     assert "estimators" not in specs["mgbr"].hyperparameters
+    # A float hyperparameter takes any JSON number.
+    assert specs["mgbr"].hyperparameters["eta0"] == 1
     # The alias belongs to mgbr alone.
     doc["models"] = {"kinds": ["rfr"], "overrides": {"rfr": {"estimators": 3}}}
     with pytest.raises(ConfigError, match="estimators"):
@@ -185,6 +205,11 @@ def test_load_config_precedence(tmp_path):
     ("dtw.window=true", "dtw.window"),
     ("year=true", "year must be an integer"),
     ("measure_max_levels.RE_GAT=true", "measure_max_levels.RE_GAT"),
+    ("seed=true", "seed must be an integer"),
+    ("split.seed=2.9", "split.seed must be an integer"),
+    ("models.overrides.knn.k=true", "models.overrides.knn.k must be an integer"),
+    ("models.overrides.knn.seed=true", "models.overrides.knn.seed must be an integer"),
+    ("models.overrides.ridge.lam=true", "models.overrides.ridge.lam must be a number"),
 ])
 def test_booleans_and_integers_are_not_interchangeable(tmp_path, override, fragment):
     path = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import signal
 
 import numpy as np
@@ -297,7 +298,7 @@ def _pool_city():
                      pollutants=(PollutantKind.CO, PollutantKind.NO2, PollutantKind.SO2))
 
 
-def test_benchmark_results_do_not_depend_on_jobs(deadline):
+def test_benchmark_results_do_not_depend_on_jobs(deadline, no_child_left):
     runs = {}
     for jobs in (1, 2, 3, 8):
         report, trained = run_benchmark([_pool_city()], list(POLLUTANTS), POOL_SPECS,
@@ -334,34 +335,56 @@ def _die():
     os._exit(3)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _kill():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.mark.parametrize("fail, says", [(_raise_boom, "(?s)NO2 failed:.*RuntimeError: boom"),
-                                        (_die, "NO2 ended with 3 results unsent")],
-                         ids=["raises", "exits"])
-def test_benchmark_worker_failure_raises_in_parent(monkeypatch, deadline, fail, says):
+                                        (_die, "NO2 ended with 3 results unsent"),
+                                        (_kill, "NO2 ended with 3 results unsent")],
+                         ids=["raises", "exits", "killed"])
+def test_benchmark_worker_failure_raises_in_parent(monkeypatch, deadline, no_child_left,
+                                                   fail, says):
     from airpolicy import models
 
-    # NO2 is share 1 at jobs=3; its linreg cell is the second of four.
+    # NO2 is a worker's whole share at jobs=3; its linreg cell is the second of four.
     monkeypatch.setattr(models, "fit", _fit_failing_on(PollutantKind.NO2, fail))
     cities = [make_city("a", n_periods=21, seed=11)]
     specs = FAST_SPECS + [ModelSpec(kind="lasso")]
     with pytest.raises(RuntimeError, match=says):
         run_benchmark(cities, list(POLLUTANTS), specs, SplitSpec(), jobs=3)
-    _assert_no_child_left()
 
 
-def test_benchmark_parent_failure_reaps_workers(monkeypatch, deadline):
+def test_benchmark_worker_killed_mid_record_raises_in_parent(monkeypatch, deadline,
+                                                             no_child_left):
+    dump = pickle.dump
+    dumped = []
+
+    def dump_then_die(obj, out, protocol):
+        # Each worker's second result stops halfway, as if killed while writing
+        # it; the O3 worker is read back first.
+        if dumped:
+            data = pickle.dumps(obj, protocol=protocol)
+            out.write(data[:len(data) // 2])
+            out.flush()
+            _kill()
+        dumped.append(obj)
+        dump(obj, out, protocol=protocol)
+
+    monkeypatch.setattr(pickle, "dump", dump_then_die)
+    cities = [make_city("a", n_periods=21, seed=11)]
+    specs = FAST_SPECS + [ModelSpec(kind="lasso")]
+    with pytest.raises(RuntimeError, match="O3 ended with 3 results unsent"):
+        run_benchmark(cities, list(POLLUTANTS), specs, SplitSpec(), jobs=3)
+
+
+def test_benchmark_parent_failure_reaps_workers(monkeypatch, deadline, no_child_left):
     from airpolicy import models
 
     monkeypatch.setattr(models, "fit", _fit_failing_on(PollutantKind.CO, _raise_boom))
     cities = [make_city("a", n_periods=21, seed=11)]
     with pytest.raises(RuntimeError, match="^boom$"):
         run_benchmark(cities, list(POLLUTANTS), POOL_SPECS, SplitSpec(), jobs=4)
-    _assert_no_child_left()
 
 
 def test_benchmark_rejects_jobs_below_one():
