@@ -1,16 +1,20 @@
 """Pipeline configuration: one JSON document, fully validated up front.
 
-Unknown keys anywhere in the document are rejected so typos fail before any
-work starts or any output is created, and so is a value of the wrong JSON
-type: nothing is coerced. Dotted --set overrides are applied to the raw
-document and the result is re-validated as a whole.
+The document's shape is written once, in ``_DEFAULTS``. One pass rejects
+unknown keys anywhere in it and values of the wrong JSON type (nothing is
+coerced) and fills in the absent keys; the rules no type states (choices,
+ranges, city names, hyperparameter domains) then run on the filled document,
+which ``report.json`` echoes. So bad input fails before any output exists.
+Dotted --set overrides are applied to the raw document, then validated.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 from .dataset import MeasureKind, PollutantKind, DEFAULT_MAX_LEVEL
 from .errors import ConfigError, DomainError
@@ -19,11 +23,22 @@ from .ingest import DEFAULT_COLUMN_MAP
 from .models import HYPER_DEFAULTS, KINDS, ModelSpec
 from .models.base import HYPER_ALIASES
 
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+# Each key's default; a required key's value only gives its type. A
+# non-empty object is a section, an empty one a free-form map, and a None
+# default leaves the value to its own rule in config_from_dict or _city.
+_CITY_DEFAULTS = {
+    "name": "", "policy_csv": "", "density_csv": None, "grids_dir": None,
+    "center": [0.0, 0.0], "box_half_width": 0.25, "column_map": {}, "date_column": "date",
+}
+_DEFAULTS = {
+    "year": 0, "cities": None, "pollutants": [p.value for p in PollutantKind],
+    "models": {"kinds": list(KINDS), "overrides": {}},
+    "split": SplitSpec().to_dict(),
+    "scaling_mode": "none", "measure_max_levels": {},
+    "dtw": {"cost": "absolute", "normalize": True, "window": None},
+    "aggregation_mode": "per_grid", "predict": {"kind": "rfr"}, "out_dir": "out", "seed": 0,
+}
+_MEASURES = {m.value for m in MeasureKind}
 
 
 def _is_int(value) -> bool:
@@ -55,61 +70,43 @@ def _check_type(value, kind: type, name: str):
     return value
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return d[key]
+def _filled(d, defaults: dict, where: str, required=()) -> dict:
+    """Object ``d`` checked key by key against ``defaults``, absent keys filled in.
+
+    A float default takes any number and stores a float; a non-empty object
+    default is a section, checked the same way.
+    """
+    _check_type(d, dict, where)
+    unknown = sorted(set(d) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    out = {}
+    for key, default in defaults.items():
+        name = key if where == "config" else f"{where}.{key}"
+        if key not in d:
+            if key in required:
+                raise ConfigError(f"missing required key {key!r} in {where}")
+            out[key] = default
+        elif isinstance(default, dict) and default:
+            out[key] = _filled(d[key], default, name)
+        elif default is None:
+            out[key] = d[key]
+        else:
+            value = _check_type(d[key], type(default), name)
+            out[key] = float(value) if isinstance(default, float) else value
+    return out
 
 
 @dataclass(frozen=True)
 class CityConfig:
     name: str
     policy_csv: str
-    density_csv: str | None = None
-    grids_dir: str | None = None
-    center: tuple[float, float] = (0.0, 0.0)
-    box_half_width: float = 0.25
-    column_map: dict[MeasureKind, str] = field(default_factory=lambda: dict(DEFAULT_COLUMN_MAP))
-    date_column: str = "date"
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "CityConfig":
-        _check_type(d, dict, where)
-        _check_keys(d, {"name", "policy_csv", "density_csv", "grids_dir",
-                        "center", "box_half_width", "column_map", "date_column"}, where)
-        name = _check_type(_require(d, "name", where), str, f"{where}.name")
-        policy_csv = _check_type(_require(d, "policy_csv", where), str, f"{where}.policy_csv")
-        density_csv = d.get("density_csv")
-        grids_dir = d.get("grids_dir")
-        if (density_csv is None) == (grids_dir is None):
-            raise ConfigError(
-                f"{where}: exactly one of density_csv or grids_dir is required"
-            )
-        source = "grids_dir" if density_csv is None else "density_csv"
-        _check_type(d[source], str, f"{where}.{source}")
-        center = d.get("center", [0.0, 0.0])
-        if not (isinstance(center, list) and len(center) == 2
-                and all(_is_number(v) for v in center)):
-            raise ConfigError(f"{where}: center must be [lon, lat], got {center!r}")
-        column_map = dict(DEFAULT_COLUMN_MAP)
-        for key, col in _check_type(d.get("column_map", {}), dict,
-                                    f"{where}.column_map").items():
-            try:
-                measure = MeasureKind(key)
-            except ValueError:
-                raise ConfigError(f"{where}: unknown measure {key!r} in column_map")
-            column_map[measure] = _check_type(col, str, f"{where}.column_map.{key}")
-        return cls(
-            name=name,
-            policy_csv=policy_csv,
-            density_csv=density_csv,
-            grids_dir=grids_dir,
-            center=(float(center[0]), float(center[1])),
-            box_half_width=float(_check_type(d.get("box_half_width", 0.25), float,
-                                             f"{where}.box_half_width")),
-            column_map=column_map,
-            date_column=_check_type(d.get("date_column", "date"), str, f"{where}.date_column"),
-        )
+    density_csv: str | None
+    grids_dir: str | None
+    center: tuple[float, float]
+    box_half_width: float
+    column_map: dict[MeasureKind, str]
+    date_column: str
 
 
 @dataclass(frozen=True)
@@ -120,173 +117,135 @@ class PipelineConfig:
     model_kinds: tuple[str, ...]
     model_overrides: dict[str, dict]
     split: SplitSpec
-    scaling_mode: str = "none"
-    measure_max_levels: dict[MeasureKind, int] = field(default_factory=dict)
-    dtw_cost: str = "absolute"
-    dtw_normalize: bool = True
-    dtw_window: int | None = None
-    aggregation_mode: str = "per_grid"
-    predict_kind: str = "rfr"
-    out_dir: str = "out"
-    seed: int = 0
+    scaling_mode: str
+    measure_max_levels: dict[MeasureKind, int]
+    dtw_cost: str
+    dtw_normalize: bool
+    dtw_window: int | None
+    aggregation_mode: str
+    predict_kind: str
+    out_dir: str
+    seed: int
+    document: dict
 
     def model_specs(self) -> list[ModelSpec]:
-        specs = []
-        for kind in self.model_kinds:
-            over = dict(self.model_overrides.get(kind, {}))
-            seed = over.pop("seed", None)
-            specs.append(ModelSpec(kind=kind, hyperparameters=over, seed=seed))
-        return specs
+        return [_spec(kind, self.model_overrides.get(kind, {})) for kind in self.model_kinds]
 
     def echo(self) -> dict:
-        """Plain-dict form of the validated config, for report embedding."""
-        return {
-            "year": self.year,
-            "cities": [
-                {
-                    "name": c.name,
-                    "policy_csv": c.policy_csv,
-                    "density_csv": c.density_csv,
-                    "grids_dir": c.grids_dir,
-                    "center": list(c.center),
-                    "box_half_width": c.box_half_width,
-                    "date_column": c.date_column,
-                    "column_map": {m.value: col for m, col in sorted(
-                        c.column_map.items(), key=lambda kv: kv[0].value)},
-                }
-                for c in self.cities
-            ],
-            "pollutants": [p.value for p in self.pollutants],
-            "models": {
-                "kinds": list(self.model_kinds),
-                "overrides": {k: dict(v) for k, v in sorted(self.model_overrides.items())},
-            },
-            "split": self.split.to_dict(),
-            "scaling_mode": self.scaling_mode,
-            "measure_max_levels": {m.value: v for m, v in sorted(
-                self.measure_max_levels.items(), key=lambda kv: kv[0].value)},
-            "dtw": {"cost": self.dtw_cost, "normalize": self.dtw_normalize,
-                    "window": self.dtw_window},
-            "aggregation_mode": self.aggregation_mode,
-            "predict": {"kind": self.predict_kind},
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
+        """The validated document with its defaults filled in, for report embedding."""
+        return copy.deepcopy(self.document)
 
 
-_TOP_KEYS = {
-    "year", "cities", "pollutants", "models", "split", "scaling_mode",
-    "measure_max_levels", "dtw", "aggregation_mode", "predict", "out_dir", "seed",
-}
+def _spec(kind: str, over: dict) -> ModelSpec:
+    over = dict(over)
+    seed = over.pop("seed", None)
+    return ModelSpec(kind=kind, hyperparameters=over, seed=seed)
+
+
+def _city(c, where: str) -> dict:
+    """City object ``c`` filled in and checked; its column_map merged over the defaults."""
+    city = _filled(c, _CITY_DEFAULTS, where, required=("name", "policy_csv"))
+    name = city["name"]
+    # The name becomes the file <out>/cities/<name>.csv.
+    if name in ("", ".", "..") or any(s and s in name for s in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{where}.name must be a plain file name, got {name!r}")
+    if (city["density_csv"] is None) == (city["grids_dir"] is None):
+        raise ConfigError(f"{where}: exactly one of density_csv or grids_dir is required")
+    source = "grids_dir" if city["density_csv"] is None else "density_csv"
+    _check_type(city[source], str, f"{where}.{source}")
+    center = city["center"]
+    if not (len(center) == 2 and all(_is_number(v) for v in center)):
+        raise ConfigError(f"{where}: center must be [lon, lat], got {center!r}")
+    city["center"] = [float(v) for v in center]
+    column_map = {m.value: col for m, col in DEFAULT_COLUMN_MAP.items()}
+    for key, col in city["column_map"].items():
+        if key not in _MEASURES:
+            raise ConfigError(f"{where}: unknown measure {key!r} in column_map")
+        column_map[key] = _check_type(col, str, f"{where}.column_map.{key}")
+    city["column_map"] = column_map
+    return city
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
     _check_type(d, dict, "config root")
-    _check_keys(d, _TOP_KEYS, "config")
-    year = _check_type(_require(d, "year", "config"), int, "year")
-    cities_raw = _require(d, "cities", "config")
-    if not isinstance(cities_raw, list) or not cities_raw:
+    doc = _filled(d, _DEFAULTS, "config", required=("year", "cities"))
+    if not 1 <= doc["year"] <= 9999:
+        raise ConfigError(f"year must lie in 1..9999, got {doc['year']}")
+    if not isinstance(doc["cities"], list) or not doc["cities"]:
         raise ConfigError("cities must be a non-empty list")
-    cities = tuple(
-        CityConfig.from_dict(c, f"cities[{i}]") for i, c in enumerate(cities_raw)
-    )
-    names = [c.name for c in cities]
+    doc["cities"] = [_city(c, f"cities[{i}]") for i, c in enumerate(doc["cities"])]
+    names = [c["name"] for c in doc["cities"]]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate city names")
 
-    pollutants_raw = _check_type(d.get("pollutants", [p.value for p in PollutantKind]),
-                                 list, "pollutants")
     try:
-        pollutants = tuple(PollutantKind(p) for p in pollutants_raw)
+        pollutants = tuple(PollutantKind(p) for p in doc["pollutants"])
     except ValueError as exc:
         raise ConfigError(f"unknown pollutant in config: {exc}")
     if not pollutants:
         raise ConfigError("pollutants must be non-empty")
 
-    models_raw = _check_type(d.get("models", {}), dict, "models")
-    _check_keys(models_raw, {"kinds", "overrides"}, "models")
-    kinds_raw = _check_type(models_raw.get("kinds", list(KINDS)), list, "models.kinds")
-    for k in kinds_raw:
+    models = doc["models"]
+    for k in models["kinds"]:
         if k not in KINDS:
             raise ConfigError(f"unknown model kind {k!r}; expected one of {KINDS}")
-    overrides_raw = _check_type(models_raw.get("overrides", {}), dict, "models.overrides")
-    overrides: dict[str, dict] = {}
-    for k, over in overrides_raw.items():
+    for k, over in models["overrides"].items():
         if k not in KINDS:
             raise ConfigError(f"override for unknown model kind {k!r}")
-        _check_type(over, dict, f"models.overrides.{k}")
-        defaults = HYPER_DEFAULTS[k]
-        aliases = HYPER_ALIASES.get(k, {})
-        _check_keys(over, set(defaults) | set(aliases) | {"seed"}, f"models.overrides.{k}")
-        for key, value in over.items():
-            # Each value takes the JSON type of its default; a seed is an integer.
-            default = 0 if key == "seed" else defaults[aliases.get(key, key)]
-            _check_type(value, type(default), f"models.overrides.{k}.{key}")
-        overrides[k] = dict(over)
+        # Each value takes the JSON type of its default; a seed is an integer.
+        # The check's filled copy is dropped: the echo keeps the overrides as given.
+        hyper = {**HYPER_DEFAULTS[k], "seed": 0}
+        hyper.update({alias: hyper[key] for alias, key in HYPER_ALIASES.get(k, {}).items()})
+        _filled(over, hyper, f"models.overrides.{k}")
+        _spec(k, over)  # the hyperparameter domains
 
-    split_raw = _check_type(d.get("split", {}), dict, "split")
-    _check_keys(split_raw, {"mode", "test_fraction", "seed"}, "split")
     try:
-        split = SplitSpec(
-            mode=split_raw.get("mode", "chronological"),
-            test_fraction=_check_type(split_raw.get("test_fraction", 0.2), float,
-                                      "split.test_fraction"),
-            seed=_check_type(split_raw.get("seed", 0), int, "split.seed"),
-        )
+        split = SplitSpec(**doc["split"])
     except DomainError as exc:
         raise ConfigError(f"split: {exc}")
 
-    scaling_mode = d.get("scaling_mode", "none")
-    if scaling_mode not in ("none", "min_max", "z_score"):
-        raise ConfigError(f"unknown scaling_mode {scaling_mode!r}")
+    for value, choices, what in (
+        (doc["scaling_mode"], ("none", "min_max", "z_score"), "scaling_mode"),
+        (doc["dtw"]["cost"], ("absolute", "squared"), "dtw cost"),
+        (doc["aggregation_mode"], ("per_grid", "pooled_pixels"), "aggregation_mode"),
+        (doc["predict"]["kind"], KINDS, "predict kind"),
+    ):
+        if value not in choices:
+            raise ConfigError(f"unknown {what} {value!r}")
 
-    max_levels: dict[MeasureKind, int] = {}
-    for key, v in _check_type(d.get("measure_max_levels", {}), dict,
-                              "measure_max_levels").items():
-        try:
-            measure = MeasureKind(key)
-        except ValueError:
+    for key, v in doc["measure_max_levels"].items():
+        if key not in _MEASURES:
             raise ConfigError(f"unknown measure {key!r} in measure_max_levels")
         if not _is_int(v) or v < 1:
             raise ConfigError(f"measure_max_levels.{key} must be a positive integer")
-        max_levels[measure] = v
-
-    dtw_raw = _check_type(d.get("dtw", {}), dict, "dtw")
-    _check_keys(dtw_raw, {"cost", "normalize", "window"}, "dtw")
-    dtw_cost = dtw_raw.get("cost", "absolute")
-    if dtw_cost not in ("absolute", "squared"):
-        raise ConfigError(f"unknown dtw cost {dtw_cost!r}")
-    dtw_window = dtw_raw.get("window")
-    if dtw_window is not None and (not _is_int(dtw_window) or dtw_window < 0):
+    window = doc["dtw"]["window"]
+    if window is not None and (not _is_int(window) or window < 0):
         raise ConfigError("dtw.window must be a non-negative integer or null")
-    dtw_normalize = _check_type(dtw_raw.get("normalize", True), bool, "dtw.normalize")
 
-    aggregation_mode = d.get("aggregation_mode", "per_grid")
-    if aggregation_mode not in ("per_grid", "pooled_pixels"):
-        raise ConfigError(f"unknown aggregation_mode {aggregation_mode!r}")
-
-    predict_raw = _check_type(d.get("predict", {}), dict, "predict")
-    _check_keys(predict_raw, {"kind"}, "predict")
-    predict_kind = predict_raw.get("kind", "rfr")
-    if predict_kind not in KINDS:
-        raise ConfigError(f"unknown predict kind {predict_kind!r}")
-
+    # Until here the rules only replace keys; the copy detaches the now valid,
+    # shallow document from the defaults and from the caller's objects.
+    doc = copy.deepcopy(doc)
     return PipelineConfig(
-        year=year,
-        cities=cities,
+        year=doc["year"],
+        cities=tuple(
+            CityConfig(**{**c, "center": tuple(c["center"]), "column_map": {
+                MeasureKind(k): col for k, col in c["column_map"].items()}})
+            for c in doc["cities"]
+        ),
         pollutants=pollutants,
-        model_kinds=tuple(kinds_raw),
-        model_overrides=overrides,
+        model_kinds=tuple(doc["models"]["kinds"]),
+        model_overrides=doc["models"]["overrides"],
         split=split,
-        scaling_mode=scaling_mode,
-        measure_max_levels=max_levels,
-        dtw_cost=dtw_cost,
-        dtw_normalize=dtw_normalize,
-        dtw_window=dtw_window,
-        aggregation_mode=aggregation_mode,
-        predict_kind=predict_kind,
-        out_dir=_check_type(d.get("out_dir", "out"), str, "out_dir"),
-        seed=_check_type(d.get("seed", 0), int, "seed"),
+        scaling_mode=doc["scaling_mode"],
+        measure_max_levels={MeasureKind(k): v for k, v in doc["measure_max_levels"].items()},
+        dtw_cost=doc["dtw"]["cost"],
+        dtw_normalize=doc["dtw"]["normalize"],
+        dtw_window=window,
+        aggregation_mode=doc["aggregation_mode"],
+        predict_kind=doc["predict"]["kind"],
+        out_dir=doc["out_dir"],
+        seed=doc["seed"],
+        document=doc,
     )
 
 
@@ -343,12 +302,13 @@ def load_config(path: str, overrides: list[str] | None = None,
                 out_dir: str | None = None) -> PipelineConfig:
     """Read, override, and validate a config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, **_FINITE_JSON)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    _check_type(doc, dict, "config root")
     doc = apply_overrides(doc, overrides or [])
     if out_dir is not None:
         doc["out_dir"] = out_dir

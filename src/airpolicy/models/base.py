@@ -1,8 +1,8 @@
 """Model specs, the fit/predict contract, and versioned JSON persistence.
 
 Every learner kind registers a trainer and a deserializer here. Specs
-validate hyperparameter names eagerly so a typo fails at construction, not
-after a training run. Model files are plain JSON with parameter arrays;
+validate hyperparameter names and domains eagerly so a typo or a zero count
+fails at construction, not after a training run. Model files are plain JSON with parameter arrays;
 floats survive the round trip bit for bit, so a reloaded model predicts
 identically.
 """
@@ -10,6 +10,7 @@ identically.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,13 @@ class ModelSpec:
             if canonical not in defaults:
                 raise ConfigError(
                     f"{self.kind}: unknown hyperparameter {key!r}; known: {sorted(defaults)}"
+                )
+            # Counts are at least 1; depths and float hyperparameters at least 0.
+            low = 0 if canonical.endswith("depth") or isinstance(defaults[canonical], float) else 1
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= low):
+                raise ConfigError(
+                    f"{self.kind}: hyperparameter {key!r} must be a number >= {low}, "
+                    f"got {value!r}"
                 )
             resolved[canonical] = value
         object.__setattr__(self, "hyperparameters", resolved)

@@ -145,6 +145,45 @@ def test_wrongly_typed_config_value_is_exit_2_without_traceback(tmp_path):
     assert "models.overrides.knn.k must be an integer" in says
 
 
+def _named(name):
+    """The config with its second city renamed: the first one would be written first."""
+    def text(doc):
+        doc["cities"][1]["name"] = name
+        return json.dumps(doc).encode()
+    return text
+
+
+@pytest.mark.parametrize("text, sets, says", [
+    (lambda doc: b"\xff\xfe{}", [], "is not valid JSON"),
+    (lambda doc: b"[]", ["seed=1"], "config root must be an object"),
+    (lambda doc: b'"x"', ["a.b=1"], "config root must be an object"),
+    (lambda doc: json.dumps(doc).encode(), ["year=10000"], "year must lie in 1..9999"),
+    (lambda doc: json.dumps(doc).encode(), ["year=0"], "year must lie in 1..9999"),
+    (lambda doc: json.dumps(doc).encode(), ['models.overrides={"knn":{"k":-1}}'],
+     "knn: hyperparameter 'k' must be a number >= 1"),
+    (lambda doc: json.dumps(doc).encode(), ["models.overrides.knn.k=0"], "'k' must be"),
+    (lambda doc: json.dumps(doc).encode(), ["models.overrides.dnn.batch_size=0"],
+     "'batch_size' must be"),
+    (lambda doc: json.dumps(doc).encode(), ["models.overrides.madab.estimators=0"],
+     "'estimators' must be"),
+    (_named("a/b"), [], "cities[1].name must be a plain file name"),
+    (_named("../../escape"), [], "cities[1].name must be a plain file name"),
+    (_named("x\0y"), [], "cities[1].name must be a plain file name"),
+], ids=["not-utf8", "list-root", "string-root", "year-10000", "year-0", "knn-k-negative",
+        "knn-k-0", "dnn-batch-0", "madab-estimators-0", "slash-name", "escaping-name",
+        "nul-name"])
+def test_bad_config_is_exit_2_and_writes_nothing(tmp_path, text, sets, says):
+    with open(run_synth(tmp_path, seed=0)) as fh:
+        doc = json.load(fh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text(doc))
+    out = tmp_path / "run"
+    assert says in _cli_input_error(["ingest", "--config", str(cfg), "--out", str(out),
+                                     *(f"--set={s}" for s in sets)])
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.csv"))  # ../../escape would land here
+
+
 def _edit_line(path, line, edit):
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")

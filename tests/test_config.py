@@ -1,9 +1,13 @@
 """Config document validation, overrides, and echo stability."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from airpolicy import synth
 from airpolicy.config import (
     apply_overrides,
     config_from_dict,
@@ -86,6 +90,27 @@ def test_minimal_document_fills_defaults():
      "models.overrides.dnn.epochs must be an integer"),
     (lambda d: d.update(models={"overrides": {"knn": {"k": "3"}}}),
      "models.overrides.knn.k must be an integer"),
+    (lambda d: d.update(year=10000), "year must lie in 1..9999"),
+    (lambda d: d.update(year=0), "year must lie in 1..9999"),
+    (lambda d: d.update(models={"overrides": {"knn": {"k": -1}}}), "'k' must be a number >= 1"),
+    (lambda d: d.update(models={"overrides": {"knn": {"k": 0}}}), "'k' must be a number >= 1"),
+    (lambda d: d.update(models={"overrides": {"dnn": {"batch_size": 0}}}),
+     "'batch_size' must be a number >= 1"),
+    (lambda d: d.update(models={"overrides": {"madab": {"estimators": 0}}}),
+     "'estimators' must be a number >= 1"),
+    (lambda d: d.update(models={"overrides": {"dtr": {"max_depth": -1}}}),
+     "'max_depth' must be a number >= 0"),
+    (lambda d: d.update(models={"overrides": {"ridge": {"lam": -0.5}}}),
+     "'lam' must be a number >= 0"),
+    # An override of a kind that is not benchmarked is checked all the same.
+    (lambda d: d.update(models={"kinds": ["knn"], "overrides": {"mgbr": {"estimators": 0}}}),
+     "'estimators' must be a number >= 1"),
+    (lambda d: d["cities"][0].update(name="a/b"), "cities[0].name must be a plain file name"),
+    (lambda d: d["cities"][0].update(name="../../escape"), "must be a plain file name"),
+    (lambda d: d["cities"][0].update(name="x\0y"), "must be a plain file name"),
+    (lambda d: d["cities"][0].update(name=""), "must be a plain file name"),
+    (lambda d: d["cities"][0].update(name="."), "must be a plain file name"),
+    (lambda d: d["cities"][0].update(name=".."), "must be a plain file name"),
 ])
 def test_invalid_documents_are_rejected(mutate, fragment):
     doc = base_doc()
@@ -210,6 +235,10 @@ def test_load_config_precedence(tmp_path):
     ("models.overrides.knn.k=true", "models.overrides.knn.k must be an integer"),
     ("models.overrides.knn.seed=true", "models.overrides.knn.seed must be an integer"),
     ("models.overrides.ridge.lam=true", "models.overrides.ridge.lam must be a number"),
+    ("year=10000", "year must lie in 1..9999"),
+    ("year=0", "year must lie in 1..9999"),
+    ("models.overrides.knn.k=-1", "'k' must be a number >= 1"),
+    ("models.overrides.dnn.batch_size=0", "'batch_size' must be a number >= 1"),
 ])
 def test_booleans_and_integers_are_not_interchangeable(tmp_path, override, fragment):
     path = tmp_path / "cfg.json"
@@ -247,6 +276,95 @@ def test_echo_is_json_stable():
     assert back["models"]["overrides"] == {"ridge": {"lam": 0.5}}
     assert back["measure_max_levels"] == {"C_SCHOOL": 3, "RE_GAT": 2}
     assert back["cities"][0]["name"] == "a"
+
+
+def _synth_doc(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the echo independent of tmp_path
+    with open(synth.generate("synth", seed=0).config_path) as fh:
+        return json.load(fh)
+
+
+def _int_center_doc(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["cities"][0].update(center=[1, 2], box_half_width=1,
+                            column_map={"RE_GAT": "gatherings"})
+    return doc
+
+
+def _overrides_doc(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc.update(models={"kinds": ["knn", "mgbr"],
+                       "overrides": {"mgbr": {"estimators": 7, "eta0": 1},
+                                     "knn": {"k": 3, "seed": 9}}},
+               measure_max_levels={"RE_GAT": 2, "C_SCHOOL": 3}, dtw={"window": 3},
+               split={"mode": "random", "test_fraction": 0.3, "seed": 4},
+               pollutants=["NO2"], seed=5)
+    return doc
+
+
+def _grids_doc(tmp_path, monkeypatch):
+    return {"year": 2020, "cities": [{"name": "g", "policy_csv": "g_policy.csv",
+                                      "grids_dir": "g_grids", "date_column": "day"}]}
+
+
+# sha256 of json.dumps(echo(), sort_keys=True, indent=2): report.json embeds
+# the echo, so these pin its bytes across rewrites of the config parser.
+@pytest.mark.parametrize("make, digest", [
+    (_synth_doc, "c8df69d1d8e879bb507ba71ec2051ac954bc11fe40f3137ba3981c54c6e6b848"),
+    (lambda *_: base_doc(), "b5c760134a352340b1598e9eb0adc25945d70db525f7b96d10086906071172ee"),
+    (_int_center_doc, "8a17e0cf8f41937b118e996afc79b432529f35b34ac3c96173fd246131f277b8"),
+    (_overrides_doc, "518c2958ce95d04804d0d21650d4ba940857bbd07cc8654192f138a92f11c542"),
+    (_grids_doc, "50fc5ef7e13432ca5cbd79c5e5cc921622ecc1f7c29a3ca9d2908611c30d1169"),
+], ids=["synth-seed0", "minimal", "int-center", "overrides", "grids-dir"])
+def test_echo_matches_golden_digest(tmp_path, monkeypatch, make, digest):
+    text = json.dumps(config_from_dict(make(tmp_path, monkeypatch)).echo(),
+                      sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+CITY_KEYS = ["name", "policy_csv", "density_csv", "grids_dir", "center", "box_half_width",
+             "column_map", "date_column"]
+
+
+def _doc_with_city(changes):
+    doc = base_doc()
+    doc["cities"][0].update(changes)
+    return doc
+
+
+# Whole documents, and the valid one with arbitrary values under real city keys.
+DOCS = JSON | st.dictionaries(st.sampled_from(CITY_KEYS), JSON, max_size=3).map(_doc_with_city)
+# Dotted paths through real keys reach the checks behind the unknown-key check.
+PATHS = st.lists(st.sampled_from(["year", "cities", "pollutants", "models", "kinds", "overrides",
+                                  "knn", "k", "mgbr", "estimators", "split", "mode", "seed",
+                                  "dtw", "window", "measure_max_levels", "RE_GAT", "predict"]),
+                 min_size=1, max_size=3).map(".".join)
+SETS = st.lists(st.tuples(PATHS, JSON).map(lambda kv: f"{kv[0]}={json.dumps(kv[1])}")
+                | st.text(max_size=30), max_size=3)
+
+
+@given(DOCS, SETS)
+def test_config_from_dict_raises_only_config_errors(doc, sets):
+    try:
+        config_from_dict(apply_overrides(doc, sets) if isinstance(doc, dict) else doc)
+    except ConfigError:
+        pass
+
+
+@given(st.binary(max_size=200) | DOCS.map(lambda doc: json.dumps(doc).encode()), SETS)
+def test_load_config_raises_only_config_errors(tmp_path_factory, data, sets):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(data)
+    try:
+        load_config(str(path), overrides=sets)
+    except ConfigError:
+        pass
 
 
 def test_default_max_levels_merges_config():

@@ -59,6 +59,35 @@ def test_spec_rejects_unknown_kind_and_hyperparameter():
         ModelSpec(kind="knn", hyperparameters={"neighbors": 3})
 
 
+@pytest.mark.parametrize("kind, hyper, ok", [
+    ("knn", {"k": 1}, True),
+    ("knn", {"k": 0}, False),
+    ("knn", {"k": -1}, False),
+    ("rfr", {"n_trees": 0}, False),
+    ("rfr", {"max_depth": 0}, True),
+    ("dtr", {"max_depth": -1}, False),
+    ("madab", {"estimators": 0}, False),
+    ("madab", {"base_depth": 0}, True),
+    ("mgbr", {"estimators": 0}, False),
+    ("mgbr", {"eta0": 0.0, "l2": 0}, True),
+    ("dnn", {"batch_size": 0}, False),
+    ("dnn", {"epochs": 0}, False),
+    ("dnn", {"learning_rate": -0.1}, False),
+    ("lasso", {"max_sweeps": 0}, False),
+    ("lasso", {"tol": float("nan")}, False),
+    ("ridge", {"lam": 0.0}, True),
+    ("ridge", {"lam": True}, False),
+    ("ridge", {"lam": "1"}, False),
+])
+def test_spec_checks_hyperparameter_domains(kind, hyper, ok):
+    # Counts are at least 1; depths and float hyperparameters at least 0.
+    if ok:
+        ModelSpec(kind=kind, hyperparameters=hyper)
+    else:
+        with pytest.raises(ConfigError, match="must be a number >="):
+            ModelSpec(kind=kind, hyperparameters=hyper)
+
+
 def test_spec_merges_defaults():
     spec = ModelSpec(kind="rfr", hyperparameters={"n_trees": 10})
     assert spec.params == {"n_trees": 10, "max_depth": 5}
