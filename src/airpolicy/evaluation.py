@@ -4,13 +4,14 @@ The default split is chronological per city (forecasting leaks badly under
 random splits); a seeded random split exists for parity experiments. RMSE
 is always reported in original units: when a scaling mode is configured it
 is fitted on training rows only and predictions are inverted before
-scoring. Each pollutant's rows are built, split and scaled once, then its
-learners run one after another on that shared data, in this process or in
-a forked worker (``jobs``) that writes its results to an unnamed temporary
-file for this process to read back. A failed cell, including one whose
-predictions are not finite or whose learner raised a numeric error
-(``LinAlgError``, ``FloatingPointError``), is recorded in the report
-instead of aborting the run.
+scoring. Each pollutant's rows are built, split and scaled once. The
+pollutants are dealt into shares, one per process (``jobs``); in a share,
+each learner makes one fit call over all its pollutants' shared data, so
+the dnn trains them in lockstep. A forked worker writes its results to an
+unnamed temporary file for this process to read back. A failed cell,
+including one whose predictions are not finite or whose learner raised a
+numeric error (``LinAlgError``, ``FloatingPointError``), is recorded in
+the report instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -149,10 +150,22 @@ class EvalReport:
 
 
 def _run_cell(
-    train: SupervisedSet, test: SupervisedSet, spec: ModelSpec
+    prepared: list[tuple[SupervisedSet, SupervisedSet]], spec: ModelSpec
+) -> list[tuple[EvalCell, TrainedModel | None]]:
+    """One learner over a share's prepared pollutants: one fit call for all
+    of their training sets, then each model is scored on its own test set."""
+    fitted = models.fit(spec, [train for train, _ in prepared])
+    return [_score(train, test, spec, model)
+            for (train, test), model in zip(prepared, fitted)]
+
+
+def _score(
+    train: SupervisedSet, test: SupervisedSet, spec: ModelSpec,
+    model: TrainedModel | Exception,
 ) -> tuple[EvalCell, TrainedModel | None]:
     try:
-        model = models.fit(spec, train)
+        if isinstance(model, Exception):
+            raise model
         m, s, joint = rmse(models.predict(model, test.inputs), test.targets)
         if not math.isfinite(joint):
             raise DomainError(f"{spec.kind}: predictions or RMSE not finite")
@@ -193,13 +206,21 @@ def _prepare(
 
 
 def _run_share(share, specs: list[ModelSpec]):
-    """Yield (cell, model) for every learner of every pollutant in ``share``."""
+    """Yield (cell, model) for every learner of every pollutant in ``share``.
+
+    The pollutants whose preparation failed come first; then each learner
+    runs once over all the others, so a lockstep learner trains them together.
+    """
+    ready = []
     for pollutant, prepared in share:
-        for spec in specs:
-            if isinstance(prepared, str):
+        if isinstance(prepared, str):
+            for spec in specs:
                 yield EvalCell(pollutant=pollutant, kind=spec.kind, error=prepared), None
-            else:
-                yield _run_cell(*prepared, spec)
+        else:
+            ready.append(prepared)
+    if ready:
+        for spec in specs:
+            yield from _run_cell(ready, spec)
 
 
 def _serve(share, specs: list[ModelSpec], out) -> NoReturn:

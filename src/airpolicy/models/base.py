@@ -143,31 +143,69 @@ class TrainedModel:
 
 _FITTERS: dict[str, object] = {}
 _LOADERS: dict[str, object] = {}
+_LOCKSTEP: set[str] = set()
+
+# The errors that fail one set's fit in ``fit`` and leave the other sets' fits standing.
+_FIT_ERRORS = (AirPolicyError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def register_kind(kind: str, fitter, loader) -> None:
+def register_kind(kind: str, fitter, loader, lockstep: bool = False) -> None:
+    """``fitter(spec, X, Y)`` trains one model. A lockstep fitter instead takes
+    ``(spec, [(X, Y), ...])`` and returns, per pair, a model or the error
+    that stopped its fit."""
     _FITTERS[kind] = fitter
     _LOADERS[kind] = loader
+    if lockstep:
+        _LOCKSTEP.add(kind)
+
+
+def _fit_each(spec: ModelSpec, pairs) -> list:
+    """Per (X, Y) pair, the model ``spec`` trains on it or the error that stopped it."""
+    checked = []
+    for X, Y in pairs:
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        Y = np.ascontiguousarray(Y, dtype=np.float64)
+        if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+            raise ShapeError(f"incompatible training shapes {X.shape} and {Y.shape}")
+        checked.append((X, Y))
+    fitter = _FITTERS.get(spec.kind)
+    if fitter is None:  # pragma: no cover
+        raise ConfigError(f"kind {spec.kind!r} has no registered trainer")
+    if spec.kind in _LOCKSTEP:
+        return fitter(spec, checked)
+    results = []
+    for X, Y in checked:
+        try:
+            results.append(fitter(spec, X, Y))
+        except _FIT_ERRORS as exc:
+            results.append(exc)
+    return results
 
 
 def fit_arrays(spec: ModelSpec, X: np.ndarray, Y: np.ndarray,
                scaling: ScalingSpec = IDENTITY_SCALING) -> TrainedModel:
     """Train on raw matrices; Y may be any column count the kind supports."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ShapeError(f"incompatible training shapes {X.shape} and {Y.shape}")
-    fitter = _FITTERS.get(spec.kind)
-    if fitter is None:  # pragma: no cover
-        raise ConfigError(f"kind {spec.kind!r} has no registered trainer")
-    model = fitter(spec, X, Y)
+    (model,) = _fit_each(spec, [(X, Y)])
+    if isinstance(model, Exception):
+        raise model
     model.scaling = scaling
     return model
 
 
-def fit(spec: ModelSpec, train: SupervisedSet) -> TrainedModel:
-    """Train a learner on a supervised set, remembering its scaling."""
-    return fit_arrays(spec, train.inputs, train.targets, scaling=train.scaling)
+def fit(spec: ModelSpec, trains: list[SupervisedSet]) -> list[TrainedModel | Exception]:
+    """Train one learner on each supervised set; each model remembers its set's scaling.
+
+    Returns one entry per set, in order: its model, or the package, linear
+    algebra or floating-point error that stopped its fit. A failed set
+    leaves the others as they would be alone. dnn trains the sets in
+    lockstep; the other kinds fit one set at a time. Either way each
+    model has the bytes of a fit on its set alone.
+    """
+    results = _fit_each(spec, [(train.inputs, train.targets) for train in trains])
+    for train, model in zip(trains, results):
+        if not isinstance(model, Exception):
+            model.scaling = train.scaling
+    return results
 
 
 def predict(model: TrainedModel, inputs: np.ndarray) -> np.ndarray:
@@ -206,7 +244,7 @@ def model_from_json(text: str) -> TrainedModel:
         return model
     except AirPolicyError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
 
 

@@ -5,7 +5,9 @@ internally (a constant target column maps to 0.5, the sigmoid's midpoint,
 so it is fitted exactly). Hidden weights draw from a seeded LeCun-normal
 scheme, std 1/sqrt(fan_in), which suits SELU; the output layer starts at
 zero so the untrained net predicts each target's midpoint. Training is
-mini-batch gradient descent on MSE with a fixed step size.
+mini-batch gradient descent on MSE with a fixed step size. Nets fitted in
+one call on sets of equal shape train in lockstep as one stack, each with
+the bytes it would get alone.
 
 Published SELU constants: alpha = 1.6732632423543772,
 scale = 1.0507009873554805.
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from ..dataset import affine_fit
-from ..errors import InsufficientDataError
+from ..errors import ConfigError, InsufficientDataError
 from ..rng import SplitMix64
 from .base import ModelSpec, TrainedModel, register_kind
 
@@ -79,8 +81,21 @@ def forward(params, Xs: np.ndarray) -> np.ndarray:
     return sigmoid(h @ W + b)
 
 
-def loss_and_gradients(params, Xs: np.ndarray, Ys: np.ndarray, loss_scale: float = 1.0):
-    """MSE loss (mean over batch and outputs) and its parameter gradients."""
+def stack_params(members) -> list[tuple[np.ndarray, np.ndarray]]:
+    """K nets' ``[(W, b), ...]`` as one stack: W (K, fan_in, fan_out), b (K, 1, fan_out)."""
+    return [(np.stack([m[li][0] for m in members]),
+             np.stack([m[li][1][None, :] for m in members]))
+            for li in range(len(members[0]))]
+
+
+def _backprop(params, Xs: np.ndarray, Ys: np.ndarray, grads) -> np.ndarray:
+    """MSE gradients of a stack of K nets, each on its own batch, written into
+    ``grads`` (laid out like ``params``); returns the output errors.
+
+    Xs is (K, B, in) and Ys (K, B, out). Member k's loss is the mean over
+    its own batch and outputs, and each matmul and the bias reduction work
+    per member, so member k's gradients are bit for bit those of the lone net.
+    """
     n_layers = len(params)
     acts = [Xs]
     slopes = []
@@ -92,18 +107,62 @@ def loss_and_gradients(params, Xs: np.ndarray, Ys: np.ndarray, loss_scale: float
     W, b = params[-1]
     out = sigmoid(h @ W + b)
     diff = out - Ys
-    # np.add.reduce is what ndarray.mean/sum call, minus their Python layer.
-    loss = loss_scale * float(np.add.reduce(diff * diff, axis=None) / diff.size)
-    grads = [None] * n_layers
-    delta = loss_scale * 2.0 * diff / diff.size  # d loss / d z through the sigmoid next
+    delta = 2.0 * diff / diff[0].size  # d loss / d z through the sigmoid next
     delta = delta * out * (1.0 - out)
     for li in range(n_layers - 1, -1, -1):
-        gW = acts[li].T @ delta
-        gb = np.add.reduce(delta, axis=0)
-        grads[li] = (gW, gb)
+        gW, gb = grads[li]
+        np.matmul(acts[li].mT, delta, out=gW)
+        np.add.reduce(delta, axis=1, keepdims=True, out=gb)
         if li > 0:
-            delta = (delta @ params[li][0].T) * slopes[li - 1]
+            delta = (delta @ params[li][0].mT) * slopes[li - 1]
+    return diff
+
+
+def loss_and_gradients(params, Xs: np.ndarray, Ys: np.ndarray):
+    """Each member's MSE loss (mean over batch and outputs), shape (K,), and the
+    stack's parameter gradients; shapes as in ``_backprop``."""
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
+    diff = _backprop(params, Xs, Ys, grads)
+    # np.add.reduce is what ndarray.mean/sum call, minus their Python layer.
+    loss = np.array([np.add.reduce(d * d, axis=None) / d.size for d in diff])
     return loss, grads
+
+
+def _views(flat: np.ndarray, params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``params``' shapes laid over consecutive parts of ``flat``."""
+    out, at = [], 0
+    for layer in params:
+        views = []
+        for a in layer:
+            views.append(flat[at:at + a.size].reshape(a.shape))
+            at += a.size
+        out.append(tuple(views))
+    return out
+
+
+def _train(params, Xs: np.ndarray, Ys: np.ndarray, gens, epochs: int,
+           batch_size: int, lr: float):
+    """Mini-batch descent on a stack; member k shuffles with ``gens[k]``.
+
+    Returns the trained parameters. They and their gradients each live in
+    one flat buffer, so a step updates every weight in one pass.
+    """
+    K, n = Xs.shape[:2]
+    P = np.concatenate([a.ravel() for layer in params for a in layer])
+    G = np.empty_like(P)
+    params, grads = _views(P, params), _views(G, params)
+    orders = np.tile(np.arange(n), (K, 1))
+    members = np.arange(K)[:, None]
+    for _ in range(epochs):
+        for gen, order in zip(gens, orders):
+            gen.shuffle(order)
+        # One permuted copy per epoch; its batches are contiguous slices.
+        Xe, Ye = Xs[members, orders], Ys[members, orders]
+        for start in range(0, n, batch_size):
+            stop = start + batch_size
+            _backprop(params, Xe[:, start:stop], Ye[:, start:stop], grads)
+            P -= lr * G
+    return params
 
 
 class DnnModel(TrainedModel):
@@ -138,44 +197,75 @@ class DnnModel(TrainedModel):
         }
 
 
-def _fit_dnn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> DnnModel:
-    n = X.shape[0]
-    if n < 2:
-        raise InsufficientDataError("need at least 2 rows")
-    epochs = int(spec.params["epochs"])
-    batch_size = int(spec.params["batch_size"])
-    lr = float(spec.params["learning_rate"])
+def _min_max(X: np.ndarray, Y: np.ndarray):
+    """(in_lo, in_span, tg_lo, tg_span) of one training set."""
     in_lo, in_span = affine_fit(X, "min_max")
     in_span = np.where(in_span > 0.0, in_span, 1.0)
     tg_lo, tg_span = affine_fit(Y, "min_max")
     # A flat target scales to exactly 0.5, reachable by the zero net.
     tg_lo = np.where(tg_span > 0.0, tg_lo, tg_lo - 0.5)
     tg_span = np.where(tg_span > 0.0, tg_span, 1.0)
-    Xs = (X - in_lo) / in_span
-    Ys = (Y - tg_lo) / tg_span
-    gen = SplitMix64(spec.seed)
-    params = init_params(X.shape[1], Y.shape[1], gen)
-    order = np.arange(n)
-    for _ in range(epochs):
-        gen.shuffle(order)
-        # One permuted copy per epoch; its batches are contiguous slices.
-        Xe, Ye = Xs[order], Ys[order]
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            _, grads = loss_and_gradients(params, Xe[start:stop], Ye[start:stop])
-            for (W, b), (gW, gb) in zip(params, grads):
-                W -= lr * gW
-                b -= lr * gb
-    return DnnModel(spec, X.shape[1], Y.shape[1], in_lo, in_span, tg_lo, tg_span, params)
+    return in_lo, in_span, tg_lo, tg_span
+
+
+def _fit_dnn(spec: ModelSpec, pairs) -> list:
+    """One net per (X, Y) pair: a DnnModel, or the error that stopped it.
+
+    Pairs of equal (rows, input dim, output dim) train in lockstep as one
+    stack, so a ragged last batch lines up across the stack. Each member
+    draws its init and epoch shuffles from its own ``SplitMix64(spec.seed)``,
+    so its model has the bytes of a fit on its pair alone.
+    """
+    epochs = int(spec.params["epochs"])
+    batch_size = int(spec.params["batch_size"])
+    lr = float(spec.params["learning_rate"])
+    results: list = [None] * len(pairs)
+    groups: dict[tuple, list[int]] = {}
+    for i, (X, Y) in enumerate(pairs):
+        if X.shape[0] < 2:
+            results[i] = InsufficientDataError("need at least 2 rows")
+        else:
+            groups.setdefault((*X.shape, Y.shape[1]), []).append(i)
+    for (_, input_dim, output_dim), idx in groups.items():
+        scales = [_min_max(*pairs[i]) for i in idx]
+        Xs = np.stack([(pairs[i][0] - in_lo) / in_span
+                       for i, (in_lo, in_span, _, _) in zip(idx, scales)])
+        Ys = np.stack([(pairs[i][1] - tg_lo) / tg_span
+                       for i, (_, _, tg_lo, tg_span) in zip(idx, scales)])
+        gens = [SplitMix64(spec.seed) for _ in idx]
+        params = stack_params([init_params(input_dim, output_dim, gen) for gen in gens])
+        params = _train(params, Xs, Ys, gens, epochs, batch_size, lr)
+        for k, (i, scale) in enumerate(zip(idx, scales)):
+            results[i] = DnnModel(spec, input_dim, output_dim, *scale,
+                                  [(W[k].copy(), b[k, 0].copy()) for W, b in params])
+    return results
 
 
 def _load_dnn(spec: ModelSpec, input_dim: int, output_dim: int, d: dict) -> DnnModel:
-    params = [
-        (np.array(layer["W"], dtype=np.float64), np.array(layer["b"], dtype=np.float64))
-        for layer in d["layers"]
-    ]
-    return DnnModel(spec, input_dim, output_dim,
-                    d["in_lo"], d["in_span"], d["tg_lo"], d["tg_span"], params)
+    """Rebuild a saved net; its layer shapes and scales must fit the dims, its values be finite."""
+    sizes = _layer_sizes(input_dim, output_dim)
+    layers = d["layers"]
+    if not isinstance(layers, list) or len(layers) != len(sizes):
+        raise ConfigError(f"dnn model must have {len(sizes)} layers")
+    params = []
+    for li, (layer, (fan_in, fan_out)) in enumerate(zip(layers, sizes)):
+        W = np.array(layer["W"], dtype=np.float64)
+        b = np.array(layer["b"], dtype=np.float64)
+        if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+            raise ConfigError(f"dnn layer {li} must have a {fan_in} x {fan_out} W and "
+                              f"{fan_out} b values, got {W.shape} and {b.shape}")
+        params.append((W, b))
+    scales = []
+    for name, dim in (("in_lo", input_dim), ("in_span", input_dim),
+                      ("tg_lo", output_dim), ("tg_span", output_dim)):
+        scales.append(np.array(d[name], dtype=np.float64))
+        if scales[-1].shape != (dim,):
+            raise ConfigError(f"dnn {name} must have {dim} values, got shape {scales[-1].shape}")
+    if not all(np.isfinite(a).all() for a in (*scales, *(a for p in params for a in p))):
+        raise ConfigError("dnn model values must be finite")
+    if not ((scales[1] > 0.0).all() and (scales[3] > 0.0).all()):
+        raise ConfigError("dnn in_span and tg_span must be positive")
+    return DnnModel(spec, input_dim, output_dim, *scales, params)
 
 
 def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
@@ -188,14 +278,15 @@ def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     would check nothing. Relative error per parameter is
     |a - n| / max(|a| + |n|, 1e-8).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(x, dtype=np.float64).reshape(1, 1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, 1, -1)
     gen = SplitMix64(spec.seed)
-    params = init_params(x.shape[1], y.shape[1], gen)
+    params = init_params(x.shape[2], y.shape[2], gen)
     fan_in, fan_out = params[-1][0].shape
     std = 1.0 / math.sqrt(fan_in)
     W_out = (std * np.array(gen.normals(fan_in * fan_out))).reshape(fan_in, fan_out)
     params[-1] = (W_out, params[-1][1])
+    params = stack_params([params])
     _, grads = loss_and_gradients(params, x, y)
     worst = 0.0
     for li in range(len(params)):
@@ -206,9 +297,9 @@ def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + step
-                lp, _ = loss_and_gradients(params, x, y)
+                lp = loss_and_gradients(params, x, y)[0][0]
                 flat[idx] = orig - step
-                lm, _ = loss_and_gradients(params, x, y)
+                lm = loss_and_gradients(params, x, y)[0][0]
                 flat[idx] = orig
                 numeric = (lp - lm) / (2.0 * step)
                 a = float(analytic.ravel()[idx])
@@ -217,4 +308,4 @@ def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     return worst
 
 
-register_kind("dnn", _fit_dnn, _load_dnn)
+register_kind("dnn", _fit_dnn, _load_dnn, lockstep=True)

@@ -131,6 +131,61 @@ def test_malformed_model_file_is_exit_2_without_traceback(tmp_path):
                                          PREDICT_LINREG])
 
 
+@pytest.fixture(scope="module")
+def dnn_run(tmp_path_factory):
+    """A benchmark run whose models/ holds one-epoch dnn models."""
+    tmp_path = tmp_path_factory.mktemp("dnn")
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    for cmd in ("ingest", "benchmark"):
+        assert main([cmd, "--config", cfg, "--out", out, '--set=models.kinds=["dnn"]',
+                     '--set=models.overrides={"dnn":{"epochs":1}}']) == EXIT_OK
+    return cfg, out
+
+
+def _dnn_params_edited(edit):
+    def text(doc):
+        edit(doc["params"])
+        return json.dumps(doc)
+    return text
+
+
+def _set_first_weight(layer, value):
+    layer["W"][0][0] = value
+
+
+@pytest.mark.parametrize("text, says", [
+    (_dnn_params_edited(lambda p: p["layers"][0].update(W=p["layers"][0]["W"][:3])),
+     "dnn layer 0 must have a 10 x 20 W"),
+    (_dnn_params_edited(lambda p: p.update(layers=p["layers"][:2])),
+     "dnn model must have 4 layers"),
+    (_dnn_params_edited(lambda p: p.update(layers=[])), "dnn model must have 4 layers"),
+    (_dnn_params_edited(lambda p: p["layers"][3].update(b=[0.0])),
+     "dnn layer 3 must have a 20 x 2 W and 2 b values"),
+    (_dnn_params_edited(lambda p: p.update(in_span=[1.0])), "dnn in_span must have 10 values"),
+    (_dnn_params_edited(lambda p: _set_first_weight(p["layers"][1], None)),
+     "dnn model values must be finite"),
+    (_dnn_params_edited(lambda p: p["tg_span"].__setitem__(0, 0.0)),
+     "dnn in_span and tg_span must be positive"),
+    (lambda doc: "[" * 100_000, "RecursionError"),
+], ids=["W-3-rows", "two-layers", "no-layers", "b-1-value", "in_span-1-value",
+        "null-weight", "zero-span", "deep-nesting"])
+def test_malformed_dnn_model_file_is_exit_2_without_traceback(dnn_run, text, says):
+    cfg, out = dnn_run
+    path = os.path.join(out, "models", "CO_dnn.json")
+    with open(path) as fh:
+        good = fh.read()
+    try:
+        with open(path, "w") as fh:
+            fh.write(text(json.loads(good)))
+        stderr = _cli_input_error(["predict", "--config", cfg, "--out", out,
+                                   "--set=predict.kind=dnn"])
+    finally:
+        with open(path, "w") as fh:
+            fh.write(good)
+    assert path in stderr and says in stderr
+
+
 def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
     cfg = run_synth(tmp_path)
     afile = tmp_path / "afile"

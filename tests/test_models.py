@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from airpolicy.models.nnet import (
     selu,
     selu_and_grad,
     sigmoid,
+    stack_params,
 )
 from airpolicy.models.tree import TreeNode, grow_tree, tree_predict
 from airpolicy.rng import SplitMix64
@@ -564,18 +566,25 @@ def test_fused_activations_equal_reference_formulas_bitwise():
 
 def test_loss_and_gradients_equal_reference_bitwise():
     gen = SplitMix64(336)
-    params = init_params(10, 2, gen)
-    # A trained net has a non-zero output layer; the reference must agree there too.
-    params[-1] = (np.array(gen.normals(40)).reshape(20, 2), np.array(gen.normals(2)))
-    for rows in (16, 4, 1):
-        Xs = np.array(gen.normals(rows * 10)).reshape(rows, 10)
-        Ys = np.array([gen.uniform() for _ in range(rows * 2)]).reshape(rows, 2)
-        loss, grads = loss_and_gradients(params, Xs, Ys)
-        want_loss, want_grads = reference_loss_and_gradients(params, Xs, Ys)
-        assert loss == want_loss
-        for got, want in zip(grads, want_grads):
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+    members = []
+    for _ in range(3):
+        params = init_params(10, 2, gen)
+        # A trained net has a non-zero output layer; the reference must agree there too.
+        params[-1] = (np.array(gen.normals(40)).reshape(20, 2), np.array(gen.normals(2)))
+        members.append(params)
+    for K in (1, 3):
+        stack = stack_params(members[:K])
+        for rows in (16, 4, 1):
+            Xs = np.array(gen.normals(K * rows * 10)).reshape(K, rows, 10)
+            Ys = np.array([gen.uniform() for _ in range(K * rows * 2)]).reshape(K, rows, 2)
+            loss, grads = loss_and_gradients(stack, Xs, Ys)
+            assert loss.shape == (K,)
+            for k in range(K):
+                want_loss, want_grads = reference_loss_and_gradients(members[k], Xs[k], Ys[k])
+                assert loss[k] == want_loss
+                for got, want in zip(grads, want_grads):
+                    assert got[0][k].tobytes() == want[0].tobytes()
+                    assert got[1][k, 0].tobytes() == want[1].tobytes()
 
 
 def test_gradient_check_small():
@@ -628,6 +637,26 @@ def test_dnn_training_reduces_loss():
     assert e_long < e_short
 
 
+def test_dnn_sets_fitted_together_match_each_fitted_alone():
+    # 40 rows: two batches of 16 and a ragged one of 8. The 29-row set
+    # trains in a stack of its own, and the 1-row set cannot be fitted.
+    a = make_city("a", n_periods=41, seed=21)
+    b = make_city("b", n_periods=30, seed=22)
+    so2 = build_supervised([b], PollutantKind.SO2)
+    one = replace(so2, inputs=so2.inputs[:1], targets=so2.targets[:1],
+                  row_provenance=so2.row_provenance[:1])
+    trains = [build_supervised([a], PollutantKind.CO), one, so2,
+              build_supervised([a], PollutantKind.NO2)]
+    assert [t.n for t in trains] == [40, 1, 29, 40]
+    spec = ModelSpec(kind="dnn", hyperparameters={"epochs": 3})
+    together = models.fit(spec, trains)
+    assert isinstance(together[1], InsufficientDataError)
+    for train, model in zip(trains, together):
+        if train is not one:
+            (alone,) = models.fit(spec, [train])
+            assert model_to_json(model) == model_to_json(alone)
+
+
 # -- persistence and validation --------------------------------------------
 
 ALL_KINDS_FAST = [
@@ -670,7 +699,7 @@ def test_model_json_guards():
     wrong_type = dict(d, params={"beta": None})
     wrong_size = dict(d, params={"beta": [[1.0]]})
     for doc in (text[:len(text) // 2], json.dumps(no_spec), json.dumps(wrong_type),
-                json.dumps(wrong_size), "[]"):
+                json.dumps(wrong_size), "[]", "[" * 100_000):
         with pytest.raises(ConfigError):
             model_from_json(doc)
 
@@ -682,7 +711,7 @@ def test_scaled_predict_matches_manual_path(mode):
     if mode != "none":
         train = apply_scaling(sset, fit_scaling(sset, mode))
     for kind in ("knn", "linreg"):
-        model = models.fit(ModelSpec(kind=kind), train)
+        (model,) = models.fit(ModelSpec(kind=kind), [train])
         got = models.predict(model, sset.inputs)
         if mode == "none":
             assert not model.scaling.fitted
@@ -755,5 +784,6 @@ def golden_train(tmp_path_factory):
 
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.kind)
 def test_model_bytes_match_golden_digest(spec, golden_train):
-    text = model_to_json(models.fit(spec, golden_train))
+    (model,) = models.fit(spec, [golden_train])
+    text = model_to_json(model)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[spec.kind]
