@@ -150,10 +150,6 @@ def _dnn_params_edited(edit):
     return text
 
 
-def _set_first_weight(layer, value):
-    layer["W"][0][0] = value
-
-
 @pytest.mark.parametrize("text, says", [
     (_dnn_params_edited(lambda p: p["layers"][0].update(W=p["layers"][0]["W"][:3])),
      "dnn layer 0 must have a 10 x 20 W"),
@@ -163,7 +159,7 @@ def _set_first_weight(layer, value):
     (_dnn_params_edited(lambda p: p["layers"][3].update(b=[0.0])),
      "dnn layer 3 must have a 20 x 2 W and 2 b values"),
     (_dnn_params_edited(lambda p: p.update(in_span=[1.0])), "dnn in_span must have 10 values"),
-    (_dnn_params_edited(lambda p: _set_first_weight(p["layers"][1], None)),
+    (_dnn_params_edited(lambda p: p["layers"][1]["W"][0].__setitem__(0, None)),
      "dnn model values must be finite"),
     (_dnn_params_edited(lambda p: p["tg_span"].__setitem__(0, 0.0)),
      "dnn in_span and tg_span must be positive"),
