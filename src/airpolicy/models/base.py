@@ -76,6 +76,9 @@ class ModelSpec:
                     f"{self.kind}: hyperparameter {key!r} must be a number >= {low}, "
                     f"got {value!r}"
                 )
+            if isinstance(defaults[canonical], int) and not isinstance(value, numbers.Integral):
+                raise ConfigError(
+                    f"{self.kind}: hyperparameter {key!r} must be an integer, got {value!r}")
             resolved[canonical] = value
         object.__setattr__(self, "hyperparameters", resolved)
         if self.seed is None:
@@ -208,6 +211,39 @@ def fit(spec: ModelSpec, trains: list[SupervisedSet]) -> list[TrainedModel | Exc
     return results
 
 
+def float_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, where ``None`` is any length.
+
+    ``value`` must be nested lists of finite JSON numbers that fit ``shape``
+    exactly; anything else raises ConfigError naming ``name``.
+    """
+    def fits(v, dims) -> bool:
+        if not (isinstance(v, list) and dims[0] in (None, len(v))):
+            return False
+        if len(dims) > 1:
+            return all(fits(e, dims[1:]) for e in v)
+        # JSON numbers: bool subclasses int but is none.
+        return all(type(e) is float or type(e) is int for e in v)
+
+    if fits(value, shape):
+        a = np.array(value, dtype=np.float64)
+        if a.ndim == len(shape) and np.isfinite(a).all():
+            return a
+    dims = " x ".join("n" if d is None else str(d) for d in shape)
+    raise ConfigError(f"{name} must be {dims} finite numbers")
+
+
+def _load_scaling(d: dict, input_dim: int, output_dim: int) -> ScalingSpec:
+    """A saved scaling; a fitted one has finite offsets and scales per input and target."""
+    if not isinstance(d["fitted"], bool):
+        raise ConfigError("scaling fitted must be true or false")
+    if d["fitted"]:
+        for key, dim in (("input_offset", input_dim), ("input_scale", input_dim),
+                         ("target_offset", output_dim), ("target_scale", output_dim)):
+            float_array(d[key], (dim,), f"scaling {key}")
+    return ScalingSpec.from_dict(d)
+
+
 def predict(model: TrainedModel, inputs: np.ndarray) -> np.ndarray:
     """Predict in original units.
 
@@ -238,13 +274,18 @@ def model_from_json(text: str) -> TrainedModel:
         loader = _LOADERS.get(spec.kind)
         if loader is None:  # pragma: no cover
             raise ConfigError(f"kind {spec.kind!r} has no registered loader")
-        model = loader(spec, d["input_dim"], d["output_dim"], d["params"])
-        model.scaling = ScalingSpec.from_dict(d["scaling"])
+        input_dim, output_dim = d["input_dim"], d["output_dim"]
+        if not (type(input_dim) is int and type(output_dim) is int
+                and input_dim > 0 and output_dim > 0):
+            raise ConfigError("input_dim and output_dim must be positive integers")
+        model = loader(spec, input_dim, output_dim, d["params"])
+        model.scaling = _load_scaling(d["scaling"], input_dim, output_dim)
         model.metadata = dict(d["metadata"])
         return model
     except AirPolicyError:
         raise
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+    # ValueError covers JSONDecodeError; OverflowError is an integer past the float range.
+    except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
         raise ConfigError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
 
 

@@ -16,16 +16,17 @@ import math
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, register_kind
-from .tree import TreeNode, grow_tree, tree_predict
+from ..errors import ConfigError
+from .base import ModelSpec, TrainedModel, float_array, register_kind
+from .tree import Tree, grow_tree, tree_predict
 
 
 def _boost_column(X: np.ndarray, y: np.ndarray, estimators: int,
-                  base_depth: int) -> tuple[list[TreeNode], list[float]]:
+                  base_depth: int) -> tuple[list[Tree], list[float]]:
     n = X.shape[0]
     w = np.ones(n)
     Y1 = y.reshape(-1, 1)
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     alphas: list[float] = []
     for _ in range(estimators):
         tree = grow_tree(X, Y1, w, max_depth=base_depth)
@@ -60,7 +61,7 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 
 class BoostModel(TrainedModel):
     def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int,
-                 columns: list[tuple[list[TreeNode], list[float]]]):
+                 columns: list[tuple[list[Tree], list[float]]]):
         super().__init__(spec, input_dim, output_dim)
         self.columns = columns
 
@@ -94,11 +95,18 @@ def _fit_madab(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> BoostModel:
 
 
 def _load_madab(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> BoostModel:
+    """Rebuild a saved ensemble: one column of one-output trees per output,
+    at least one tree each, and one finite alpha per tree."""
+    cols = params["columns"]
+    if not (isinstance(cols, list) and len(cols) == output_dim):
+        raise ConfigError(f"madab columns must be a list of {output_dim}")
     columns = []
-    for col in params["columns"]:
-        trees = [TreeNode.from_dict(d) for d in col["trees"]]
-        alphas = [float(a) for a in col["alphas"]]
-        columns.append((trees, alphas))
+    for c, col in enumerate(cols):
+        trees = col["trees"]
+        if not (isinstance(trees, list) and trees):
+            raise ConfigError(f"madab column {c} must have at least one tree")
+        alphas = float_array(col["alphas"], (len(trees),), f"madab column {c} alphas")
+        columns.append(([Tree.from_dict(d, input_dim, 1) for d in trees], alphas.tolist()))
     return BoostModel(spec, input_dim, output_dim, columns)
 
 

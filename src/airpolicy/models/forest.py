@@ -10,30 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..rng import SplitMix64
 from .base import ModelSpec, TrainedModel, register_kind
-from .tree import TreeNode, grow_tree, tree_predict
+from .tree import Tree, grow_tree, tree_predict
 
 
 class ForestModel(TrainedModel):
     def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int,
-                 roots: list[TreeNode]):
+                 trees: list[Tree]):
         super().__init__(spec, input_dim, output_dim)
-        self.roots = roots
+        self.trees = trees
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        # Added one tree at a time in tree order: np.sum over a stack could
+        # add pairwise and move the mean's last bit.
         acc = np.zeros((X.shape[0], self.output_dim))
-        for root in self.roots:
-            acc += tree_predict(root, X)
-        return acc / len(self.roots)
+        for tree in self.trees:
+            acc += tree_predict(tree, X)
+        return acc / len(self.trees)
 
     def member_predictions(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape (n_trees, M, output_dim)."""
-        return np.stack([tree_predict(root, np.asarray(X, dtype=np.float64))
-                         for root in self.roots])
+        return np.stack([tree_predict(tree, np.asarray(X, dtype=np.float64))
+                         for tree in self.trees])
 
     def _params(self) -> dict:
-        return {"roots": [r.to_dict() for r in self.roots]}
+        return {"roots": [tree.to_dict() for tree in self.trees]}
 
 
 def _fit_rfr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> ForestModel:
@@ -42,16 +45,19 @@ def _fit_rfr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> ForestModel:
     max_depth = spec.params["max_depth"]
     root_gen = SplitMix64(spec.seed)
     child_gens = [root_gen.spawn() for _ in range(n_trees)]
-    roots = []
+    trees = []
     for gen in child_gens:
         idx = gen.randints(n, n)
-        roots.append(grow_tree(X[idx], Y[idx], max_depth=max_depth))
-    return ForestModel(spec, X.shape[1], Y.shape[1], roots)
+        trees.append(grow_tree(X[idx], Y[idx], max_depth=max_depth))
+    return ForestModel(spec, X.shape[1], Y.shape[1], trees)
 
 
 def _load_rfr(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> ForestModel:
-    roots = [TreeNode.from_dict(d) for d in params["roots"]]
-    return ForestModel(spec, input_dim, output_dim, roots)
+    roots = params["roots"]
+    if not (isinstance(roots, list) and roots):
+        raise ConfigError("rfr roots must be a non-empty list of trees")
+    return ForestModel(spec, input_dim, output_dim,
+                       [Tree.from_dict(d, input_dim, output_dim) for d in roots])
 
 
 register_kind("rfr", _fit_rfr, _load_rfr)

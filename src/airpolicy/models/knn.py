@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import affine_fit
-from ..errors import InsufficientDataError
-from .base import ModelSpec, TrainedModel, register_kind
+from ..errors import ConfigError, InsufficientDataError
+from .base import ModelSpec, TrainedModel, float_array, register_kind
 
 
 class KnnModel(TrainedModel):
@@ -54,13 +54,19 @@ def _fit_knn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> KnnModel:
 
 
 def _load_knn(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> KnnModel:
-    return KnnModel(
-        spec, input_dim, output_dim,
-        np.array(params["lo"], dtype=np.float64),
-        np.array(params["span"], dtype=np.float64),
-        np.array(params["train_scaled"], dtype=np.float64).reshape(-1, input_dim),
-        np.array(params["train_targets"], dtype=np.float64).reshape(-1, output_dim),
-    )
+    """Rebuild a saved model: bounds per input, positive spans, and at least
+    k training rows with as many targets."""
+    lo = float_array(params["lo"], (input_dim,), "knn lo")
+    span = float_array(params["span"], (input_dim,), "knn span")
+    if not (span > 0.0).all():
+        raise ConfigError("knn span must be positive")
+    X = float_array(params["train_scaled"], (None, input_dim), "knn train_scaled")
+    Y = float_array(params["train_targets"], (None, output_dim), "knn train_targets")
+    k = spec.params["k"]
+    if not X.shape[0] == Y.shape[0] >= k:
+        raise ConfigError(f"knn train_scaled and train_targets must have equal row counts "
+                          f"of at least k = {k}, got {X.shape[0]} and {Y.shape[0]}")
+    return KnnModel(spec, input_dim, output_dim, lo, span, X, Y)
 
 
 register_kind("knn", _fit_knn, _load_knn)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .. import kernels
 from ..dataset import affine_fit
-from ..errors import DomainError, InsufficientDataError
+from ..errors import ConfigError, DomainError, InsufficientDataError
 from ..rng import SplitMix64
-from .base import ModelSpec, TrainedModel, register_kind
+from .base import ModelSpec, TrainedModel, float_array, register_kind
 
 
 class LinearModel(TrainedModel):
@@ -45,7 +45,7 @@ class LinearModel(TrainedModel):
 
 
 def _load_linear(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> LinearModel:
-    beta = np.array(params["beta"], dtype=np.float64).reshape(input_dim + 1, output_dim)
+    beta = float_array(params["beta"], (input_dim + 1, output_dim), f"{spec.kind} beta")
     return LinearModel(spec, input_dim, output_dim, beta)
 
 
@@ -171,12 +171,15 @@ def _fit_mgbr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> SgdLinearModel:
 
 
 def _load_mgbr(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> SgdLinearModel:
+    sd = float_array(params["sd"], (input_dim,), "mgbr sd")
+    if not (sd > 0.0).all():
+        raise ConfigError("mgbr sd must be positive")
     return SgdLinearModel(
         spec, input_dim, output_dim,
-        np.array(params["mu"], dtype=np.float64),
-        np.array(params["sd"], dtype=np.float64),
-        np.array(params["W"], dtype=np.float64).reshape(input_dim, output_dim),
-        np.array(params["b"], dtype=np.float64),
+        float_array(params["mu"], (input_dim,), "mgbr mu"),
+        sd,
+        float_array(params["W"], (input_dim, output_dim), "mgbr W"),
+        float_array(params["b"], (output_dim,), "mgbr b"),
     )
 
 

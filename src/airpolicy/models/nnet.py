@@ -140,24 +140,23 @@ def _views(flat: np.ndarray, params) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _train(params, Xs: np.ndarray, Ys: np.ndarray, gens, epochs: int,
+def _train(params, Xs: np.ndarray, Ys: np.ndarray, gen: SplitMix64, epochs: int,
            batch_size: int, lr: float):
-    """Mini-batch descent on a stack; member k shuffles with ``gens[k]``.
+    """Mini-batch descent on a stack; every member takes the batches of one
+    epoch shuffle drawn from ``gen``.
 
     Returns the trained parameters. They and their gradients each live in
     one flat buffer, so a step updates every weight in one pass.
     """
-    K, n = Xs.shape[:2]
+    n = Xs.shape[1]
     P = np.concatenate([a.ravel() for layer in params for a in layer])
     G = np.empty_like(P)
     params, grads = _views(P, params), _views(G, params)
-    orders = np.tile(np.arange(n), (K, 1))
-    members = np.arange(K)[:, None]
+    order = list(range(n))
     for _ in range(epochs):
-        for gen, order in zip(gens, orders):
-            gen.shuffle(order)
+        gen.shuffle(order)
         # One permuted copy per epoch; its batches are contiguous slices.
-        Xe, Ye = Xs[members, orders], Ys[members, orders]
+        Xe, Ye = Xs[:, order], Ys[:, order]
         for start in range(0, n, batch_size):
             stop = start + batch_size
             _backprop(params, Xe[:, start:stop], Ye[:, start:stop], grads)
@@ -212,9 +211,10 @@ def _fit_dnn(spec: ModelSpec, pairs) -> list:
     """One net per (X, Y) pair: a DnnModel, or the error that stopped it.
 
     Pairs of equal (rows, input dim, output dim) train in lockstep as one
-    stack, so a ragged last batch lines up across the stack. Each member
-    draws its init and epoch shuffles from its own ``SplitMix64(spec.seed)``,
-    so its model has the bytes of a fit on its pair alone.
+    stack, so a ragged last batch lines up across the stack. A lone fit
+    draws its init and epoch shuffles from ``SplitMix64(spec.seed)``; the
+    members of a stack would all draw that same sequence, so they share one
+    generator and each model has the bytes of a fit on its pair alone.
     """
     epochs = int(spec.params["epochs"])
     batch_size = int(spec.params["batch_size"])
@@ -232,9 +232,9 @@ def _fit_dnn(spec: ModelSpec, pairs) -> list:
                        for i, (in_lo, in_span, _, _) in zip(idx, scales)])
         Ys = np.stack([(pairs[i][1] - tg_lo) / tg_span
                        for i, (_, _, tg_lo, tg_span) in zip(idx, scales)])
-        gens = [SplitMix64(spec.seed) for _ in idx]
-        params = stack_params([init_params(input_dim, output_dim, gen) for gen in gens])
-        params = _train(params, Xs, Ys, gens, epochs, batch_size, lr)
+        gen = SplitMix64(spec.seed)
+        params = stack_params([init_params(input_dim, output_dim, gen)] * len(idx))
+        params = _train(params, Xs, Ys, gen, epochs, batch_size, lr)
         for k, (i, scale) in enumerate(zip(idx, scales)):
             results[i] = DnnModel(spec, input_dim, output_dim, *scale,
                                   [(W[k].copy(), b[k, 0].copy()) for W, b in params])

@@ -7,6 +7,10 @@ minimize the weighted sum of child squared errors over all output columns;
 candidates are midpoints of consecutive distinct sorted values, rows with
 value <= threshold go left, and ties prefer the lower feature index, then
 the lower threshold.
+
+A fitted tree is a ``Tree``: parallel per-node arrays in pre-order, node 0
+the root, as scikit-learn's ``Tree`` keeps them. Model files still hold the
+nested JSON of one object per node.
 """
 
 from __future__ import annotations
@@ -14,51 +18,78 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from ..errors import InsufficientDataError
-from .base import ModelSpec, TrainedModel, register_kind
+from ..errors import ConfigError, InsufficientDataError
+from .base import ModelSpec, TrainedModel, float_array, register_kind
+
+_LEAF_KEYS = {"value"}
+_SPLIT_KEYS = {"value", "feature", "threshold", "left", "right"}
 
 
-class TreeNode:
+class Tree:
+    """Nodes in pre-order: ``feature`` (-1 at a leaf), ``threshold``, child
+    indices ``left``/``right`` (-1 at a leaf) and ``value`` (nodes x outputs),
+    each node's weighted mean target."""
+
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self, value: np.ndarray, feature: int = -1, threshold: float = 0.0,
-                 left: "TreeNode | None" = None, right: "TreeNode | None" = None):
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
 
     def to_dict(self) -> dict:
-        d = {"value": [float(v) for v in self.value]}
-        if not self.is_leaf:
-            d["feature"] = self.feature
-            d["threshold"] = float(self.threshold)
-            d["left"] = self.left.to_dict()
-            d["right"] = self.right.to_dict()
-        return d
+        """The nested node objects of the model file, from the root down."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
+
+        def node(i: int) -> dict:
+            d = {"value": value[i]}
+            if feature[i] >= 0:
+                d["feature"] = feature[i]
+                d["threshold"] = threshold[i]
+                d["left"] = node(left[i])
+                d["right"] = node(right[i])
+            return d
+
+        return node(0)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        value = np.array(d["value"], dtype=np.float64)
-        if "feature" not in d:
-            return cls(value)
-        return cls(
-            value,
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+    def from_dict(cls, d, input_dim: int, output_dim: int) -> "Tree":
+        """Parse nested node objects; anything but a well-formed tree raises ConfigError.
+
+        A node is ``{"value"}`` (a leaf) or also has ``feature``, ``threshold``,
+        ``left`` and ``right``. Walked with an explicit stack, so the depth is
+        bounded by the JSON parser alone.
+        """
+        feature, threshold, left, right, value = [], [], [], [], []
+        stack = [(d, None)]  # (node object, (child list, parent index) to point at it)
+        while stack:
+            node, link = stack.pop()
+            i = len(feature)
+            if link is not None:
+                link[0][link[1]] = i
+            if not isinstance(node, dict) or node.keys() not in (_LEAF_KEYS, _SPLIT_KEYS):
+                raise ConfigError(f"tree node {i} must be an object with a value and "
+                                  f"either no children or feature, threshold, left and right")
+            value.append(node["value"])
+            left.append(-1)
+            right.append(-1)
+            if len(node) == 1:
+                feature.append(-1)
+                threshold.append(0.0)
+                continue
+            f = node["feature"]
+            if not (type(f) is int and 0 <= f < input_dim):
+                raise ConfigError(f"tree node {i} feature must be an integer in "
+                                  f"[0, {input_dim}), got {f!r}")
+            feature.append(f)
+            threshold.append(node["threshold"])
+            stack.append((node["right"], (right, i)))
+            stack.append((node["left"], (left, i)))
+        return cls(feature, float_array(threshold, (None,), "tree thresholds"), left, right,
+                   float_array(value, (None, output_dim), "tree values"))
 
 
 def _weighted_mean(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -70,66 +101,79 @@ def _node_sse(Y: np.ndarray, w: np.ndarray, mean: np.ndarray) -> float:
     return float((w[:, None] * Yc * Yc).sum())
 
 
-def _grow(X: np.ndarray, Y: np.ndarray, w: np.ndarray, depth: int, max_depth: int) -> TreeNode:
+def _grow(X: np.ndarray, Y: np.ndarray, w: np.ndarray, depth: int, max_depth: int,
+          nodes: tuple[list, list, list, list, list]) -> None:
+    """Append the subtree of these rows to ``nodes`` (the Tree fields as lists), in pre-order."""
+    feature, threshold, left, right, value = nodes
     mean = _weighted_mean(Y, w)
-    node = TreeNode(mean)
+    i = len(value)
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(-1)
+    right.append(-1)
+    value.append(mean)
     if depth >= max_depth or X.shape[0] < 2:
-        return node
+        return
     sse = _node_sse(Y, w, mean)
     if sse <= 0.0:
-        return node
-    feature, threshold, score = kernels.best_split(X, Y, w)
-    if feature < 0 or not (score < sse):
-        return node
-    go_left = X[:, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow(X[go_left], Y[go_left], w[go_left], depth + 1, max_depth)
-    node.right = _grow(X[~go_left], Y[~go_left], w[~go_left], depth + 1, max_depth)
-    return node
+        return
+    f, t, score = kernels.best_split(X, Y, w)
+    if f < 0 or not (score < sse):
+        return
+    go_left = X[:, f] <= t
+    feature[i], threshold[i] = f, t
+    left[i] = len(value)
+    _grow(X[go_left], Y[go_left], w[go_left], depth + 1, max_depth, nodes)
+    right[i] = len(value)
+    _grow(X[~go_left], Y[~go_left], w[~go_left], depth + 1, max_depth, nodes)
 
 
 def grow_tree(X: np.ndarray, Y: np.ndarray, w: np.ndarray | None = None,
-              max_depth: int = 5) -> TreeNode:
+              max_depth: int = 5) -> Tree:
     """Grow a tree on raw arrays; ``w`` is per-row weight, ones when omitted."""
     if X.shape[0] < 1:
         raise InsufficientDataError("cannot grow a tree on zero rows")
     if w is None:
         w = np.ones(X.shape[0])
-    return _grow(np.asarray(X, dtype=np.float64),
-                 np.asarray(Y, dtype=np.float64),
-                 np.asarray(w, dtype=np.float64), 0, max_depth)
+    nodes = ([], [], [], [], [])
+    _grow(np.asarray(X, dtype=np.float64),
+          np.asarray(Y, dtype=np.float64),
+          np.asarray(w, dtype=np.float64), 0, max_depth, nodes)
+    return Tree(*nodes)
 
 
-def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty((X.shape[0], root.value.shape[0]))
-    for i in range(X.shape[0]):
-        node = root
-        while not node.is_leaf:
-            node = node.left if X[i, node.feature] <= node.threshold else node.right
-        out[i] = node.value
-    return out
+def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf value; all rows descend one level per step."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.flatnonzero(tree.feature[node] >= 0)
+    while rows.size:
+        at = node[rows]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        rows = rows[tree.feature[node[rows]] >= 0]
+    return tree.value[node]
 
 
 class DecisionTreeModel(TrainedModel):
-    def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int, root: TreeNode):
+    def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int, tree: Tree):
         super().__init__(spec, input_dim, output_dim)
-        self.root = root
+        self.tree = tree
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return tree_predict(self.root, X)
+        return tree_predict(self.tree, X)
 
     def _params(self) -> dict:
-        return {"root": self.root.to_dict()}
+        return {"root": self.tree.to_dict()}
 
 
 def _fit_dtr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> DecisionTreeModel:
-    root = grow_tree(X, Y, max_depth=spec.params["max_depth"])
-    return DecisionTreeModel(spec, X.shape[1], Y.shape[1], root)
+    tree = grow_tree(X, Y, max_depth=spec.params["max_depth"])
+    return DecisionTreeModel(spec, X.shape[1], Y.shape[1], tree)
 
 
 def _load_dtr(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> DecisionTreeModel:
-    return DecisionTreeModel(spec, input_dim, output_dim, TreeNode.from_dict(params["root"]))
+    return DecisionTreeModel(spec, input_dim, output_dim,
+                             Tree.from_dict(params["root"], input_dim, output_dim))
 
 
 register_kind("dtr", _fit_dtr, _load_dtr)

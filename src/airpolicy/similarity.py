@@ -229,8 +229,12 @@ def dtw(a, b, cost: str = "absolute", window: int | None = None) -> DtwResult:
             raise DomainError(
                 f"window {window} admits no path for lengths {n} and {m}"
             )
-    diff = aa[:, None] - bb[None, :]
-    c = np.abs(diff) if cost == "absolute" else diff * diff
+    # In place: the n x m differences become the costs without a second table.
+    c = aa[:, None] - bb[None, :]
+    if cost == "absolute":
+        np.abs(c, out=c)
+    else:
+        np.multiply(c, c, out=c)
     acc = kernels.dtw_accumulate(c, -1 if window is None else window)
     path = _backtrack(acc)
     return DtwResult(distance=float(acc[n - 1, m - 1]), path=path)

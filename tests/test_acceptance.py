@@ -160,10 +160,10 @@ def test_05_linear_model_oracles(capsys):
                 assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
-def tree_depth(node):
-    if node.is_leaf:
+def tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
         return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
 
 
 def test_06_tree_and_forest_oracles(capsys):
@@ -177,22 +177,22 @@ def test_06_tree_and_forest_oracles(capsys):
             d = 1 + gen.randint(5)
             X = np.array(gen.normals(n * d)).reshape(n, d)
             Y = np.array(gen.normals(n * 2)).reshape(n, 2)
-            root = grow_tree(X, Y, max_depth=1)
+            tree = grow_tree(X, Y, max_depth=1)
             of, othr, _ = exhaustive_root_split(X, Y)
             if of < 0:
-                assert root.is_leaf
+                assert tree.feature[0] < 0
                 continue
             checked += 1
             # Splits through different features can carve out the same two
             # row groups (possibly with sides swapped) and then tie exactly;
             # the enumeration answer is unique only as an unordered
             # partition, which must match row for row.
-            tree_left = X[:, root.feature] <= root.threshold
+            tree_left = X[:, tree.feature[0]] <= tree.threshold[0]
             oracle_left = X[:, of] <= othr
             assert (np.array_equal(tree_left, oracle_left)
                     or np.array_equal(tree_left, ~oracle_left))
-            if root.feature == of:
-                assert root.threshold == pytest.approx(othr, rel=1e-12)
+            if tree.feature[0] == of:
+                assert tree.threshold[0] == pytest.approx(othr, rel=1e-12)
                 same_candidate += 1
         assert checked >= 90
         assert same_candidate >= checked - 5

@@ -182,6 +182,87 @@ def test_malformed_dnn_model_file_is_exit_2_without_traceback(dnn_run, text, say
     assert path in stderr and says in stderr
 
 
+@pytest.fixture(scope="module")
+def model_run(tmp_path_factory):
+    """A benchmark run whose models/ holds tree, knn and linear models."""
+    tmp_path = tmp_path_factory.mktemp("models")
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    for cmd in ("ingest", "benchmark"):
+        assert main([cmd, "--config", cfg, "--out", out,
+                     '--set=models.kinds=["dtr","rfr","madab","knn","linreg","mgbr"]',
+                     '--set=models.overrides={"rfr":{"n_trees":3}}']) == EXIT_OK
+    return cfg, out
+
+
+def _root(doc):
+    return doc["params"]["root"]
+
+
+def _params(doc):
+    return doc["params"]
+
+
+@pytest.mark.parametrize("kind, edit, says", [
+    ("dtr", lambda d: _root(d).update(feature="x"),
+     "tree node 0 feature must be an integer in [0, 10), got 'x'"),
+    ("dtr", lambda d: _root(d).update(feature=99), "tree node 0 feature must be an integer"),
+    ("dtr", lambda d: _root(d)["left"].update(value=[1.0]), "tree values must be n x 2 finite"),
+    ("dtr", lambda d: _root(d).update(threshold=None), "tree thresholds must be n finite"),
+    ("dtr", lambda d: _root(d)["right"]["value"].__setitem__(0, float("nan")),
+     "tree values must be n x 2 finite"),
+    ("dtr", lambda d: _root(d).pop("right"), "tree node 0 must be an object with a value"),
+    ("dtr", lambda d: _root(d).update(left=5), "tree node 1 must be an object with a value"),
+    ("rfr", lambda d: _params(d).update(roots=[]), "rfr roots must be a non-empty list"),
+    ("madab", lambda d: _params(d).update(columns=_params(d)["columns"][:1]),
+     "madab columns must be a list of 2"),
+    ("madab", lambda d: _params(d)["columns"][1].update(trees=[], alphas=[]),
+     "madab column 1 must have at least one tree"),
+    ("madab", lambda d: _params(d)["columns"][0]["alphas"].append(1.0),
+     "madab column 0 alphas must be"),
+    ("knn", lambda d: _params(d)["lo"].pop(), "knn lo must be 10 finite numbers"),
+    ("knn", lambda d: _params(d)["span"].__setitem__(0, 0.0), "knn span must be positive"),
+    ("knn", lambda d: _params(d)["train_targets"].pop(), "must have equal row counts"),
+    ("knn", lambda d: _params(d).update(train_scaled=_params(d)["train_scaled"][:4],
+                                        train_targets=_params(d)["train_targets"][:4]),
+     "of at least k = 5, got 4 and 4"),
+    ("knn", lambda d: d["spec"]["hyperparameters"].update(k=2.5),
+     "hyperparameter 'k' must be an integer"),
+    ("linreg", lambda d: _params(d)["beta"].pop(), "linreg beta must be 11 x 2 finite numbers"),
+    ("mgbr", lambda d: _params(d)["mu"].pop(), "mgbr mu must be 10 finite numbers"),
+    ("mgbr", lambda d: _params(d)["sd"].__setitem__(0, 0.0), "mgbr sd must be positive"),
+    ("mgbr", lambda d: _params(d)["W"][0].__setitem__(0, "1"), "mgbr W must be 10 x 2 finite"),
+    ("mgbr", lambda d: _params(d)["b"].append(0.0), "mgbr b must be 2 finite numbers"),
+    ("linreg", lambda d: d.update(input_dim=0), "input_dim and output_dim must be positive"),
+    ("linreg", lambda d: d.update(output_dim="2"), "input_dim and output_dim must be positive"),
+    ("linreg", lambda d: d["scaling"]["input_offset"].pop(),
+     "scaling input_offset must be 10 finite numbers"),
+    ("linreg", lambda d: d["scaling"].update(fitted="yes"), "scaling fitted must be true or false"),
+], ids=["dtr-feature-x", "dtr-feature-99", "dtr-value-1-element", "dtr-threshold-null",
+        "dtr-value-nan", "dtr-one-child", "dtr-child-not-object", "rfr-no-trees",
+        "madab-1-column", "madab-column-no-trees", "madab-extra-alpha", "knn-lo-9-values",
+        "knn-zero-span", "knn-rows-differ", "knn-rows-below-k", "knn-fractional-k",
+        "linreg-beta-10-rows", "mgbr-mu-9-values", "mgbr-zero-sd", "mgbr-string-weight",
+        "mgbr-b-3-values", "input-dim-0", "output-dim-string", "scaling-offset-9-values",
+        "scaling-fitted-string"])
+def test_malformed_model_contents_are_exit_2_without_traceback(model_run, kind, edit, says):
+    cfg, out = model_run
+    path = os.path.join(out, "models", f"CO_{kind}.json")
+    with open(path) as fh:
+        good = fh.read()
+    doc = json.loads(good)
+    edit(doc)
+    try:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc))
+        stderr = _cli_input_error(["predict", "--config", cfg, "--out", out,
+                                   f"--set=predict.kind={kind}"])
+    finally:
+        with open(path, "w") as fh:
+            fh.write(good)
+    assert path in stderr and says in stderr
+
+
 def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
     cfg = run_synth(tmp_path)
     afile = tmp_path / "afile"

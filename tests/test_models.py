@@ -3,6 +3,7 @@ equivalence for weights, normal-equation identities, soft-threshold
 closed forms, boosting exactness, the gradient check, and lossless
 persistence for every kind."""
 
+import copy
 import hashlib
 import json
 import math
@@ -11,12 +12,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airpolicy import models, synth
 from airpolicy.config import load_config
 from airpolicy.dataset import (
     IDENTITY_SCALING,
     PollutantKind,
+    ScalingSpec,
     apply_scaling,
     build_supervised,
     fit_scaling,
@@ -37,7 +41,7 @@ from airpolicy.models.nnet import (
     sigmoid,
     stack_params,
 )
-from airpolicy.models.tree import TreeNode, grow_tree, tree_predict
+from airpolicy.models.tree import Tree, grow_tree, tree_predict
 from airpolicy.rng import SplitMix64
 
 from conftest import make_city
@@ -65,6 +69,7 @@ def test_spec_rejects_unknown_kind_and_hyperparameter():
     ("knn", {"k": 1}, True),
     ("knn", {"k": 0}, False),
     ("knn", {"k": -1}, False),
+    ("knn", {"k": np.int64(3)}, True),
     ("rfr", {"n_trees": 0}, False),
     ("rfr", {"max_depth": 0}, True),
     ("dtr", {"max_depth": -1}, False),
@@ -112,6 +117,16 @@ def test_spec_round_trip():
     assert ModelSpec.from_dict(spec.to_dict()) == spec
 
 
+@pytest.mark.parametrize("kind, hyper", [
+    ("knn", {"k": 1.5}), ("knn", {"k": 3.0}), ("rfr", {"max_depth": 2.5}),
+    ("mgbr", {"estimators": 2.0}),
+])
+def test_spec_rejects_fractional_counts(kind, hyper):
+    # A model file's knn k of 1.5 would otherwise load and fail in predict.
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ModelSpec(kind=kind, hyperparameters=hyper)
+
+
 # -- regression tree --------------------------------------------------------
 
 def exhaustive_root_split(X, Y, w=None):
@@ -148,23 +163,23 @@ def test_root_split_matches_exhaustive_enumeration():
         if trial % 3 == 0:
             X = np.round(X * 2) / 2
         Y = np.array(gen.normals(n * 2)).reshape(n, 2)
-        root = grow_tree(X, Y, max_depth=1)
+        tree = grow_tree(X, Y, max_depth=1)
         of, othr, oscore = exhaustive_root_split(X, Y)
         if of < 0:
-            assert root.is_leaf
+            assert tree.feature[0] < 0
             continue
-        assert root.feature == of, trial
-        assert root.threshold == pytest.approx(othr, rel=1e-12)
+        assert tree.feature[0] == of, trial
+        assert tree.threshold[0] == pytest.approx(othr, rel=1e-12)
 
 
 def test_tree_leaf_values_are_weighted_means():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     Y = np.array([[1.0, 10.0], [2.0, 20.0], [30.0, 31.0], [40.0, 41.0]])
-    root = grow_tree(X, Y, max_depth=1)
-    assert root.feature == 0
-    assert root.threshold == 1.5
-    np.testing.assert_allclose(root.left.value, [1.5, 15.0])
-    np.testing.assert_allclose(root.right.value, [35.0, 36.0])
+    tree = grow_tree(X, Y, max_depth=1)
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 1.5
+    np.testing.assert_allclose(tree.value[tree.left[0]], [1.5, 15.0])
+    np.testing.assert_allclose(tree.value[tree.right[0]], [35.0, 36.0])
 
 
 def test_integer_weights_equal_row_duplication():
@@ -186,37 +201,42 @@ def test_integer_weights_equal_row_duplication():
                                    rtol=1e-9, atol=1e-12)
 
 
+def tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
 def test_tree_depth_respects_limit():
     gen = SplitMix64(303)
     X = np.array(gen.normals(200 * 3)).reshape(200, 3)
     Y = np.array(gen.normals(200 * 2)).reshape(200, 2)
     for limit in (0, 1, 2, 5):
-        root = grow_tree(X, Y, max_depth=limit)
-        assert root.depth() <= limit
+        tree = grow_tree(X, Y, max_depth=limit)
+        assert tree_depth(tree) <= limit
 
 
 def test_tree_pure_node_stays_leaf():
     X = np.arange(8.0).reshape(8, 1)
     Y = np.full((8, 2), 3.25)
-    root = grow_tree(X, Y, max_depth=5)
-    assert root.is_leaf
-    np.testing.assert_allclose(root.value, [3.25, 3.25])
+    tree = grow_tree(X, Y, max_depth=5)
+    assert tree.feature[0] < 0
+    np.testing.assert_allclose(tree.value[0], [3.25, 3.25])
 
 
 def test_tree_constant_features_stay_leaf():
     X = np.ones((6, 3))
     Y = np.random.default_rng(0).normal(size=(6, 2))
-    root = grow_tree(X, Y, max_depth=5)
-    assert root.is_leaf
+    tree = grow_tree(X, Y, max_depth=5)
+    assert tree.feature[0] < 0
 
 
 def test_tree_predict_walks_hand_built_tree():
-    left = TreeNode(value=np.array([1.0, 2.0]))
-    right = TreeNode(value=np.array([5.0, 6.0]))
-    root = TreeNode(value=np.array([3.0, 4.0]), feature=1, threshold=0.5,
-                    left=left, right=right)
+    # Root node 0 splits on feature 1 at 0.5; leaves 1 (left) and 2 (right).
+    tree = Tree(feature=[1, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                right=[2, -1, -1], value=[[3.0, 4.0], [1.0, 2.0], [5.0, 6.0]])
     X = np.array([[9.0, 0.5], [9.0, 0.50001]])
-    out = tree_predict(root, X)
+    out = tree_predict(tree, X)
     np.testing.assert_array_equal(out, [[1.0, 2.0], [5.0, 6.0]])  # <= goes left
 
 
@@ -702,6 +722,65 @@ def test_model_json_guards():
                 json.dumps(wrong_size), "[]", "[" * 100_000):
         with pytest.raises(ConfigError):
             model_from_json(doc)
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """One z-scored model document per kind, and a file path to write mutants to."""
+    X, Y = random_problem(333, n=25, d=10)
+    scaling = ScalingSpec(mode="z_score", fitted=True,
+                          input_offset=tuple(X.mean(axis=0).tolist()),
+                          input_scale=tuple(X.std(axis=0).tolist()),
+                          target_offset=tuple(Y.mean(axis=0).tolist()),
+                          target_scale=tuple(Y.std(axis=0).tolist()))
+    docs = [model_to_json(fit_arrays(spec, X, Y, scaling)) for spec in ALL_KINDS_FAST]
+    return docs, str(tmp_path_factory.mktemp("mutants") / "model.json")
+
+
+DEEP = "deeply nested"
+SWAPS = [None, True, "x", "1.5", 1.5, 0, -1, 1, 99, 10**400, math.nan, math.inf,
+         -math.inf, 0.0, 1e308, [], {}, [1.0], [[1.0]], {"value": [1.0]}, DEEP]
+
+
+@pytest.mark.parametrize("index", range(len(ALL_KINDS_FAST)),
+                         ids=[spec.kind for spec in ALL_KINDS_FAST])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_model_files_raise_only_config_errors(saved_models, index, data):
+    """Type swaps, out-of-range numbers and indices, wrong lengths, NaN and
+    deep nesting anywhere in a saved model: load_model and models.predict
+    either work or raise ConfigError."""
+    docs, path = saved_models
+    doc = json.loads(docs[index])
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        # A random walk down from the root, so shallow keys (spec, dims,
+        # scaling) are hit as often as the values deep inside a tree.
+        node = doc
+        while True:
+            key = data.draw(st.sampled_from(list(node.keys()) if isinstance(node, dict)
+                                            else range(len(node))), label="key")
+            child = node[key]
+            if not (child and isinstance(child, (dict, list))
+                    and data.draw(st.integers(0, 2), label="descend")):
+                break
+            node = child
+        how = data.draw(st.sampled_from(["swap", "drop", "repeat"]), label="how")
+        if how == "swap":
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(SWAPS), label="value"))
+        elif how == "drop":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+    text = json.dumps(doc).replace(f'"{DEEP}"', "[" * 5000 + "0" + "]" * 5000)
+    with open(path, "w") as fh:
+        fh.write(text)
+    try:
+        model = models.load_model(path)
+    except ConfigError:
+        return
+    probe, _ = random_problem(334, n=7, d=model.input_dim)
+    with np.errstate(all="ignore"):
+        models.predict(model, probe)
 
 
 @pytest.mark.parametrize("mode", ["z_score", "none"])
