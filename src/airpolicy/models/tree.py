@@ -64,12 +64,12 @@ class Tree:
         bounded by the JSON parser alone.
         """
         feature, threshold, left, right, value = [], [], [], [], []
-        stack = [(d, None)]  # (node object, (child list, parent index) to point at it)
+        stack = [(d, None, -1)]  # (node object, its parent's left or right list, parent)
         while stack:
-            node, link = stack.pop()
+            node, children, parent = stack.pop()
             i = len(feature)
-            if link is not None:
-                link[0][link[1]] = i
+            if children is not None:
+                children[parent] = i
             if not isinstance(node, dict) or node.keys() not in (_LEAF_KEYS, _SPLIT_KEYS):
                 raise ConfigError(f"tree node {i} must be an object with a value and "
                                   f"either no children or feature, threshold, left and right")
@@ -86,8 +86,8 @@ class Tree:
                                   f"[0, {input_dim}), got {f!r}")
             feature.append(f)
             threshold.append(node["threshold"])
-            stack.append((node["right"], (right, i)))
-            stack.append((node["left"], (left, i)))
+            stack.append((node["right"], right, i))
+            stack.append((node["left"], left, i))
         return cls(feature, float_array(threshold, (None,), "tree thresholds"), left, right,
                    float_array(value, (None, output_dim), "tree values"))
 

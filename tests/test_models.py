@@ -69,7 +69,6 @@ def test_spec_rejects_unknown_kind_and_hyperparameter():
     ("knn", {"k": 1}, True),
     ("knn", {"k": 0}, False),
     ("knn", {"k": -1}, False),
-    ("knn", {"k": np.int64(3)}, True),
     ("rfr", {"n_trees": 0}, False),
     ("rfr", {"max_depth": 0}, True),
     ("dtr", {"max_depth": -1}, False),
@@ -85,6 +84,7 @@ def test_spec_rejects_unknown_kind_and_hyperparameter():
     ("ridge", {"lam": 0.0}, True),
     ("ridge", {"lam": True}, False),
     ("ridge", {"lam": "1"}, False),
+    ("knn", {"k": np.int64(3)}, True),
 ])
 def test_spec_checks_hyperparameter_domains(kind, hyper, ok):
     # Counts are at least 1; depths and float hyperparameters at least 0.
