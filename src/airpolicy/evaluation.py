@@ -228,8 +228,10 @@ def _serve(share, specs: list[ModelSpec], out) -> NoReturn:
 
     Each result is one protocol-4 pickle, flushed at once so that the
     results made before a crash count as sent. Protocol 4, not 5: protocol
-    5 would rebuild each tree node's array as a view onto its own buffer,
-    which grows an unpickled forest about fourfold. An unexpected exception
+    5 rebuilds each of a tree's five arrays as a view onto its own buffer
+    object, so an unpickled 100-tree forest fitted on 580 x 10 rows holds
+    610 KB instead of 373 KB (tracemalloc), from a pickle of about the
+    same size (315 KB against 319 KB). An unexpected exception
     is written as its traceback text. The process ends in ``os._exit`` on
     every path, so it never returns into the caller's stack.
     """

@@ -25,12 +25,19 @@ def _seqsum(a: np.ndarray) -> float:
 # Alignment-cost accumulation (dynamic time warping)
 # ---------------------------------------------------------------------------
 
-def dtw_accumulate(cost: np.ndarray, window: int = -1) -> np.ndarray:
+def dtw_accumulate(cost: np.ndarray, window: int = -1,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Accumulated-cost table for the monotone alignment recurrence.
 
     acc[i, j] = cost[i, j] + min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1])
     with acc[0, 0] = cost[0, 0] and borders accumulated along their axis.
     ``window >= 0`` restricts cells to ``|i - j| <= window`` (others inf).
+
+    The table is written into ``out`` when given, which may be ``cost``
+    itself: a cell's cost is read only when that cell is written. Cells
+    outside the band are then left as they are, so a caller that passes
+    ``out=cost`` fills them with inf. Without ``out`` a new table is
+    allocated.
 
     Each border is one ``np.cumsum``, which adds strictly left to right.
     The interior is filled one anti-diagonal at a time: in the flat table,
@@ -43,15 +50,26 @@ def dtw_accumulate(cost: np.ndarray, window: int = -1) -> np.ndarray:
     """
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     n, m = cost.shape
-    acc = np.full((n, m), np.inf)
+    if out is None:
+        acc = np.full((n, m), np.inf)
+    elif out.shape != (n, m):
+        raise ValueError(f"out has shape {out.shape}, cost {cost.shape}")
+    else:
+        # A strided or non-float out is filled through a contiguous copy.
+        acc = np.ascontiguousarray(out, dtype=np.float64)
     jmax = m - 1 if window < 0 else min(m - 1, window)
     imax = n - 1 if window < 0 else min(n - 1, window)
     np.cumsum(cost[0, :jmax + 1], out=acc[0, :jmax + 1])
     np.cumsum(cost[:imax + 1, 0], out=acc[:imax + 1, 0])
-    if n < 2 or m < 2:
+    if n > 1 and m > 1:
+        _fill_interior(acc.reshape(-1), cost.reshape(-1), n, m, window)
+    if out is None or acc is out:
         return acc
-    A = acc.reshape(-1)
-    C = cost.reshape(-1)
+    out[...] = acc
+    return out
+
+
+def _fill_interior(A: np.ndarray, C: np.ndarray, n: int, m: int, window: int) -> None:
     step = m - 1
     # Row bounds [lo, hi] of every interior anti-diagonal d, inside the band.
     d = np.arange(2, n + m - 1)
@@ -71,7 +89,6 @@ def dtw_accumulate(cost: np.ndarray, window: int = -1) -> np.ndarray:
         np.minimum(A[s - m:e - m:step], A[s - 1:e - 1:step], out=b)
         np.minimum(A[s - m - 1:e - m - 1:step], b, out=b)
         np.add(C[s:e:step], b, out=A[s:e:step])
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +132,9 @@ class TrainedModel:
     def _params(self) -> dict:  # pragma: no cover
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
+    def document(self) -> dict:
+        """The model file's content. ``params`` may hold an iterator, which
+        ``_json_pieces`` writes item by item without a list of them."""
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -211,21 +214,24 @@ def fit(spec: ModelSpec, trains: list[SupervisedSet]) -> list[TrainedModel | Exc
     return results
 
 
+def json_numbers(value, shape: tuple) -> bool:
+    """Whether ``value`` is nested lists of JSON numbers that fit ``shape``
+    exactly, where ``None`` is any length. bool subclasses int but is no
+    JSON number, and a string is none either."""
+    if not (isinstance(value, list) and shape[0] in (None, len(value))):
+        return False
+    if len(shape) > 1:
+        return all(json_numbers(e, shape[1:]) for e in value)
+    return all(type(e) is float or type(e) is int for e in value)
+
+
 def float_array(value, shape: tuple, name: str) -> np.ndarray:
     """``value`` as a float64 array of ``shape``, where ``None`` is any length.
 
     ``value`` must be nested lists of finite JSON numbers that fit ``shape``
     exactly; anything else raises ConfigError naming ``name``.
     """
-    def fits(v, dims) -> bool:
-        if not (isinstance(v, list) and dims[0] in (None, len(v))):
-            return False
-        if len(dims) > 1:
-            return all(fits(e, dims[1:]) for e in v)
-        # JSON numbers: bool subclasses int but is none.
-        return all(type(e) is float or type(e) is int for e in v)
-
-    if fits(value, shape):
+    if json_numbers(value, shape):
         a = np.array(value, dtype=np.float64)
         if a.ndim == len(shape) and np.isfinite(a).all():
             return a
@@ -256,8 +262,33 @@ def predict(model: TrainedModel, inputs: np.ndarray) -> np.ndarray:
     return scaling.invert_targets(model.predict(scaling.transform_inputs(inputs)))
 
 
+def _json_pieces(value) -> Iterator[str]:
+    """The text of ``json.dumps(value, sort_keys=True)``, in pieces.
+
+    A non-empty dict is written key by key and an iterator item by item, so
+    the largest piece is one item's JSON and the items are never held
+    together; any other value is one ``json.dumps`` piece.
+    """
+    if isinstance(value, dict) and value:
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _json_pieces(value[key])
+            sep = ", "
+        yield "}"
+    elif isinstance(value, Iterator):
+        sep = "["
+        for item in value:
+            yield sep
+            yield json.dumps(item, sort_keys=True)
+            sep = ", "
+        yield "]" if sep == ", " else "[]"
+    else:
+        yield json.dumps(value, sort_keys=True)
+
+
 def model_to_json(model: TrainedModel) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True)
+    return "".join(_json_pieces(model.document()))
 
 
 def model_from_json(text: str) -> TrainedModel:
@@ -290,8 +321,10 @@ def model_from_json(text: str) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str) -> None:
+    """Write ``model_to_json(model)`` and a newline, piece by piece: a forest's
+    largest transient is one tree's JSON."""
     with open(path, "w") as fh:
-        fh.write(model_to_json(model))
+        fh.writelines(_json_pieces(model.document()))
         fh.write("\n")
 
 

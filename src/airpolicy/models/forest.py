@@ -36,7 +36,8 @@ class ForestModel(TrainedModel):
                          for tree in self.trees])
 
     def _params(self) -> dict:
-        return {"roots": [tree.to_dict() for tree in self.trees]}
+        # One tree's nested dict at a time, as the file is written.
+        return {"roots": (tree.to_dict() for tree in self.trees)}
 
 
 def _fit_rfr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> ForestModel:

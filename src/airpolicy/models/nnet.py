@@ -22,7 +22,7 @@ import numpy as np
 from ..dataset import affine_fit
 from ..errors import ConfigError, InsufficientDataError
 from ..rng import SplitMix64
-from .base import ModelSpec, TrainedModel, register_kind
+from .base import ModelSpec, TrainedModel, json_numbers, register_kind
 
 SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
@@ -242,12 +242,13 @@ def _fit_dnn(spec: ModelSpec, pairs) -> list:
 
 
 def _load_dnn(spec: ModelSpec, input_dim: int, output_dim: int, d: dict) -> DnnModel:
-    """Rebuild a saved net; its layer shapes and scales must fit the dims, its values be finite."""
+    """Rebuild a saved net; its layer shapes and scales must fit the dims, its values be
+    finite JSON numbers."""
     sizes = _layer_sizes(input_dim, output_dim)
     layers = d["layers"]
     if not isinstance(layers, list) or len(layers) != len(sizes):
         raise ConfigError(f"dnn model must have {len(sizes)} layers")
-    params = []
+    params, raw = [], []
     for li, (layer, (fan_in, fan_out)) in enumerate(zip(layers, sizes)):
         W = np.array(layer["W"], dtype=np.float64)
         b = np.array(layer["b"], dtype=np.float64)
@@ -255,14 +256,18 @@ def _load_dnn(spec: ModelSpec, input_dim: int, output_dim: int, d: dict) -> DnnM
             raise ConfigError(f"dnn layer {li} must have a {fan_in} x {fan_out} W and "
                               f"{fan_out} b values, got {W.shape} and {b.shape}")
         params.append((W, b))
+        raw += [(layer["W"], W.shape), (layer["b"], b.shape)]
     scales = []
     for name, dim in (("in_lo", input_dim), ("in_span", input_dim),
                       ("tg_lo", output_dim), ("tg_span", output_dim)):
         scales.append(np.array(d[name], dtype=np.float64))
         if scales[-1].shape != (dim,):
             raise ConfigError(f"dnn {name} must have {dim} values, got shape {scales[-1].shape}")
-    if not all(np.isfinite(a).all() for a in (*scales, *(a for p in params for a in p))):
-        raise ConfigError("dnn model values must be finite")
+        raw.append((d[name], (dim,)))
+    # np.array reads the string "0.5" and true as numbers; the file must hold JSON numbers.
+    if not (all(json_numbers(v, shape) for v, shape in raw)
+            and all(np.isfinite(a).all() for a in (*scales, *(a for p in params for a in p)))):
+        raise ConfigError("dnn model values must be finite numbers")
     if not ((scales[1] > 0.0).all() and (scales[3] > 0.0).all()):
         raise ConfigError("dnn in_span and tg_span must be positive")
     return DnnModel(spec, input_dim, output_dim, *scales, params)

@@ -229,15 +229,36 @@ def dtw(a, b, cost: str = "absolute", window: int | None = None) -> DtwResult:
             raise DomainError(
                 f"window {window} admits no path for lengths {n} and {m}"
             )
-    # In place: the n x m differences become the costs without a second table.
-    c = aa[:, None] - bb[None, :]
-    if cost == "absolute":
-        np.abs(c, out=c)
-    else:
-        np.multiply(c, c, out=c)
-    acc = kernels.dtw_accumulate(c, -1 if window is None else window)
+    c = _cost_table(aa, bb, cost, window)
+    # One table: the kernel overwrites each cost with its accumulated cost.
+    acc = kernels.dtw_accumulate(c, -1 if window is None else window, out=c)
     path = _backtrack(acc)
     return DtwResult(distance=float(acc[n - 1, m - 1]), path=path)
+
+
+def _cost_table(aa: np.ndarray, bb: np.ndarray, cost: str, window: int | None) -> np.ndarray:
+    """Pointwise costs inside the Sakoe-Chiba band, inf outside it.
+
+    Without a band, or with one that covers the table, the n x m
+    differences become the costs in place. Otherwise only the 2*window + 1
+    diagonal offsets j - i are filled, each through a strided view of the
+    flat table. Either way every cell gets the same subtract and then abs
+    or square, so the bits do not depend on the route.
+    """
+    finish = np.square if cost == "squared" else np.abs  # x * x is one rounding either way
+    n, m = aa.size, bb.size
+    if window is None or window >= max(n, m) - 1:
+        c = aa[:, None] - bb[None, :]
+        finish(c, out=c)
+        return c
+    c = np.full((n, m), np.inf)
+    flat = c.reshape(-1)
+    for k in range(max(-window, 1 - n), min(window, m - 1) + 1):
+        i0, i1 = max(0, -k), min(n, m - k)  # rows of the cells (i, i + k)
+        v = flat[i0 * (m + 1) + k:(i1 - 1) * (m + 1) + k + 1:m + 1]
+        np.subtract(aa[i0:i1], bb[i0 + k:i1 + k], out=v)
+        finish(v, out=v)
+    return c
 
 
 def _backtrack(acc: np.ndarray) -> tuple[tuple[int, int], ...]:

@@ -283,7 +283,8 @@ def test_09_end_to_end_synthetic_benchmark(capsys, tmp_path):
             proc = run_cli([cmd, "--config", cfg_path, "--jobs", "1"])
             assert proc.returncode == 0, (cmd, proc.stderr, proc.stdout)
 
-        report = json.load(open(os.path.join(out, "report.json")))
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
         rows = report["rows"]
         assert len(rows) == 36
         for row in rows:

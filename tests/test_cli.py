@@ -64,7 +64,8 @@ def test_full_pipeline(tmp_path, capsys):
         f"{p}_{k}.json" for p in ("CO", "NO2", "O3", "SO2")
         for k in ("knn", "linreg")
     ]
-    report = json.load(open(os.path.join(out, "report.json")))
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh)
     assert len(report["rows"]) == 8
     assert report["config"]["models"]["kinds"] == ["knn", "linreg"]
 
@@ -164,8 +165,12 @@ def _dnn_params_edited(edit):
     (_dnn_params_edited(lambda p: p["tg_span"].__setitem__(0, 0.0)),
      "dnn in_span and tg_span must be positive"),
     (lambda doc: "[" * 100_000, "RecursionError"),
+    (_dnn_params_edited(lambda p: p["layers"][0]["W"][0].__setitem__(0, "0.5")),
+     "dnn model values must be finite numbers"),
+    (_dnn_params_edited(lambda p: p["in_span"].__setitem__(0, True)),
+     "dnn model values must be finite numbers"),
 ], ids=["W-3-rows", "two-layers", "no-layers", "b-1-value", "in_span-1-value",
-        "null-weight", "zero-span", "deep-nesting"])
+        "null-weight", "zero-span", "deep-nesting", "string-weight", "true-in-span"])
 def test_malformed_dnn_model_file_is_exit_2_without_traceback(dnn_run, text, says):
     cfg, out = dnn_run
     path = os.path.join(out, "models", "CO_dnn.json")

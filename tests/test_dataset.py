@@ -296,15 +296,18 @@ def test_city_csv_write_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_city_csv(ds, p1)
     write_city_csv(ds, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_city_csv_rejects_foreign_header(tmp_path):
     ds = make_city(n_periods=3)
     path = str(tmp_path / "c.csv")
     write_city_csv(ds, path)
-    text = open(path).read().replace("period_index", "period", 1)
-    open(path, "w").write(text)
+    with open(path) as fh:
+        text = fh.read().replace("period_index", "period", 1)
+    with open(path, "w") as fh:
+        fh.write(text)
     from airpolicy.errors import SchemaError
     with pytest.raises(SchemaError):
         read_city_csv(path)

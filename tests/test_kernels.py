@@ -69,6 +69,21 @@ def test_dtw_accumulate_bitwise_equals_row_by_row(problem):
     assert kernels.dtw_accumulate(cost, window).tobytes() == want.tobytes()
 
 
+@given(dtw_problems())
+def test_dtw_accumulate_into_its_cost_equals_allocating(problem):
+    """out=cost overwrites each cost with its accumulated cost, on every
+    layout; a banded cost enters with inf outside the band, which the
+    kernel leaves as it is."""
+    cost, window = problem
+    want = kernels.dtw_accumulate(cost, window)
+    if window >= 0:
+        i, j = np.indices(cost.shape)
+        cost[np.abs(i - j) > window] = np.inf
+    got = kernels.dtw_accumulate(cost, window, out=cost)
+    assert got is cost
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 def test_dtw_window_larger_than_needed_equals_unwindowed():
     gen = SplitMix64(103)
     cost = random_cost(gen, 15, 11)

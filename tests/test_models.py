@@ -7,6 +7,8 @@ import copy
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -702,6 +704,38 @@ def test_every_kind_round_trips_bitwise(spec):
     np.testing.assert_array_equal(again.predict(probe), model.predict(probe))
     assert model_to_json(again) == text
     assert again.spec == model.spec
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS_FAST, ids=lambda s: s.kind)
+def test_saved_file_is_model_json_and_a_plain_dump(spec, tmp_path):
+    """save_model writes model_to_json and a newline, and the pieces join to
+    json.dumps(doc, sort_keys=True) with its default separators."""
+    X, Y = random_problem(332, n=25, d=10)
+    model = fit_arrays(spec, X, Y, IDENTITY_SCALING)
+    path = str(tmp_path / "model.json")
+    models.save_model(model, path)
+    with open(path) as fh:
+        saved = fh.read()
+    text = model_to_json(model)
+    assert saved == text + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+
+
+def test_saving_a_forest_holds_less_than_its_file(tmp_path):
+    """A default 100-tree forest is written tree by tree: tracemalloc's peak
+    while saving stays below the size of the file, not a whole document's
+    dict and string."""
+    X, Y = random_problem(334, n=120, d=6)
+    model = fit_arrays(ModelSpec(kind="rfr"), X, Y, IDENTITY_SCALING)
+    path = str(tmp_path / "rfr.json")
+    tracemalloc.start()
+    try:
+        models.save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.trees) == 100
+    assert peak < os.path.getsize(path)
 
 
 def test_model_json_guards():

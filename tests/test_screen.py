@@ -108,4 +108,5 @@ def test_screen_csv_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_screen_csv(cells, p1)
     write_screen_csv(cells, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from airpolicy import kernels
 from airpolicy.errors import (
     DomainError,
     InsufficientDataError,
@@ -20,6 +21,7 @@ from airpolicy.errors import (
 from airpolicy.rng import SplitMix64
 from airpolicy.similarity import (
     Band,
+    _backtrack,
     band_of,
     dtw,
     pearson,
@@ -296,6 +298,44 @@ def test_dtw_window_zero_is_lockstep():
     res = dtw(a, b, window=0)
     assert res.path == tuple((i, i) for i in range(8))
     assert res.distance == pytest.approx(float(np.abs(a - b).sum()), rel=1e-12)
+
+
+def full_table_dtw(a, b, cost, window):
+    """Distance and path the plain way: the full n x m cost matrix and a
+    freshly allocated accumulated table."""
+    diff = a[:, None] - b[None, :]
+    c = np.abs(diff) if cost == "absolute" else diff * diff
+    acc = kernels.dtw_accumulate(c, -1 if window is None else window)
+    return float(acc[-1, -1]), _backtrack(acc)
+
+
+@st.composite
+def dtw_inputs(draw):
+    n = draw(st.one_of(st.just(1), st.integers(1, 30)))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, 30)))
+    values = (st.integers(-3, 3).map(float) if draw(st.booleans())  # ties
+              else st.floats(-1e3, 1e3, allow_subnormal=False))
+    a = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    gap, top = abs(n - m), max(n, m)
+    window = draw(st.sampled_from([None, gap, gap + 1, max(gap, top - 2), max(gap, top - 1),
+                                   top, top + 7]) | st.integers(gap, gap + 35))
+    return a, b, draw(st.sampled_from(["absolute", "squared"])), window
+
+
+@given(dtw_inputs())
+@example((np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.0, 3.0, 2.0, 5.0]), "absolute", 2))
+@example((np.array([0.0, 2.0, 1.0, 4.0, 3.0]), np.array([1.0, 0.0, 3.0]), "squared", 2))
+@example((np.array([1.5]), np.array([0.0, 2.0, 1.0]), "squared", 2))
+@example((np.array([0.0, 2.0, 1.0]), np.array([1.5]), "absolute", 3))
+def test_dtw_equals_full_table_reference(problem):
+    """The band-only cost table and the in-place accumulation give the
+    distance and path of the full cost matrix, bit for bit."""
+    a, b, cost, window = problem
+    res = dtw(a, b, cost=cost, window=window)
+    distance, path = full_table_dtw(a, b, cost, window)
+    assert np.float64(res.distance).tobytes() == np.float64(distance).tobytes()
+    assert res.path == path
 
 
 def test_dtw_window_infeasible_raises():

@@ -40,7 +40,8 @@ def test_generate_layout_and_config(tmp_path):
     assert cfg.year == 2020 and cfg.seed == 3
     assert [c.name for c in cfg.cities] == ["city_a", "city_b"]
     assert all(c.density_csv is not None for c in cfg.cities)
-    raw = json.loads(open(res.config_path).read())
+    with open(res.config_path) as fh:
+        raw = json.load(fh)
     assert raw["models"]["kinds"][0] == "knn" and len(raw["models"]["kinds"]) == 9
 
 
