@@ -869,8 +869,12 @@ def test_constant_targets_predicted_exactly(kind):
 # sha256 of model_to_json for each kind fitted on the z-scored NO2 set of
 # synth.generate(seed=0) (four cities pooled). Rerun identity only compares
 # a build with itself; these digests pin the bytes across rewrites of the
-# split scan, the draws and the training step.
+# split scan, the draws, the training step and the model file writer.
 GOLDEN_SPECS = [
+    ModelSpec(kind="knn"),
+    ModelSpec(kind="linreg"),
+    ModelSpec(kind="ridge"),
+    ModelSpec(kind="lasso"),
     ModelSpec(kind="rfr", hyperparameters={"n_trees": 5}),
     ModelSpec(kind="dtr"),
     ModelSpec(kind="madab"),
@@ -878,6 +882,10 @@ GOLDEN_SPECS = [
     ModelSpec(kind="dnn", hyperparameters={"epochs": 3}),
 ]
 GOLDEN_SHA256 = {
+    "knn": "18e676fbfc0b1c1001d3abea86da17c202b42597acea5afefaf2b7497722b286",
+    "linreg": "195cdcae621ae26ccf97c7146066fec19e30255f1eecdd0a85ef1d346171ad7e",
+    "ridge": "90c332e7d87660cf3f1cad5f78cf1d37f0b42212da4e2668ed2b6912032a0570",
+    "lasso": "575c84ab4b23cb3ed8bf20b5e06dc431fac6c64d75edb3152c7bc0d80242da56",
     "rfr": "6652847e2a82cb06ff5006eae1fd870aae40da8ee3d0430c8dbb90c11f87a00a",
     "dtr": "2a190e99549c1e87a63135a8daa63677940dbc08794b6475ab00be86b8ecaff8",
     "madab": "e17d750a6fef55bfef3102df2474b69b1030044b42667f94a21ec7be5874073c",
