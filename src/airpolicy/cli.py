@@ -11,7 +11,6 @@ else the AIRPOLICY_OUT environment variable, else the config.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import os
 import sys
@@ -26,6 +25,7 @@ from .dataset import (
     feature_row,
     read_city_csv,
     write_city_csv,
+    write_csv,
 )
 from .errors import AirPolicyError, ConfigError
 from .ingest import (
@@ -248,15 +248,13 @@ def cmd_predict(args) -> int:
         if forecast is None:
             raise ConfigError(f"no complete period found for {pollutant.value}")
         forecasts.append((pollutant, forecast))
-    with open(os.path.join(config.out_dir, "forecast.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pollutant", "kind", "city", "period",
-                         "current_mean", "current_std",
-                         "forecast_mean", "forecast_std"])
-        for pollutant, (city, period, x, pred) in forecasts:
-            writer.writerow([pollutant.value, config.predict_kind, city, str(period),
-                             repr(float(x[-2])), repr(float(x[-1])),
-                             repr(float(pred[0])), repr(float(pred[1]))])
+    write_csv(os.path.join(config.out_dir, "forecast.csv"), [
+        ["pollutant", "kind", "city", "period",
+         "current_mean", "current_std", "forecast_mean", "forecast_std"],
+    ] + [
+        [pollutant.value, config.predict_kind, city, period, x[-2], x[-1], pred[0], pred[1]]
+        for pollutant, (city, period, x, pred) in forecasts
+    ])
     for pollutant, forecast in forecasts:
         _print_forecast(pollutant, forecast)
     return EXIT_OK

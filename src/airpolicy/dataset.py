@@ -400,7 +400,7 @@ def apply_scaling(sset: SupervisedSet, spec: ScalingSpec) -> SupervisedSet:
 
 
 # ---------------------------------------------------------------------------
-# Input files
+# Input and output files
 # ---------------------------------------------------------------------------
 
 def _utf8_text(path: str) -> io.StringIO:
@@ -449,6 +449,30 @@ def read_meta(path: str, fields: dict) -> dict:
     return out
 
 
+def _cell(v) -> str:
+    # repr of a Python float is shortest-round-trip; always cast first, since
+    # numpy scalars repr differently.
+    if isinstance(v, float):
+        return repr(float(v))
+    return "" if v is None else str(v)
+
+
+def write_csv(path: str, rows) -> None:
+    """Write ``rows``, the header first, as CSV. A float cell is written
+    shortest-round-trip, so a reload reproduces it bit for bit; ``None`` is
+    an empty field and any other cell its ``str``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline.
+    NaN stays allowed: a grid's ``nodata`` is NaN by default."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def parse_date(text: str) -> dt.date:
     """An ISO date cell; the ValueError of a bad one names the cell."""
     try:
@@ -470,43 +494,25 @@ def _city_header() -> list[str]:
     return cols
 
 
-def _fmt(v: float) -> str:
-    # repr of a Python float is shortest-round-trip; always cast first, since
-    # numpy scalars repr differently.
-    return repr(float(v))
-
-
 def write_city_csv(ds: CityDataset, path: str) -> None:
     """Write one city to CSV plus a .meta.json sidecar with its metadata.
 
-    Missing measure or pollutant entries become empty fields. Floats are
-    written shortest-round-trip so a reload reproduces them bit for bit.
+    Missing measure or pollutant entries become empty fields.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_city_header())
-        for rec in ds.records:
-            row: list[str] = [str(rec.period_index), rec.start_date.isoformat()]
-            for m in MEASURES:
-                row.append(_fmt(rec.measures[m]) if m in rec.measures else "")
-            for p in POLLUTANTS:
-                if p in rec.pollutant_stats:
-                    mean, std = rec.pollutant_stats[p]
-                    row.append(_fmt(mean))
-                    row.append(_fmt(std))
-                else:
-                    row.append("")
-                    row.append("")
-            writer.writerow(row)
-    meta = {
+    rows = [_city_header()]
+    for rec in ds.records:
+        row = [rec.period_index, rec.start_date.isoformat()]
+        row += [rec.measures.get(m) for m in MEASURES]
+        for p in POLLUTANTS:
+            row += rec.pollutant_stats.get(p, (None, None))
+        rows.append(row)
+    write_csv(path, rows)
+    write_json(_meta_path(path), {
         "city_name": ds.city_name,
         "year": ds.year,
         "center": [float(ds.center[0]), float(ds.center[1])],
         "box_half_width": float(ds.box_half_width),
-    }
-    with open(_meta_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _meta_path(csv_path: str) -> str:

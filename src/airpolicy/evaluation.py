@@ -16,7 +16,6 @@ the report instead of aborting the run.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -38,6 +37,7 @@ from .dataset import (
     apply_scaling,
     build_supervised,
     fit_scaling,
+    write_csv,
 )
 from .errors import AirPolicyError, DomainError, InsufficientDataError, ShapeError
 from .models import KINDS, ModelSpec, TrainedModel
@@ -334,20 +334,12 @@ REPORT_COLUMNS = [
 ]
 
 
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def write_report_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in report.rows:
-            writer.writerow([
-                r.pollutant.value, r.kind, r.scope,
-                _fmt(r.rmse_mean), _fmt(r.rmse_std), _fmt(r.rmse_joint),
-                _fmt(r.relative_error), str(r.n_train), str(r.n_test),
-            ])
+    write_csv(path, [REPORT_COLUMNS] + [
+        [r.pollutant.value, r.kind, r.scope, r.rmse_mean, r.rmse_std, r.rmse_joint,
+         r.relative_error, r.n_train, r.n_test]
+        for r in report.rows
+    ])
 
 
 def report_to_json(report: EvalReport, config_echo: dict | None = None) -> str:

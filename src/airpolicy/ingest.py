@@ -8,9 +8,7 @@ here with grid_stats, or a pre-aggregated CSV that already lists per-date
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +30,8 @@ from .dataset import (
     read_csv_rows,
     read_meta,
     resample_to_periods,
+    write_csv,
+    write_json,
 )
 from .errors import (
     AmbiguousInputError,
@@ -143,22 +143,15 @@ def _grid_meta_path(path: str) -> str:
 
 def write_grid(grid: DensityGrid, path: str) -> None:
     """Write the pixel body as CSV (one line per grid row) plus a sidecar."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for r in range(grid.height):
-            row = grid.values[r * grid.width:(r + 1) * grid.width]
-            writer.writerow([repr(float(v)) for v in row])
-    meta = {
+    write_csv(path, grid.values.reshape(grid.height, grid.width).tolist())
+    write_json(_grid_meta_path(path), {
         "width": grid.width,
         "height": grid.height,
         "pixel_size": float(grid.pixel_size),
         "bbox": [float(v) for v in grid.bbox],
         "label": grid.label,
         "nodata": float(grid.nodata),
-    }
-    with open(_grid_meta_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_grid(path: str) -> DensityGrid:

@@ -4,7 +4,9 @@ Every learner kind registers a trainer and a deserializer here. Specs
 validate hyperparameter names and domains eagerly so a typo or a zero count
 fails at construction, not after a training run. Model files are plain JSON with parameter arrays;
 floats survive the round trip bit for bit, so a reloaded model predicts
-identically.
+identically. A kind whose parameters are arrays declares each array's name
+and shape once, in ``shapes``; this module writes them and checks them on
+load, and the kind keeps only the rules a shape cannot state.
 """
 
 from __future__ import annotations
@@ -129,8 +131,29 @@ class TrainedModel:
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def _params(self) -> dict:  # pragma: no cover
-        raise NotImplementedError
+    @classmethod
+    def shapes(cls, input_dim: int, output_dim: int) -> dict[str, tuple]:
+        """Each saved array's name and shape, ``None`` meaning any length; the
+        array is the attribute and the constructor argument of that name."""
+        raise NotImplementedError  # pragma: no cover
+
+    def _params(self) -> dict:
+        """The arrays of ``shapes`` by name; a matrix goes out as an iterator of
+        rows, which ``_json_pieces`` writes one row at a time."""
+        out = {}
+        for name in self.shapes(self.input_dim, self.output_dim):
+            a = getattr(self, name)
+            out[name] = (row.tolist() for row in a) if a.ndim == 2 else a.tolist()
+        return out
+
+    @classmethod
+    def load(cls, spec: ModelSpec, input_dim: int, output_dim: int, saved: dict,
+             **extra) -> "TrainedModel":
+        """The model of a saved ``params``: each array of ``shapes`` read with
+        ``float_array``, passed to the constructor with ``extra``."""
+        arrays = {name: float_array(saved[name], shape, f"{spec.kind} {name}")
+                  for name, shape in cls.shapes(input_dim, output_dim).items()}
+        return cls(spec, input_dim, output_dim, **arrays, **extra)
 
     def document(self) -> dict:
         """The model file's content. ``params`` may hold an iterator, which
@@ -214,14 +237,14 @@ def fit(spec: ModelSpec, trains: list[SupervisedSet]) -> list[TrainedModel | Exc
     return results
 
 
-def json_numbers(value, shape: tuple) -> bool:
+def _json_numbers(value, shape: tuple) -> bool:
     """Whether ``value`` is nested lists of JSON numbers that fit ``shape``
     exactly, where ``None`` is any length. bool subclasses int but is no
     JSON number, and a string is none either."""
     if not (isinstance(value, list) and shape[0] in (None, len(value))):
         return False
     if len(shape) > 1:
-        return all(json_numbers(e, shape[1:]) for e in value)
+        return all(_json_numbers(e, shape[1:]) for e in value)
     return all(type(e) is float or type(e) is int for e in value)
 
 
@@ -231,7 +254,7 @@ def float_array(value, shape: tuple, name: str) -> np.ndarray:
     ``value`` must be nested lists of finite JSON numbers that fit ``shape``
     exactly; anything else raises ConfigError naming ``name``.
     """
-    if json_numbers(value, shape):
+    if _json_numbers(value, shape):
         a = np.array(value, dtype=np.float64)
         if a.ndim == len(shape) and np.isfinite(a).all():
             return a

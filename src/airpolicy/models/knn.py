@@ -12,7 +12,7 @@ import numpy as np
 
 from ..dataset import affine_fit
 from ..errors import ConfigError, InsufficientDataError
-from .base import ModelSpec, TrainedModel, float_array, register_kind
+from .base import ModelSpec, TrainedModel, register_kind
 
 
 class KnnModel(TrainedModel):
@@ -35,13 +35,22 @@ class KnnModel(TrainedModel):
             out[i] = self.train_targets[nearest].mean(axis=0)
         return out
 
-    def _params(self) -> dict:
-        return {
-            "lo": [float(v) for v in self.lo],
-            "span": [float(v) for v in self.span],
-            "train_scaled": [[float(v) for v in row] for row in self.train_scaled],
-            "train_targets": [[float(v) for v in row] for row in self.train_targets],
-        }
+    @classmethod
+    def shapes(cls, input_dim: int, output_dim: int) -> dict[str, tuple]:
+        return {"lo": (input_dim,), "span": (input_dim,),
+                "train_scaled": (None, input_dim), "train_targets": (None, output_dim)}
+
+    @classmethod
+    def load(cls, spec: ModelSpec, input_dim: int, output_dim: int, saved: dict) -> "KnnModel":
+        """Also positive spans, and at least k training rows with as many targets."""
+        model = super().load(spec, input_dim, output_dim, saved)
+        if not (model.span > 0.0).all():
+            raise ConfigError("knn span must be positive")
+        X, Y, k = model.train_scaled, model.train_targets, spec.params["k"]
+        if not X.shape[0] == Y.shape[0] >= k:
+            raise ConfigError(f"knn train_scaled and train_targets must have equal row counts "
+                              f"of at least k = {k}, got {X.shape[0]} and {Y.shape[0]}")
+        return model
 
 
 def _fit_knn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> KnnModel:
@@ -53,20 +62,4 @@ def _fit_knn(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> KnnModel:
     return KnnModel(spec, X.shape[1], Y.shape[1], lo, span, (X - lo) / span, Y.copy())
 
 
-def _load_knn(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> KnnModel:
-    """Rebuild a saved model: bounds per input, positive spans, and at least
-    k training rows with as many targets."""
-    lo = float_array(params["lo"], (input_dim,), "knn lo")
-    span = float_array(params["span"], (input_dim,), "knn span")
-    if not (span > 0.0).all():
-        raise ConfigError("knn span must be positive")
-    X = float_array(params["train_scaled"], (None, input_dim), "knn train_scaled")
-    Y = float_array(params["train_targets"], (None, output_dim), "knn train_targets")
-    k = spec.params["k"]
-    if not X.shape[0] == Y.shape[0] >= k:
-        raise ConfigError(f"knn train_scaled and train_targets must have equal row counts "
-                          f"of at least k = {k}, got {X.shape[0]} and {Y.shape[0]}")
-    return KnnModel(spec, input_dim, output_dim, lo, span, X, Y)
-
-
-register_kind("knn", _fit_knn, _load_knn)
+register_kind("knn", _fit_knn, KnnModel.load)

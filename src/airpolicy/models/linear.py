@@ -17,7 +17,7 @@ from .. import kernels
 from ..dataset import affine_fit
 from ..errors import ConfigError, DomainError, InsufficientDataError
 from ..rng import SplitMix64
-from .base import ModelSpec, TrainedModel, float_array, register_kind
+from .base import ModelSpec, TrainedModel, register_kind
 
 
 class LinearModel(TrainedModel):
@@ -40,13 +40,9 @@ class LinearModel(TrainedModel):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.beta[1:] + self.beta[0]
 
-    def _params(self) -> dict:
-        return {"beta": [[float(v) for v in row] for row in self.beta]}
-
-
-def _load_linear(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> LinearModel:
-    beta = float_array(params["beta"], (input_dim + 1, output_dim), f"{spec.kind} beta")
-    return LinearModel(spec, input_dim, output_dim, beta)
+    @classmethod
+    def shapes(cls, input_dim: int, output_dim: int) -> dict[str, tuple]:
+        return {"beta": (input_dim + 1, output_dim)}
 
 
 def _solve_normal_equations(X: np.ndarray, Y: np.ndarray, lam: float) -> tuple[np.ndarray, bool]:
@@ -122,13 +118,19 @@ class SgdLinearModel(TrainedModel):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return ((X - self.mu) / self.sd) @ self.W + self.b
 
-    def _params(self) -> dict:
-        return {
-            "mu": [float(v) for v in self.mu],
-            "sd": [float(v) for v in self.sd],
-            "W": [[float(v) for v in row] for row in self.W],
-            "b": [float(v) for v in self.b],
-        }
+    @classmethod
+    def shapes(cls, input_dim: int, output_dim: int) -> dict[str, tuple]:
+        return {"mu": (input_dim,), "sd": (input_dim,), "W": (input_dim, output_dim),
+                "b": (output_dim,)}
+
+    @classmethod
+    def load(cls, spec: ModelSpec, input_dim: int, output_dim: int,
+             saved: dict) -> "SgdLinearModel":
+        """Also positive scales."""
+        model = super().load(spec, input_dim, output_dim, saved)
+        if not (model.sd > 0.0).all():
+            raise ConfigError("mgbr sd must be positive")
+        return model
 
 
 def _fit_mgbr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> SgdLinearModel:
@@ -170,20 +172,7 @@ def _fit_mgbr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> SgdLinearModel:
     return SgdLinearModel(spec, d, Y.shape[1], mu, sd, W, b)
 
 
-def _load_mgbr(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> SgdLinearModel:
-    sd = float_array(params["sd"], (input_dim,), "mgbr sd")
-    if not (sd > 0.0).all():
-        raise ConfigError("mgbr sd must be positive")
-    return SgdLinearModel(
-        spec, input_dim, output_dim,
-        float_array(params["mu"], (input_dim,), "mgbr mu"),
-        sd,
-        float_array(params["W"], (input_dim, output_dim), "mgbr W"),
-        float_array(params["b"], (output_dim,), "mgbr b"),
-    )
-
-
-register_kind("linreg", _fit_linreg, _load_linear)
-register_kind("ridge", _fit_ridge, _load_linear)
-register_kind("lasso", _fit_lasso, _load_linear)
-register_kind("mgbr", _fit_mgbr, _load_mgbr)
+register_kind("linreg", _fit_linreg, LinearModel.load)
+register_kind("ridge", _fit_ridge, LinearModel.load)
+register_kind("lasso", _fit_lasso, LinearModel.load)
+register_kind("mgbr", _fit_mgbr, SgdLinearModel.load)

@@ -22,7 +22,7 @@ import numpy as np
 from ..dataset import affine_fit
 from ..errors import ConfigError, InsufficientDataError
 from ..rng import SplitMix64
-from .base import ModelSpec, TrainedModel, json_numbers, register_kind
+from .base import ModelSpec, TrainedModel, float_array, register_kind
 
 SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
@@ -182,18 +182,30 @@ class DnnModel(TrainedModel):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return self.forward_scaled(X) * self.tg_span + self.tg_lo
 
+    @classmethod
+    def shapes(cls, input_dim: int, output_dim: int) -> dict[str, tuple]:
+        return {"in_lo": (input_dim,), "in_span": (input_dim,),
+                "tg_lo": (output_dim,), "tg_span": (output_dim,)}
+
     def _params(self) -> dict:
-        return {
-            "in_lo": [float(v) for v in self.in_lo],
-            "in_span": [float(v) for v in self.in_span],
-            "tg_lo": [float(v) for v in self.tg_lo],
-            "tg_span": [float(v) for v in self.tg_span],
-            "layers": [
-                {"W": [[float(v) for v in row] for row in W],
-                 "b": [float(v) for v in b]}
-                for W, b in self.params
-            ],
-        }
+        # Layers go out one at a time, each as nested lists.
+        layers = ({"W": W.tolist(), "b": b.tolist()} for W, b in self.params)
+        return {**super()._params(), "layers": layers}
+
+    @classmethod
+    def load(cls, spec: ModelSpec, input_dim: int, output_dim: int, saved: dict) -> "DnnModel":
+        """Also one layer of each fixed size, and positive spans."""
+        sizes = _layer_sizes(input_dim, output_dim)
+        layers = saved["layers"]
+        if not isinstance(layers, list) or len(layers) != len(sizes):
+            raise ConfigError(f"dnn model must have {len(sizes)} layers")
+        params = [(float_array(layer["W"], (fan_in, fan_out), f"dnn layer {li} W"),
+                   float_array(layer["b"], (fan_out,), f"dnn layer {li} b"))
+                  for li, (layer, (fan_in, fan_out)) in enumerate(zip(layers, sizes))]
+        model = super().load(spec, input_dim, output_dim, saved, params=params)
+        if not ((model.in_span > 0.0).all() and (model.tg_span > 0.0).all()):
+            raise ConfigError("dnn in_span and tg_span must be positive")
+        return model
 
 
 def _min_max(X: np.ndarray, Y: np.ndarray):
@@ -241,38 +253,6 @@ def _fit_dnn(spec: ModelSpec, pairs) -> list:
     return results
 
 
-def _load_dnn(spec: ModelSpec, input_dim: int, output_dim: int, d: dict) -> DnnModel:
-    """Rebuild a saved net; its layer shapes and scales must fit the dims, its values be
-    finite JSON numbers."""
-    sizes = _layer_sizes(input_dim, output_dim)
-    layers = d["layers"]
-    if not isinstance(layers, list) or len(layers) != len(sizes):
-        raise ConfigError(f"dnn model must have {len(sizes)} layers")
-    params, raw = [], []
-    for li, (layer, (fan_in, fan_out)) in enumerate(zip(layers, sizes)):
-        W = np.array(layer["W"], dtype=np.float64)
-        b = np.array(layer["b"], dtype=np.float64)
-        if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ConfigError(f"dnn layer {li} must have a {fan_in} x {fan_out} W and "
-                              f"{fan_out} b values, got {W.shape} and {b.shape}")
-        params.append((W, b))
-        raw += [(layer["W"], W.shape), (layer["b"], b.shape)]
-    scales = []
-    for name, dim in (("in_lo", input_dim), ("in_span", input_dim),
-                      ("tg_lo", output_dim), ("tg_span", output_dim)):
-        scales.append(np.array(d[name], dtype=np.float64))
-        if scales[-1].shape != (dim,):
-            raise ConfigError(f"dnn {name} must have {dim} values, got shape {scales[-1].shape}")
-        raw.append((d[name], (dim,)))
-    # np.array reads the string "0.5" and true as numbers; the file must hold JSON numbers.
-    if not (all(json_numbers(v, shape) for v, shape in raw)
-            and all(np.isfinite(a).all() for a in (*scales, *(a for p in params for a in p)))):
-        raise ConfigError("dnn model values must be finite numbers")
-    if not ((scales[1] > 0.0).all() and (scales[3] > 0.0).all()):
-        raise ConfigError("dnn in_span and tg_span must be positive")
-    return DnnModel(spec, input_dim, output_dim, *scales, params)
-
-
 def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
                    step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -313,4 +293,4 @@ def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     return worst
 
 
-register_kind("dnn", _fit_dnn, _load_dnn, lockstep=True)
+register_kind("dnn", _fit_dnn, DnnModel.load, lockstep=True)

@@ -8,13 +8,11 @@ measure's pooled coefficient of determination stays below 0.20.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass
 
-from .dataset import MEASURES, POLLUTANTS
+from .dataset import MEASURES, POLLUTANTS, write_csv, write_json
 from .errors import DomainError
 from .evaluation import EvalReport
 from .models import KINDS
@@ -106,17 +104,9 @@ def write_figure(fig: FigureData, out_dir: str) -> tuple[str, str]:
     """Write fig_<id>.csv and fig_<id>.json; returns both paths."""
     csv_path = os.path.join(out_dir, f"fig_{fig.figure_id}.csv")
     json_path = os.path.join(out_dir, f"fig_{fig.figure_id}.json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "category", "value"])
-        for row in fig.rows:
-            writer.writerow([
-                row.group, row.category,
-                "" if row.value is None else repr(float(row.value)),
-            ])
-    with open(json_path, "w") as fh:
-        json.dump(figure_to_dict(fig), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_csv(csv_path, [["group", "category", "value"]]
+              + [[row.group, row.category, row.value] for row in fig.rows])
+    write_json(json_path, figure_to_dict(fig))
     return csv_path, json_path
 
 

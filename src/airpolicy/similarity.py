@@ -9,7 +9,6 @@ recurrence over pointwise costs with path recovery.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import MEASURES, CityDataset, MeasureKind, PollutantKind
+from .dataset import MEASURES, CityDataset, MeasureKind, PollutantKind, write_csv
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -405,24 +404,9 @@ def screen_all(
 
 def write_screen_csv(cells: list[ScreenCell], path: str) -> None:
     """Tidy CSV of the screening table; failed cells keep empty value fields."""
-
-    def fmt(v):
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["city", "measure", "pollutant", "r", "r2", "p", "band", "dtw_distance", "n"]
-        )
-        for c in cells:
-            writer.writerow([
-                c.city,
-                c.measure.value,
-                c.pollutant.value,
-                fmt(c.r),
-                fmt(c.r_squared),
-                fmt(c.p_value),
-                "" if c.band is None else c.band.value,
-                fmt(c.dtw_distance),
-                str(c.n),
-            ])
+    header = ["city", "measure", "pollutant", "r", "r2", "p", "band", "dtw_distance", "n"]
+    write_csv(path, [header] + [
+        [c.city, c.measure.value, c.pollutant.value, c.r, c.r_squared, c.p_value,
+         None if c.band is None else c.band.value, c.dtw_distance, c.n]
+        for c in cells
+    ])

@@ -26,9 +26,7 @@ pipeline sees the planted relationship undistorted.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
 import os
 from dataclasses import dataclass
 
@@ -43,6 +41,8 @@ from .dataset import (
     period_start_date,
     periods_in_year,
     resample_to_periods,
+    write_csv,
+    write_json,
 )
 from .errors import DomainError
 from .ingest import DensityGrid, grid_stats, write_grid
@@ -157,12 +157,10 @@ def generate_city(
 def _write_policy_csv(path: str, levels: dict[MeasureKind, list[int]], year: int) -> None:
     start = dt.date(year, 1, 1)
     n_days = len(next(iter(levels.values())))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + [m.value for m in MEASURES])
-        for i in range(n_days):
-            date = (start + dt.timedelta(days=i)).isoformat()
-            writer.writerow([date] + [str(levels[m][i]) for m in MEASURES])
+    write_csv(path, [["date"] + [m.value for m in MEASURES]] + [
+        [(start + dt.timedelta(days=i)).isoformat()] + [levels[m][i] for m in MEASURES]
+        for i in range(n_days)
+    ])
 
 
 def _write_density_csv(
@@ -170,15 +168,12 @@ def _write_density_csv(
     series: dict[PollutantKind, tuple[list[float], list[float]]],
     year: int,
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "pollutant", "mean", "std"])
-        n_periods = periods_in_year(year)
-        for p in POLLUTANTS:
-            means, stds = series[p]
-            for t in range(n_periods):
-                date = period_start_date(year, t).isoformat()
-                writer.writerow([date, p.value, repr(float(means[t])), repr(float(stds[t]))])
+    rows = [["date", "pollutant", "mean", "std"]]
+    for p in POLLUTANTS:
+        means, stds = series[p]
+        rows += [[period_start_date(year, t).isoformat(), p.value, means[t], stds[t]]
+                 for t in range(periods_in_year(year))]
+    write_csv(path, rows)
 
 
 def _write_grids(
@@ -273,9 +268,7 @@ def generate(
         "seed": seed,
     }
     config_path = os.path.join(out_dir, "config.json")
-    with open(config_path, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_path, config)
     return SynthResult(
         out_dir=out_dir,
         config_path=config_path,

@@ -153,22 +153,23 @@ def _dnn_params_edited(edit):
 
 @pytest.mark.parametrize("text, says", [
     (_dnn_params_edited(lambda p: p["layers"][0].update(W=p["layers"][0]["W"][:3])),
-     "dnn layer 0 must have a 10 x 20 W"),
+     "dnn layer 0 W must be 10 x 20 finite numbers"),
     (_dnn_params_edited(lambda p: p.update(layers=p["layers"][:2])),
      "dnn model must have 4 layers"),
     (_dnn_params_edited(lambda p: p.update(layers=[])), "dnn model must have 4 layers"),
     (_dnn_params_edited(lambda p: p["layers"][3].update(b=[0.0])),
-     "dnn layer 3 must have a 20 x 2 W and 2 b values"),
-    (_dnn_params_edited(lambda p: p.update(in_span=[1.0])), "dnn in_span must have 10 values"),
+     "dnn layer 3 b must be 2 finite numbers"),
+    (_dnn_params_edited(lambda p: p.update(in_span=[1.0])),
+     "dnn in_span must be 10 finite numbers"),
     (_dnn_params_edited(lambda p: p["layers"][1]["W"][0].__setitem__(0, None)),
-     "dnn model values must be finite"),
+     "dnn layer 1 W must be 20 x 10 finite numbers"),
     (_dnn_params_edited(lambda p: p["tg_span"].__setitem__(0, 0.0)),
      "dnn in_span and tg_span must be positive"),
     (lambda doc: "[" * 100_000, "RecursionError"),
     (_dnn_params_edited(lambda p: p["layers"][0]["W"][0].__setitem__(0, "0.5")),
-     "dnn model values must be finite numbers"),
+     "dnn layer 0 W must be 10 x 20 finite numbers"),
     (_dnn_params_edited(lambda p: p["in_span"].__setitem__(0, True)),
-     "dnn model values must be finite numbers"),
+     "dnn in_span must be 10 finite numbers"),
 ], ids=["W-3-rows", "two-layers", "no-layers", "b-1-value", "in_span-1-value",
         "null-weight", "zero-span", "deep-nesting", "string-weight", "true-in-span"])
 def test_malformed_dnn_model_file_is_exit_2_without_traceback(dnn_run, text, says):

@@ -721,6 +721,16 @@ def test_saved_file_is_model_json_and_a_plain_dump(spec, tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
+def _save_peak(model, path) -> int:
+    """tracemalloc's peak in bytes while ``save_model`` writes ``model``."""
+    tracemalloc.start()
+    try:
+        models.save_model(model, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_saving_a_forest_holds_less_than_its_file(tmp_path):
     """A default 100-tree forest is written tree by tree: tracemalloc's peak
     while saving stays below the size of the file, not a whole document's
@@ -728,14 +738,18 @@ def test_saving_a_forest_holds_less_than_its_file(tmp_path):
     X, Y = random_problem(334, n=120, d=6)
     model = fit_arrays(ModelSpec(kind="rfr"), X, Y, IDENTITY_SCALING)
     path = str(tmp_path / "rfr.json")
-    tracemalloc.start()
-    try:
-        models.save_model(model, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _save_peak(model, path)
     assert len(model.trees) == 100
     assert peak < os.path.getsize(path)
+
+
+def test_saving_knn_holds_less_than_its_file(tmp_path):
+    """knn's training rows are written row by row, so saving a model of
+    580 x 10 rows holds less than the file, not the rows as nested lists."""
+    X, Y = random_problem(335, n=580, d=10)
+    model = fit_arrays(ModelSpec(kind="knn"), X, Y, IDENTITY_SCALING)
+    path = str(tmp_path / "knn.json")
+    assert _save_peak(model, path) < os.path.getsize(path)
 
 
 def test_model_json_guards():
