@@ -7,7 +7,6 @@ from .dataset import (
     POLLUTANTS,
     CityDataset,
     MeasureKind,
-    PeriodRecord,
     PollutantKind,
     build_supervised,
     periods_in_year,
@@ -27,7 +26,6 @@ __all__ = [
     "N_FEATURES",
     "N_TARGETS",
     "POLLUTANTS",
-    "PeriodRecord",
     "PollutantKind",
     "band_of",
     "build_supervised",

@@ -20,9 +20,9 @@ import numpy as np
 from . import evaluation, models, report, similarity, synth
 from .config import PipelineConfig, default_max_levels, load_config
 from .dataset import (
+    POLLUTANTS,
     CityDataset,
     PollutantKind,
-    feature_row,
     read_city_csv,
     write_city_csv,
     write_csv,
@@ -120,10 +120,10 @@ def cmd_ingest(args) -> int:
     for ds in datasets:
         write_city_csv(ds, _city_csv_path(config.out_dir, ds.city_name))
     for ds in datasets:
-        n_measures = sum(1 for r in ds.records if r.has_all_measures())
+        n_measures = np.count_nonzero(~np.isnan(ds.measures).any(axis=1))
+        present = np.count_nonzero(~np.isnan(ds.stats[:, :, 0]), axis=0)
         cover = " ".join(
-            f"{p.value}={sum(1 for r in ds.records if p in r.pollutant_stats)}"
-            for p in config.pollutants
+            f"{p.value}={present[POLLUTANTS.index(p)]}" for p in config.pollutants
         )
         print(f"{ds.city_name}: {len(ds)} periods, complete-measure periods "
               f"{n_measures}, {cover}")
@@ -175,19 +175,18 @@ def cmd_screen(args) -> int:
 def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
     """Return (city, period, inputs, prediction) for the next period.
 
-    The inputs are the latest record (over cities in order) with all 10
+    The inputs are the latest period (over cities in order) with all 10
     features present; None when there is none.
     """
     found = None
     for ds in ds_list:
-        for rec in ds.records:
-            x = feature_row(rec, pollutant)
-            if x is not None:
-                found = (ds.city_name, rec.period_index, x)
+        rows = ds.features(pollutant)
+        complete = np.flatnonzero(~np.isnan(rows).any(axis=1))
+        if complete.size:
+            found = ds.city_name, int(complete[-1]), rows[complete[-1]]
     if found is None:
         return None
     city, period, x = found
-    x = np.array(x, dtype=np.float64)
     return city, period, x, models.predict(model, x)[0]
 
 

@@ -15,7 +15,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,80 +98,58 @@ def period_start_date(year: int, period_index: int) -> dt.date:
     return dt.date(year, 1, 1) + dt.timedelta(days=2 * period_index)
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    """One 2-day period: measure intensities plus per-pollutant (mean, std).
-
-    Both maps may be partial; a missing entry means the underlying data was
-    absent for the period, and downstream consumers skip rather than
-    interpolate. Intensities must lie in [0, 1]; stds must be >= 0; all
-    values must be finite.
-    """
-
-    period_index: int
-    start_date: dt.date
-    measures: dict[MeasureKind, float] = field(default_factory=dict)
-    pollutant_stats: dict[PollutantKind, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.period_index < 0:
-            raise DomainError(f"negative period index {self.period_index}")
-        for kind, v in self.measures.items():
-            if not math.isfinite(v) or v < 0.0 or v > 1.0:
-                raise DomainError(f"intensity {v!r} for {kind.value} outside [0, 1]")
-        for kind, (mean, std) in self.pollutant_stats.items():
-            if not math.isfinite(mean):
-                raise DomainError(f"non-finite mean for {kind.value}")
-            if not math.isfinite(std) or std < 0.0:
-                raise DomainError(f"invalid std {std!r} for {kind.value}")
-
-    def has_all_measures(self) -> bool:
-        return len(self.measures) == len(MEASURES)
-
-    def has_pollutant(self, pollutant: PollutantKind) -> bool:
-        return pollutant in self.pollutant_stats
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CityDataset:
-    """Ordered, gap-free run of PeriodRecords for one city-year.
+    """One city-year as two arrays whose row t is period t.
 
-    Missing data appears as absent map entries inside records, never as
-    absent records, so a fully ingested leap year always has 183 records.
-    ``center`` is (longitude, latitude) in degrees; the analysis box is the
-    square of half-width ``box_half_width`` degrees around it (side = twice
-    the half-width).
+    ``measures`` holds periods x 8 intensities in ``MEASURES`` order and
+    ``stats`` periods x 4 x (mean, std) in ``POLLUTANTS`` order. NaN marks
+    an absent entry: data gaps stay inside the arrays, and downstream
+    consumers skip them rather than interpolate, so a fully ingested year
+    always has 183 rows. ``center`` is (longitude, latitude) in degrees;
+    the analysis box is the square of half-width ``box_half_width`` degrees
+    around it (side = twice the half-width).
     """
 
     city_name: str
     year: int
-    records: tuple[PeriodRecord, ...]
+    measures: np.ndarray
+    stats: np.ndarray
     center: tuple[float, float] = (0.0, 0.0)
     box_half_width: float = 0.25
 
     def __post_init__(self):
         if not self.city_name:
             raise DomainError("city_name must be non-empty")
-        n_periods = periods_in_year(self.year)
-        prev = None
-        for rec in self.records:
-            if rec.period_index >= n_periods:
-                raise DomainError(
-                    f"period {rec.period_index} outside year {self.year}"
-                )
-            if prev is not None and rec.period_index != prev + 1:
-                raise DomainError(
-                    f"records not consecutive: {prev} then {rec.period_index}"
-                )
-            expected = period_start_date(self.year, rec.period_index)
-            if rec.start_date != expected:
-                raise DomainError(
-                    f"period {rec.period_index} start {rec.start_date} != {expected}"
-                )
-            prev = rec.period_index
+        n = len(self.measures)
+        if (self.measures.shape != (n, len(MEASURES))
+                or self.stats.shape != (n, len(POLLUTANTS), 2)):
+            raise ShapeError(f"measures {self.measures.shape} and stats "
+                             f"{self.stats.shape} are not n x 8 and n x 4 x 2")
+        if n > periods_in_year(self.year):
+            raise DomainError(f"{n} periods outside year {self.year}")
+        for kind, v in zip(MEASURES, self.measures.T):
+            bad = v[~(np.isnan(v) | (v >= 0.0) & (v <= 1.0))]
+            if bad.size:
+                raise DomainError(f"intensity {float(bad[0])!r} for {kind.value} outside [0, 1]")
+        for kind, (mean, std) in zip(POLLUTANTS, self.stats.transpose(1, 2, 0)):
+            absent = np.isnan(mean)
+            if (absent != np.isnan(std)).any():
+                raise DomainError(f"{kind.value} mean and std must be present together")
+            if np.isinf(mean).any():
+                raise DomainError(f"non-finite mean for {kind.value}")
+            bad = std[~(absent | (std >= 0.0) & (std < np.inf))]
+            if bad.size:
+                raise DomainError(f"invalid std {float(bad[0])!r} for {kind.value}")
+        self.measures.setflags(write=False)
+        self.stats.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.measures)
+
+    def features(self, pollutant: PollutantKind) -> np.ndarray:
+        """Periods x 10 input rows in the canonical layout, NaN where absent."""
+        return np.hstack([self.measures, self.stats[:, POLLUTANTS.index(pollutant)]])
 
 
 def group_by_period(rows, year: int) -> list[tuple[int, list]]:
@@ -218,13 +196,6 @@ def feature_names(pollutant: PollutantKind) -> list[str]:
 
 def target_names(pollutant: PollutantKind) -> list[str]:
     return [f"{pollutant.value}_mean_next", f"{pollutant.value}_std_next"]
-
-
-def feature_row(rec: PeriodRecord, pollutant: PollutantKind) -> list[float] | None:
-    """One input row in the canonical layout, or None if any feature is absent."""
-    if not (rec.has_all_measures() and rec.has_pollutant(pollutant)):
-        return None
-    return [rec.measures[m] for m in MEASURES] + list(rec.pollutant_stats[pollutant])
 
 
 def affine_fit(M: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -339,28 +310,23 @@ def build_supervised(
     constituent is present at both ends; incomplete pairs are dropped, never
     filled in. Cities never mix inside a pair.
     """
-    rows_x: list[list[float]] = []
-    rows_y: list[list[float]] = []
+    xs: list[np.ndarray] = []
+    ys: list[np.ndarray] = []
     prov: list[tuple[str, int]] = []
     pollutant_seen = False
     for ds in city_sets:
-        for rec, nxt in zip(ds.records, ds.records[1:]):
-            pollutant_seen = pollutant_seen or rec.has_pollutant(pollutant)
-            x = feature_row(rec, pollutant)
-            if x is None or not nxt.has_pollutant(pollutant):
-                continue
-            rows_x.append(x)
-            rows_y.append(list(nxt.pollutant_stats[pollutant]))
-            prov.append((ds.city_name, rec.period_index))
-        if ds.records:
-            pollutant_seen = pollutant_seen or ds.records[-1].has_pollutant(pollutant)
+        rows = ds.features(pollutant)
+        present = ~np.isnan(rows)
+        pollutant_seen = pollutant_seen or present[:, -1].any()
+        t = np.flatnonzero(present[:-1].all(axis=1) & present[1:, -1])
+        xs.append(rows[t])
+        ys.append(rows[t + 1, -2:])
+        prov.extend((ds.city_name, int(i)) for i in t)
     if not pollutant_seen:
         raise EmptyDatasetError(
-            f"pollutant {pollutant.value} absent from every record"
+            f"pollutant {pollutant.value} absent from every period"
         )
-    inputs = np.array(rows_x, dtype=np.float64).reshape(-1, N_FEATURES)
-    targets = np.array(rows_y, dtype=np.float64).reshape(-1, N_TARGETS)
-    return SupervisedSet(pollutant, inputs, targets, tuple(prov))
+    return SupervisedSet(pollutant, np.concatenate(xs), np.concatenate(ys), tuple(prov))
 
 
 def fit_scaling(sset: SupervisedSet, mode: str = "min_max") -> ScalingSpec:
@@ -497,15 +463,13 @@ def _city_header() -> list[str]:
 def write_city_csv(ds: CityDataset, path: str) -> None:
     """Write one city to CSV plus a .meta.json sidecar with its metadata.
 
-    Missing measure or pollutant entries become empty fields.
+    Absent measure or pollutant entries become empty fields.
     """
     rows = [_city_header()]
-    for rec in ds.records:
-        row = [rec.period_index, rec.start_date.isoformat()]
-        row += [rec.measures.get(m) for m in MEASURES]
-        for p in POLLUTANTS:
-            row += rec.pollutant_stats.get(p, (None, None))
-        rows.append(row)
+    values = np.hstack([ds.measures, ds.stats.reshape(len(ds), -1)]).tolist()
+    for t, row in enumerate(values):
+        rows.append([t, period_start_date(ds.year, t).isoformat()]
+                    + [None if math.isnan(v) else v for v in row])
     write_csv(path, rows)
     write_json(_meta_path(path), {
         "city_name": ds.city_name,
@@ -519,8 +483,23 @@ def _meta_path(csv_path: str) -> str:
     return csv_path + ".meta.json"
 
 
+def _city_value(cell: str) -> float:
+    """A city-file cell: empty is absent (NaN), anything else a finite number."""
+    if cell == "":
+        return math.nan
+    v = float(cell)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {cell!r}")
+    return v
+
+
 def read_city_csv(path: str) -> CityDataset:
-    """Reload a city written by write_city_csv."""
+    """Reload a city written by write_city_csv.
+
+    Row t must be period t with its start date, from period 0 on; a cell
+    is empty or a finite number, and a mean or std without its partner
+    reads as absent.
+    """
     meta = read_meta(_meta_path(path), {
         "city_name": str,
         # A year the calendar can hold; date() rejects the others.
@@ -536,31 +515,28 @@ def read_city_csv(path: str) -> CityDataset:
     if header != expected:
         missing = [c for c in expected if c not in header]
         raise SchemaError(missing or expected, path=path)
-    records = []
-    for line, row in rows[1:]:
+    values = np.empty((len(rows) - 1, len(expected) - 2))
+    for t, (line, row) in enumerate(rows[1:]):
         if len(row) != len(expected):
             raise MalformedInputError(path, line, f"{len(row)} cells, header has {len(expected)}")
         try:
-            period_index = int(row[0])
-            start = parse_date(row[1])
-            measures = {}
-            for k, m in enumerate(MEASURES):
-                cell = row[2 + k]
-                if cell != "":
-                    measures[m] = float(cell)
-            stats = {}
-            for k, p in enumerate(POLLUTANTS):
-                mc = row[2 + len(MEASURES) + 2 * k]
-                sc = row[2 + len(MEASURES) + 2 * k + 1]
-                if mc != "" and sc != "":
-                    stats[p] = (float(mc), float(sc))
-            records.append(PeriodRecord(period_index, start, measures, stats))
+            if int(row[0]) != t:
+                raise ValueError(f"period {row[0]} where period {t} belongs")
+            if parse_date(row[1]) != period_start_date(meta["year"], t):
+                raise ValueError(f"start date {row[1]} is not that of period {t}")
+            values[t] = [_city_value(cell) for cell in row[2:]]
         except ValueError as exc:
             raise MalformedInputError(path, line, exc) from None
-    return CityDataset(
-        city_name=meta["city_name"],
-        year=meta["year"],
-        records=tuple(records),
-        center=meta["center"],
-        box_half_width=meta["box_half_width"],
-    )
+    stats = values[:, len(MEASURES):].reshape(len(values), len(POLLUTANTS), 2)
+    stats[np.isnan(stats).any(axis=2)] = math.nan
+    try:
+        return CityDataset(
+            city_name=meta["city_name"],
+            year=meta["year"],
+            measures=values[:, :len(MEASURES)],
+            stats=stats,
+            center=meta["center"],
+            box_half_width=meta["box_half_width"],
+        )
+    except DomainError as exc:
+        raise MalformedInputError(path, None, exc) from None

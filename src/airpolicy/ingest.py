@@ -19,13 +19,11 @@ from .dataset import (
     POLLUTANTS,
     CityDataset,
     MeasureKind,
-    PeriodRecord,
     PollutantKind,
     DEFAULT_MAX_LEVEL,
     group_by_period,
     normalize_measure,
     parse_date,
-    period_start_date,
     periods_in_year,
     read_csv_rows,
     read_meta,
@@ -289,42 +287,30 @@ def build_city_dataset(
 
     ``densities`` maps each pollutant to per-period (index, mean, std) rows
     as produced by aggregate_periods. Policy rows outside the target year
-    are ignored. Every calendar period becomes a record; data gaps stay as
-    absent entries inside records.
+    are ignored. Every calendar period becomes a row; data gaps stay as
+    NaN entries.
     """
     max_levels = max_levels or {}
     n_periods = periods_in_year(year)
-    measure_by_period: dict[MeasureKind, dict[int, float]] = {}
-    for m in MEASURES:
+    measures = np.full((n_periods, len(MEASURES)), np.nan)
+    for j, m in enumerate(MEASURES):
         daily = policy.daily_series(m, max_levels.get(m, DEFAULT_MAX_LEVEL), year=year)
-        measure_by_period[m] = dict(resample_to_periods(daily, year))
-    stats_by_period: dict[PollutantKind, dict[int, tuple[float, float]]] = {}
+        for p, v in resample_to_periods(daily, year):
+            measures[p, j] = v
+    stats = np.full((n_periods, len(POLLUTANTS), 2), np.nan)
     for pollutant, rows in densities.items():
-        per = {}
+        column = stats[:, POLLUTANTS.index(pollutant)]
         for p, mean, std in rows:
             if p < 0 or p >= n_periods:
                 raise DomainError(f"period {p} outside year {year}")
-            if p in per:
+            if not np.isnan(column[p]).all():
                 raise AmbiguousInputError(f"duplicate period {p} for {pollutant.value}")
-            per[p] = (float(mean), float(std))
-        stats_by_period[pollutant] = per
-    records = []
-    for p in range(n_periods):
-        measures = {
-            m: measure_by_period[m][p] for m in MEASURES if p in measure_by_period[m]
-        }
-        stats = {
-            g: stats_by_period[g][p]
-            for g in POLLUTANTS
-            if g in stats_by_period and p in stats_by_period[g]
-        }
-        records.append(
-            PeriodRecord(p, period_start_date(year, p), measures, stats)
-        )
+            column[p] = mean, std
     return CityDataset(
         city_name=city_name,
         year=year,
-        records=tuple(records),
+        measures=measures,
+        stats=stats,
         center=center,
         box_half_width=box_half_width,
     )

@@ -75,12 +75,13 @@ class BoostModel(TrainedModel):
         return out
 
     def _params(self) -> dict:
+        # One column's nested dict at a time, as the file is written.
         return {
-            "columns": [
+            "columns": (
                 {"trees": [t.to_dict() for t in trees],
                  "alphas": [float(a) for a in alphas]}
                 for trees, alphas in self.columns
-            ]
+            )
         }
 
 

@@ -30,11 +30,6 @@ class ForestModel(TrainedModel):
             acc += tree_predict(tree, X)
         return acc / len(self.trees)
 
-    def member_predictions(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree predictions, shape (n_trees, M, output_dim)."""
-        return np.stack([tree_predict(tree, np.asarray(X, dtype=np.float64))
-                         for tree in self.trees])
-
     def _params(self) -> dict:
         # One tree's nested dict at a time, as the file is written.
         return {"roots": (tree.to_dict() for tree in self.trees)}

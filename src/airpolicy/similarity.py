@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dataset import MEASURES, CityDataset, MeasureKind, PollutantKind, write_csv
+from .dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind, write_csv
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -155,7 +155,7 @@ def pearson(x, y) -> CorrelationResult:
 
     Both inputs must have the same length n >= 3, finite values, and
     nonzero variance; a flat series has no defined correlation and raises
-    instead of pretending r = 0.
+    instead of pretending r = 0, as does a series whose moments overflow.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -168,15 +168,21 @@ def pearson(x, y) -> CorrelationResult:
         raise InsufficientDataError(f"need n >= 3, got {n}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise DomainError("series contain non-finite values")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sx = math.sqrt(float(xc @ xc) / n)
-    sy = math.sqrt(float(yc @ yc) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xa - xa.mean()
+        yc = ya - ya.mean()
+        sx = math.sqrt(float(xc @ xc) / n)
+        sy = math.sqrt(float(yc @ yc) / n)
+        sxy = float(xc @ yc)
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError(
             "zero variance leaves the correlation undefined"
         )
-    r = float(xc @ yc) / (n * sx * sy)
+    r = sxy / (n * sx * sy)
+    if not math.isfinite(r):
+        raise UndefinedCorrelationError(
+            "the moments overflow float64, leaving the correlation undefined"
+        )
     r = min(1.0, max(-1.0, r))
     return CorrelationResult(
         r=r,
@@ -309,12 +315,10 @@ def _aligned_series(
     ds: CityDataset, measure: MeasureKind, pollutant: PollutantKind
 ) -> tuple[np.ndarray, np.ndarray]:
     # Periods where both the measure and the pollutant mean are present.
-    xs, ys = [], []
-    for rec in ds.records:
-        if measure in rec.measures and pollutant in rec.pollutant_stats:
-            xs.append(rec.measures[measure])
-            ys.append(rec.pollutant_stats[pollutant][0])
-    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    x = ds.measures[:, MEASURES.index(measure)]
+    y = ds.stats[:, POLLUTANTS.index(pollutant), 0]
+    both = ~(np.isnan(x) | np.isnan(y))
+    return x[both], y[both]
 
 
 def _screen_one(
@@ -339,9 +343,13 @@ def _screen_one(
     try:
         if n == 0:
             raise ShapeError("no complete periods")
-        xa = z_normalize(x) if normalize else x
-        ya = z_normalize(y) if normalize else y
-        d = dtw(xa, ya, cost=cost, window=window).distance
+        with np.errstate(over="ignore", invalid="ignore"):
+            xa = z_normalize(x) if normalize else x
+            ya = z_normalize(y) if normalize else y
+            distance = dtw(xa, ya, cost=cost, window=window).distance
+        if not math.isfinite(distance):
+            raise DomainError("the alignment distance overflows float64")
+        d = distance
     except (ShapeError, DomainError) as exc:
         errors.append(str(exc))
     return ScreenCell(
@@ -371,14 +379,11 @@ def screen_all(
     A cell whose correlation or alignment is undefined is recorded with
     empty values and an error note; the table always completes.
     """
-    usable = False
-    for ds in city_sets:
-        count = sum(
-            1 for rec in ds.records
-            if rec.measures and pollutant in rec.pollutant_stats
-        )
-        usable = usable or count >= 3
-    if not usable:
+    g = POLLUTANTS.index(pollutant)
+    if not any(
+        np.count_nonzero(~np.isnan(ds.measures).all(axis=1) & ~np.isnan(ds.stats[:, g, 0])) >= 3
+        for ds in city_sets
+    ):
         raise InsufficientDataError(
             f"no city has 3 complete periods for {pollutant.value}"
         )

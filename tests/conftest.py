@@ -7,8 +7,6 @@ from airpolicy.dataset import (
     MEASURES,
     POLLUTANTS,
     CityDataset,
-    PeriodRecord,
-    period_start_date,
     periods_in_year,
 )
 from airpolicy.rng import SplitMix64
@@ -16,7 +14,8 @@ from airpolicy.rng import SplitMix64
 
 def make_city(name="city_x", year=2020, n_periods=None, seed=1,
               pollutants=POLLUTANTS, measure_fn=None, pollutant_fn=None):
-    """Small fully-populated city dataset for unit tests.
+    """Small fully-populated city dataset for unit tests; pollutants not in
+    ``pollutants`` are absent (NaN) throughout.
 
     measure_fn(t, measure_index) -> intensity in [0, 1]
     pollutant_fn(t, pollutant_index) -> (mean, std)
@@ -29,25 +28,17 @@ def make_city(name="city_x", year=2020, n_periods=None, seed=1,
                 for t in range(n_periods) for j in range(len(MEASURES))}
         measure_fn = lambda t, j: vals[(t, j)]
     if pollutant_fn is None:
-        stats = {(t, j): (0.02 + 0.01 * gen.uniform(), 0.001 + 0.001 * gen.uniform())
+        drawn = {(t, j): (0.02 + 0.01 * gen.uniform(), 0.001 + 0.001 * gen.uniform())
                  for t in range(n_periods) for j in range(len(POLLUTANTS))}
-        pollutant_fn = lambda t, j: stats[(t, j)]
-    records = []
+        pollutant_fn = lambda t, j: drawn[(t, j)]
+    measures = np.empty((n_periods, len(MEASURES)))
+    stats = np.full((n_periods, len(POLLUTANTS), 2), np.nan)
     for t in range(n_periods):
-        measures = {m: measure_fn(t, j) for j, m in enumerate(MEASURES)}
-        pstats = {p: pollutant_fn(t, j) for j, p in enumerate(POLLUTANTS)
-                  if p in pollutants}
-        records.append(PeriodRecord(period_index=t,
-                                    start_date=period_start_date(year, t),
-                                    measures=measures,
-                                    pollutant_stats=pstats))
-    return CityDataset(city_name=name, year=year, records=tuple(records))
-
-
-def record(year, t, measures=None, pollutant_stats=None):
-    return PeriodRecord(period_index=t, start_date=period_start_date(year, t),
-                        measures=measures or {},
-                        pollutant_stats=pollutant_stats or {})
+        measures[t] = [measure_fn(t, j) for j in range(len(MEASURES))]
+        for j, p in enumerate(POLLUTANTS):
+            if p in pollutants:
+                stats[t, j] = pollutant_fn(t, j)
+    return CityDataset(city_name=name, year=year, measures=measures, stats=stats)
 
 
 @pytest.fixture

@@ -114,7 +114,7 @@ def test_04_leap_year_calendar(capsys, tmp_path):
         assert cfg.year == 2020
         for city_cfg in cfg.cities:
             ds = ingest_city(city_cfg, cfg.year)
-            assert len(ds.records) == 183
+            assert len(ds) == 183
             assert periods_in_year(cfg.year) == 183
             for p in POLLUTANTS:
                 assert build_supervised([ds], p).n == 182
@@ -209,7 +209,7 @@ def test_06_tree_and_forest_oracles(capsys):
         spec = ModelSpec(kind="rfr", hyperparameters={"n_trees": 9}, seed=2)
         forest = fit_arrays(spec, X, Y, IDENTITY_SCALING)
         assert isinstance(forest, ForestModel)
-        member = forest.member_predictions(X)
+        member = np.stack([tree_predict(t, X) for t in forest.trees])
         np.testing.assert_allclose(forest.predict(X), member.mean(axis=0),
                                    rtol=1e-12, atol=1e-15)
         again = fit_arrays(spec, X, Y, IDENTITY_SCALING)

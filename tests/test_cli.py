@@ -1,5 +1,6 @@
 """End-to-end command-line flows on synthetic inputs."""
 
+import csv
 import datetime as dt
 import filecmp
 import importlib.util
@@ -370,11 +371,21 @@ def _drop_year(path):
         json.dump(meta, fh)
 
 
+def _skip_period(path):
+    _edit_line(path, 5, lambda b: b"")
+
+
+def _nan_cell(path):
+    _edit_line(path, 5, lambda b: b",".join([*b.split(b",")[:2], b"nan", *b.split(b",")[3:]]))
+
+
 @pytest.mark.parametrize("command, corrupt, says", [
     ("screen", _bad_period, "city_b.csv, line 5: invalid literal"),
     ("benchmark", _cut_row, "city_b.csv, line 5: 4 cells"),
     ("screen", _drop_year, "city_b.csv.meta.json: missing or bad key 'year'"),
-], ids=["bad-period", "cut-row", "no-year"])
+    ("screen", _skip_period, "city_b.csv, line 6: period 4 where period 3 belongs"),
+    ("predict", _nan_cell, "city_b.csv, line 5: non-finite value 'nan'"),
+], ids=["bad-period", "cut-row", "no-year", "skip-period", "nan-cell"])
 def test_malformed_city_file_is_exit_2(tmp_path, capsys, command, corrupt, says):
     cfg = run_synth(tmp_path, seed=0)
     out = str(tmp_path / "run")
@@ -382,6 +393,28 @@ def test_malformed_city_file_is_exit_2(tmp_path, capsys, command, corrupt, says)
     capsys.readouterr()
     corrupt(os.path.join(out, "cities", "city_b.csv"))
     assert says in _cli_input_error([command, "--config", cfg, "--out", out])
+
+
+def test_overflowing_density_means_fail_their_screen_cells(tmp_path):
+    # Two periods at 1.7e308 pass ingest, but the series' moments overflow.
+    cfg = run_synth(tmp_path, seed=0)
+    path = os.path.join(os.path.dirname(cfg), "city_d", "densities.csv")
+    for line in (2, 3):
+        _edit_line(path, line, lambda b: b",".join([*b.split(b",")[:2], b"1.7e308",
+                                                    *b.split(b",")[3:]]))
+    out = str(tmp_path / "run")
+    for command, code in (("ingest", EXIT_OK), ("screen", EXIT_PARTIAL)):
+        proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", command,
+                               "--config", cfg, "--out", out],
+                              capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    with open(os.path.join(out, "screen.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [r for r in rows if r["pollutant"] == "CO" and r["city"] in ("city_d", "pooled")]
+    assert len(failed) == 16
+    assert all(r["r"] == r["band"] == r["dtw_distance"] == "" for r in failed)
+    assert not [r for r in rows if r["r"] == "-1.0"]
 
 
 def test_benchmark_tracer_installs():

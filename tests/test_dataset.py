@@ -1,4 +1,4 @@
-"""Calendar arithmetic, record validation, supervised pairing, scaling,
+"""Calendar arithmetic, city validation, supervised pairing, scaling,
 and the on-disk city table."""
 
 import datetime as dt
@@ -15,7 +15,6 @@ from airpolicy.dataset import (
     POLLUTANTS,
     CityDataset,
     MeasureKind,
-    PeriodRecord,
     PollutantKind,
     ScalingSpec,
     apply_scaling,
@@ -35,10 +34,12 @@ from airpolicy.errors import (
     DomainError,
     EmptyDatasetError,
     InsufficientDataError,
+    MalformedInputError,
     OrdinalRangeError,
+    ShapeError,
 )
 
-from conftest import make_city, record
+from conftest import make_city
 
 
 # -- calendar ---------------------------------------------------------------
@@ -122,23 +123,59 @@ def test_resample_skips_absent_periods():
                                    period_of_date(dt.date(2021, 7, 1))]
 
 
-# -- records and datasets ---------------------------------------------------
+# -- city datasets ----------------------------------------------------------
 
-def test_period_record_validates_ranges():
-    with pytest.raises(DomainError):
-        record(2021, 0, measures={MeasureKind.RE_GAT: 1.5})
-    with pytest.raises(DomainError):
-        record(2021, 0, pollutant_stats={PollutantKind.CO: (0.1, -0.2)})
-    rec = record(2021, 3, measures={MeasureKind.RE_GAT: 0.5},
-                 pollutant_stats={PollutantKind.CO: (0.1, 0.0)})
-    assert not rec.has_all_measures()
-    assert rec.has_pollutant(PollutantKind.CO)
+def _edited(ds, measures=None, stats=None):
+    """``ds`` with copies of its arrays, each ``{index: value}`` item set."""
+    m, g = ds.measures.copy(), ds.stats.copy()
+    for index, v in (measures or {}).items():
+        m[index] = v
+    for index, v in (stats or {}).items():
+        g[index] = v
+    return CityDataset(city_name=ds.city_name, year=ds.year, measures=m, stats=g)
 
 
-def test_city_dataset_requires_consecutive_periods():
-    recs = (record(2021, 0), record(2021, 2))
-    with pytest.raises(DomainError):
-        CityDataset(city_name="x", year=2021, records=recs)
+def test_city_dataset_validates_ranges():
+    ds = make_city(n_periods=4)
+    j = MEASURES.index(MeasureKind.RE_GAT)
+    co = POLLUTANTS.index(PollutantKind.CO)
+    with pytest.raises(DomainError, match=r"intensity 1\.5 for RE_GAT outside"):
+        _edited(ds, measures={(1, j): 1.5})
+    with pytest.raises(DomainError, match="intensity inf for RE_GAT"):
+        _edited(ds, measures={(1, j): np.inf})
+    with pytest.raises(DomainError, match=r"invalid std -0\.2 for CO"):
+        _edited(ds, stats={(2, co, 1): -0.2})
+    with pytest.raises(DomainError, match="CO mean and std must be present together"):
+        _edited(ds, stats={(2, co, 1): np.nan})
+    with pytest.raises(DomainError, match="non-finite mean for CO"):
+        _edited(ds, stats={(2, co, 0): np.inf})
+    # NaN marks an absent entry: a lone measure or a whole (mean, std) pair.
+    gappy = _edited(ds, measures={(1, j): np.nan}, stats={(2, co): np.nan})
+    assert len(gappy) == 4
+    assert np.isnan(gappy.features(PollutantKind.CO)[[1, 2]]).any(axis=1).all()
+    with pytest.raises(ValueError):
+        gappy.measures[0, 0] = 0.0
+
+
+def test_city_dataset_checks_shapes_and_calendar():
+    ds = make_city(n_periods=3)
+    with pytest.raises(ShapeError):
+        CityDataset(city_name="x", year=2021, measures=ds.measures[:, :7].copy(),
+                    stats=ds.stats.copy())
+    with pytest.raises(ShapeError):
+        CityDataset(city_name="x", year=2021, measures=ds.measures.copy(),
+                    stats=ds.stats[:2].copy())
+    with pytest.raises(DomainError, match="184 periods outside year 2021"):
+        CityDataset(city_name="x", year=2021, measures=np.full((184, 8), np.nan),
+                    stats=np.full((184, 4, 2), np.nan))
+
+
+def test_features_are_the_canonical_layout():
+    ds = make_city(n_periods=5)
+    rows = ds.features(PollutantKind.SO2)
+    assert rows.shape == (5, 10)
+    assert np.array_equal(rows[:, :8], ds.measures)
+    assert np.array_equal(rows[:, 8:], ds.stats[:, POLLUTANTS.index(PollutantKind.SO2)])
 
 
 # -- supervised build -------------------------------------------------------
@@ -150,26 +187,23 @@ def test_build_supervised_pairs_consecutive_periods():
     assert sset.inputs.shape == (5, 10)
     assert sset.targets.shape == (5, 2)
     # Row t: measures at t, CO stats at t; target = CO stats at t + 1.
+    co = POLLUTANTS.index(PollutantKind.CO)
     for i in range(5):
-        rec, nxt = ds.records[i], ds.records[i + 1]
-        expect_x = [rec.measures[m] for m in MEASURES] + list(
-            rec.pollutant_stats[PollutantKind.CO])
+        expect_x = ds.measures[i].tolist() + ds.stats[i, co].tolist()
         assert sset.inputs[i].tolist() == expect_x
-        assert sset.targets[i].tolist() == list(nxt.pollutant_stats[PollutantKind.CO])
+        assert sset.targets[i].tolist() == ds.stats[i + 1, co].tolist()
         assert sset.row_provenance[i] == (ds.city_name, i)
 
 
 def test_build_supervised_drops_incomplete_pairs():
     ds = make_city(n_periods=6)
-    recs = list(ds.records)
     # Remove CO from period 3: rows 2 and 3 both lose their pair.
-    stats = dict(recs[3].pollutant_stats)
-    del stats[PollutantKind.CO]
-    recs[3] = record(ds.year, 3, measures=recs[3].measures,
-                     pollutant_stats=stats)
-    ds2 = CityDataset(city_name=ds.city_name, year=ds.year, records=tuple(recs))
+    ds2 = _edited(ds, stats={(3, POLLUTANTS.index(PollutantKind.CO)): np.nan})
     sset = build_supervised([ds2], PollutantKind.CO)
     assert [t for _, t in sset.row_provenance] == [0, 1, 4]
+    # A period missing one measure gives no input row, but still a target.
+    ds3 = _edited(ds, measures={(1, 5): np.nan})
+    assert [t for _, t in build_supervised([ds3], PollutantKind.CO).row_provenance] == [0, 2, 3, 4]
 
 
 def test_build_supervised_cities_never_mix():
@@ -273,22 +307,22 @@ def test_city_csv_round_trip_exact(tmp_path):
     assert again.city_name == ds.city_name
     assert again.year == ds.year
     assert len(again) == len(ds)
-    for a, b in zip(again.records, ds.records):
-        assert a.period_index == b.period_index
-        assert a.measures == b.measures          # repr round-trip, so exact
-        assert a.pollutant_stats == b.pollutant_stats
+    # repr round-trip, so exact
+    assert np.array_equal(again.measures, ds.measures, equal_nan=True)
+    assert np.array_equal(again.stats, ds.stats, equal_nan=True)
 
 
 def test_city_csv_preserves_gaps(tmp_path):
     ds = make_city(n_periods=5)
-    recs = list(ds.records)
-    recs[2] = record(ds.year, 2)
-    ds2 = CityDataset(city_name="gappy", year=ds.year, records=tuple(recs))
+    ds2 = _edited(ds, measures={2: np.nan}, stats={(2, g): np.nan for g in (1, 2, 3)})
     path = str(tmp_path / "gappy.csv")
     write_city_csv(ds2, path)
+    with open(path) as fh:
+        assert fh.read().splitlines()[3].startswith("2,2020-01-05,,,,,,,,,0.0")
     again = read_city_csv(path)
-    assert again.records[2].measures == {}
-    assert again.records[2].pollutant_stats == {}
+    assert np.array_equal(again.measures, ds2.measures, equal_nan=True)
+    assert np.array_equal(again.stats, ds2.stats, equal_nan=True)
+    assert np.isnan(again.measures[2]).all() and np.isnan(again.stats[2, 1:]).all()
 
 
 def test_city_csv_write_is_deterministic(tmp_path):
@@ -311,6 +345,49 @@ def test_city_csv_rejects_foreign_header(tmp_path):
     from airpolicy.errors import SchemaError
     with pytest.raises(SchemaError):
         read_city_csv(path)
+
+
+def _rewritten(tmp_path, edit):
+    """A written 4-period city file whose lines ``edit`` has changed."""
+    path = str(tmp_path / "c.csv")
+    write_city_csv(make_city(n_periods=4), path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    edit(lines)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def test_city_csv_rejects_a_skipped_period(tmp_path):
+    path = _rewritten(tmp_path, lambda lines: lines.pop(2))
+    with pytest.raises(MalformedInputError, match="c.csv, line 3: period 2 where period 1 belongs"):
+        read_city_csv(path)
+
+
+def _set_cell(lines, line, col, text):
+    cells = lines[line - 1].split(",")
+    cells[col] = text
+    lines[line - 1] = ",".join(cells)
+
+
+@pytest.mark.parametrize("col, text, says", [
+    (2, "nan", "line 2: non-finite value 'nan'"),
+    (10, "-inf", "line 2: non-finite value '-inf'"),
+    (1, "2020-01-02", "line 2: start date 2020-01-02 is not that of period 0"),
+    (1, "2020-02-30", "line 2: bad date"),
+], ids=["nan", "inf", "wrong-date", "bad-date"])
+def test_city_csv_rejects_bad_cells_naming_the_line(tmp_path, col, text, says):
+    path = _rewritten(tmp_path, lambda lines: _set_cell(lines, 2, col, text))
+    with pytest.raises(MalformedInputError, match=says):
+        read_city_csv(path)
+
+
+def test_city_csv_half_pair_reads_as_absent(tmp_path):
+    # Period 0's CO std goes; its mean stays.
+    again = read_city_csv(_rewritten(tmp_path, lambda lines: _set_cell(lines, 2, 11, "")))
+    assert np.isnan(again.stats[0, 0]).all()
+    assert not np.isnan(again.stats[1:]).any()
 
 
 def test_feature_and_target_names_shape():

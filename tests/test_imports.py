@@ -1,6 +1,8 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every exported name exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -30,3 +32,13 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", ["airpolicy", "airpolicy.models"])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    assert all(hasattr(mod, name) for name in mod.__all__), [
+        name for name in mod.__all__ if not hasattr(mod, name)]
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)

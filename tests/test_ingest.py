@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from airpolicy.dataset import (
     DEFAULT_MAX_LEVEL,
+    MEASURES,
+    POLLUTANTS,
     MeasureKind,
     PollutantKind,
     read_city_csv,
@@ -311,11 +313,14 @@ def test_build_city_dataset_full_calendar_with_gaps():
     densities = {PollutantKind.CO: [(0, 0.03, 0.001), (5, 0.04, 0.002)]}
     ds = build_city_dataset("test", 2021, policy, densities)
     assert len(ds) == 183
-    assert ds.records[0].measures[MeasureKind.RE_GAT] == 0.5
-    assert ds.records[2].measures == {}          # no policy data
-    assert ds.records[0].pollutant_stats[PollutantKind.CO] == (0.03, 0.001)
-    assert PollutantKind.CO not in ds.records[1].pollutant_stats
-    assert ds.records[5].pollutant_stats[PollutantKind.CO] == (0.04, 0.002)
+    assert ds.measures[0, MEASURES.index(MeasureKind.RE_GAT)] == 0.5
+    assert np.isnan(ds.measures[2:]).all()          # no policy data
+    co = ds.stats[:, POLLUTANTS.index(PollutantKind.CO)]
+    assert co[0].tolist() == [0.03, 0.001]
+    assert np.isnan(co[1]).all()
+    assert co[5].tolist() == [0.04, 0.002]
+    assert np.isnan(np.delete(co, [0, 5], axis=0)).all()
+    assert np.isnan(np.delete(ds.stats, POLLUTANTS.index(PollutantKind.CO), axis=1)).all()
 
 
 def test_build_city_dataset_ignores_other_year_policy_rows():
@@ -324,7 +329,7 @@ def test_build_city_dataset_ignores_other_year_policy_rows():
         (dt.date(2021, 1, 1), {m: 1 for m in MeasureKind}),
     )
     ds = build_city_dataset("t", 2021, PolicyTable(rows=rows), {})
-    assert ds.records[0].measures[MeasureKind.RE_GAT] == 0.25
+    assert ds.measures[0, MEASURES.index(MeasureKind.RE_GAT)] == 0.25
 
 
 def test_build_city_dataset_respects_per_measure_max_level():
@@ -333,7 +338,7 @@ def test_build_city_dataset_respects_per_measure_max_level():
         "t", 2021, PolicyTable(rows=rows), {},
         max_levels={MeasureKind.STAY_HOME_R: 2},
     )
-    assert ds.records[0].measures[MeasureKind.STAY_HOME_R] == 1.0
+    assert ds.measures[0, MEASURES.index(MeasureKind.STAY_HOME_R)] == 1.0
 
 
 def test_build_city_dataset_rejects_bad_periods():

@@ -263,7 +263,7 @@ def test_forest_prediction_is_member_mean():
     model = fit_arrays(ModelSpec(kind="rfr", hyperparameters={"n_trees": 7}),
                        X, Y, IDENTITY_SCALING)
     assert isinstance(model, ForestModel)
-    member = model.member_predictions(X)
+    member = np.stack([tree_predict(t, X) for t in model.trees])
     assert member.shape == (7, 50, 2)
     np.testing.assert_allclose(model.predict(X), member.mean(axis=0),
                                rtol=1e-12, atol=1e-15)
@@ -750,6 +750,16 @@ def test_saving_knn_holds_less_than_its_file(tmp_path):
     model = fit_arrays(ModelSpec(kind="knn"), X, Y, IDENTITY_SCALING)
     path = str(tmp_path / "knn.json")
     assert _save_peak(model, path) < os.path.getsize(path)
+
+
+def test_saving_madab_holds_one_column_at_a_time(tmp_path):
+    """madab's columns are written one at a time, so saving a 4-output model
+    holds less than twice what a 1-output model on the same rows holds."""
+    X, Y = random_problem(336, n=580, d=10, outputs=4)
+    spec = ModelSpec(kind="madab", hyperparameters={"estimators": 20, "base_depth": 5})
+    peaks = [_save_peak(fit_arrays(spec, X, Y[:, :k], IDENTITY_SCALING),
+                        str(tmp_path / f"madab{k}.json")) for k in (1, 4)]
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_model_json_guards():

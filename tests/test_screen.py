@@ -2,11 +2,12 @@
 and the CSV layout."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
-from airpolicy.dataset import MEASURES, MeasureKind, PollutantKind
+from airpolicy.dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind
 from airpolicy.errors import InsufficientDataError
 from airpolicy.similarity import POOLED_SCOPE, Band, screen_all, write_screen_csv
 
@@ -27,16 +28,12 @@ def planted_city(name="c1", n=40, seed=5):
     base = make_city(name=name, n_periods=n, seed=seed,
                      pollutant_fn=pollutant_fn_factory())
     # Rebuild with CO mean = linear function of the C_SCHOOL intensity.
-    from conftest import record
-    from airpolicy.dataset import CityDataset
-    recs = []
-    for rec in base.records:
-        stats = dict(rec.pollutant_stats)
-        stats[PollutantKind.CO] = (0.01 + 0.05 * rec.measures[MeasureKind.C_SCHOOL],
-                                   0.001)
-        recs.append(record(base.year, rec.period_index, measures=rec.measures,
-                           pollutant_stats=stats))
-    return CityDataset(city_name=name, year=base.year, records=tuple(recs))
+    stats = base.stats.copy()
+    school = base.measures[:, MEASURES.index(MeasureKind.C_SCHOOL)]
+    stats[:, POLLUTANTS.index(PollutantKind.CO)] = np.stack(
+        [0.01 + 0.05 * school, np.full(n, 0.001)], axis=1)
+    return CityDataset(city_name=name, year=base.year,
+                       measures=base.measures.copy(), stats=stats)
 
 
 def test_screen_all_layout_and_pooled_rows():
@@ -74,6 +71,19 @@ def test_screen_degenerate_measure_recorded_not_raised():
     assert all(c.dtw_distance is not None for c in flat)
     others = [c for c in cells if c.measure is not MEASURES[0]]
     assert all(c.error == "" for c in others)
+
+
+def test_screen_overflowed_alignment_is_a_failed_cell():
+    # Squared costs of 1e200-scale differences overflow to inf.
+    city = make_city(n_periods=20, seed=4,
+                     pollutant_fn=lambda t, j: (1e200 * (1 + t % 3), 0.001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = screen_all([city], PollutantKind.CO, cost="squared", normalize=False)
+    assert cells
+    for c in cells:
+        assert c.dtw_distance is None
+        assert "alignment distance overflows" in c.error
 
 
 def test_screen_all_requires_some_usable_city():

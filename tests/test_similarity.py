@@ -3,6 +3,7 @@ oracles: exact-rational direct-formula r, quadrature t-tails, and brute-force
 path enumeration."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,16 @@ def test_pearson_rejects_degenerate_input():
         pearson(x.reshape(1, 3), x.reshape(1, 3))
     with pytest.raises(DomainError):
         pearson(x, np.array([1.0, np.nan, 2.0]))
+
+
+def test_pearson_overflowed_moments_raise_without_warning():
+    # The centred moments overflow to inf and r to NaN, which a clamp to
+    # [-1, 1] would report as a perfect negative correlation.
+    x = [1.7e308, 1.0e308, -1.6e308, 0.5e308, 1.2e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UndefinedCorrelationError, match="overflow"):
+            pearson(x, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 @settings(max_examples=60)

@@ -50,17 +50,14 @@ def test_generated_city_ingests_to_full_calendar(tmp_path):
     res = generate(str(tmp_path), seed=1, n_cities=1)
     cfg = load_config(res.config_path)
     ds = ingest_city(cfg.cities[0], cfg.year)
-    assert len(ds.records) == periods_in_year(2020) == 183
-    for rec in ds.records:
-        assert set(rec.measures) == set(MEASURES)
-        assert set(rec.pollutant_stats) == set(POLLUTANTS)
-        for v in rec.measures.values():
-            # Ordinal levels over max level 4 land on multiples of 1/4,
-            # and period averaging of two days can halve that.
-            assert 0.0 <= v <= 1.0
-            assert (v * 8) == pytest.approx(round(v * 8), abs=1e-12)
-        for mean, std in rec.pollutant_stats.values():
-            assert std >= 0.0
+    assert len(ds) == periods_in_year(2020) == 183
+    assert not np.isnan(ds.measures).any()
+    assert not np.isnan(ds.stats).any()
+    # Ordinal levels over max level 4 land on multiples of 1/4,
+    # and period averaging of two days can halve that.
+    assert ((ds.measures >= 0.0) & (ds.measures <= 1.0)).all()
+    np.testing.assert_allclose(ds.measures * 8, np.round(ds.measures * 8), rtol=0, atol=1e-12)
+    assert (ds.stats[:, :, 1] >= 0.0).all()
 
 
 def test_same_seed_same_bytes(tmp_path):
@@ -102,13 +99,10 @@ def test_seed_0_input_bytes_match_golden_digest(tmp_path, kwargs, digest):
 
 
 def pooled_r(ds_list, measure, pollutant):
-    xs, ys = [], []
-    for ds in ds_list:
-        for rec in ds.records:
-            if measure in rec.measures and pollutant in rec.pollutant_stats:
-                xs.append(rec.measures[measure])
-                ys.append(rec.pollutant_stats[pollutant][0])
-    return pearson(np.array(xs), np.array(ys)).r
+    x = np.concatenate([ds.measures[:, MEASURES.index(measure)] for ds in ds_list])
+    y = np.concatenate([ds.stats[:, POLLUTANTS.index(pollutant), 0] for ds in ds_list])
+    both = ~(np.isnan(x) | np.isnan(y))
+    return pearson(x[both], y[both]).r
 
 
 def test_linear_profile_plants_detectable_couplings(tmp_path):
@@ -157,12 +151,11 @@ def test_emit_grids_route_matches_csv_route(tmp_path):
             entries.append((date, read_grid(os.path.join(pdir, fname))))
         densities[p] = aggregate_periods(entries, cfg.year, mode="per_grid")
     grid_ds = build_city_dataset(city.name, cfg.year, table, densities)
-    assert len(grid_ds.records) == len(csv_ds.records)
-    for ra, rb in zip(grid_ds.records, csv_ds.records):
-        assert ra.measures == rb.measures
-        for p in POLLUTANTS:
-            # The density CSV holds the realized grid statistics verbatim.
-            assert ra.pollutant_stats[p] == rb.pollutant_stats[p]
+    assert len(grid_ds) == len(csv_ds)
+    assert np.array_equal(grid_ds.measures, csv_ds.measures, equal_nan=True)
+    # The density CSV holds the realized grid statistics verbatim.
+    assert not np.isnan(grid_ds.stats).any()
+    assert np.array_equal(grid_ds.stats, csv_ds.stats)
 
 
 def test_generate_rejects_bad_arguments(tmp_path):
@@ -179,6 +172,6 @@ def test_common_year_calendar(tmp_path):
     cfg = load_config(res.config_path)
     assert cfg.year == 2021
     ds = ingest_city(cfg.cities[0], 2021)
-    assert len(ds.records) == 183
-    # Final period of a 365-day year covers a single day.
-    assert ds.records[-1].period_index == 182
+    assert len(ds) == 183
+    # Final period of a 365-day year covers a single day, and has data.
+    assert not np.isnan(ds.measures[182]).any()
