@@ -13,7 +13,7 @@ from .dataset import (
     resample_to_periods,
 )
 from .errors import AirPolicyError
-from .similarity import Band, band_of, dtw, pearson, screen_all
+from .similarity import Band, band_of, dtw, pearson, screen_all, screen_many
 
 __version__ = "0.1.0"
 
@@ -34,5 +34,6 @@ __all__ = [
     "periods_in_year",
     "resample_to_periods",
     "screen_all",
+    "screen_many",
     "__version__",
 ]

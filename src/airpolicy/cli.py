@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, models, report, similarity, synth
+from . import evaluation, models, report, similarity, synth, workers
 from .config import PipelineConfig, default_max_levels, load_config
 from .dataset import (
     POLLUTANTS,
@@ -149,14 +149,13 @@ def _read_cities(config: PipelineConfig) -> list[CityDataset]:
 def cmd_screen(args) -> int:
     config = _load(args)
     city_sets = _read_cities(config)
-    all_cells = []
-    for p in config.pollutants:
-        all_cells.extend(similarity.screen_all(
-            city_sets, p,
-            cost=config.dtw_cost,
-            normalize=config.dtw_normalize,
-            window=config.dtw_window,
-        ))
+    all_cells = similarity.screen_many(
+        city_sets, list(config.pollutants),
+        cost=config.dtw_cost,
+        normalize=config.dtw_normalize,
+        window=config.dtw_window,
+        jobs=args.jobs,
+    )
     similarity.write_screen_csv(all_cells, os.path.join(config.out_dir, "screen.csv"))
     report.write_figure(report.figure_r2(all_cells), config.out_dir)
     report.write_figure(report.figure_dtw(all_cells), config.out_dir)
@@ -290,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config and env)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="benchmark: worker processes, at most one per pollutant "
-                            "(default 1); other commands ignore it")
+        p.add_argument("--jobs", type=int, default=workers.default_jobs(),
+                       help="screen and benchmark: worker processes, at most one per "
+                            "pollutant (default: the CPUs this process may use); other "
+                            "commands ignore it")
         p.add_argument("--set", action="append", metavar="K=V",
                        help="dotted config override, e.g. split.test_fraction=0.3")
 

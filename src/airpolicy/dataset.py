@@ -334,15 +334,18 @@ def fit_scaling(sset: SupervisedSet, mode: str = "min_max") -> ScalingSpec:
 
     min_max maps each column onto [0, 1]; z_score centers to zero mean and
     unit population std. A column that cannot be scaled (constant under
-    min_max, zero variance under z_score) raises and names the offending
-    column.
+    min_max, zero variance under z_score, or an offset or scale that
+    overflows float64) raises and names the offending column.
     """
     if sset.n < 2:
         raise InsufficientDataError(f"need at least 2 rows to fit scaling, got {sset.n}")
-    in_off, in_sc = affine_fit(sset.inputs, mode)
-    tg_off, tg_sc = affine_fit(sset.targets, mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_off, in_sc = affine_fit(sset.inputs, mode)
+        tg_off, tg_sc = affine_fit(sset.targets, mode)
     names = feature_names(sset.pollutant) + target_names(sset.pollutant)
-    for name, s in zip(names, [*in_sc, *tg_sc]):
+    for name, off, s in zip(names, [*in_off, *tg_off], [*in_sc, *tg_sc]):
+        if not (math.isfinite(off) and math.isfinite(s)):
+            raise DomainError(f"scaling column {name} overflows float64")
         if not (s > 0.0):
             raise DegenerateColumnError(name)
     return ScalingSpec(

@@ -5,30 +5,23 @@ random splits); a seeded random split exists for parity experiments. RMSE
 is always reported in original units: when a scaling mode is configured it
 is fitted on training rows only and predictions are inverted before
 scoring. Each pollutant's rows are built, split and scaled once. The
-pollutants are dealt into shares, one per process (``jobs``); in a share,
-each learner makes one fit call over all its pollutants' shared data, so
-the dnn trains them in lockstep. A forked worker writes its results to an
-unnamed temporary file for this process to read back. A failed cell,
-including one whose predictions are not finite or whose learner raised a
-numeric error (``LinAlgError``, ``FloatingPointError``), is recorded in
-the report instead of aborting the run.
+pollutants are dealt into shares, one per process (``jobs``, through
+``workers.run_shares``); in a share, each learner makes one fit call over
+all its pollutants' shared data, so the dnn trains them in lockstep. A
+failed cell, including one whose predictions are not finite or whose
+learner raised a numeric error (``LinAlgError``, ``FloatingPointError``),
+is recorded in the report instead of aborting the run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
-import tempfile
-import traceback
 from dataclasses import dataclass, field, replace
-from typing import NoReturn
 
 import numpy as np
 
-from . import models
+from . import models, workers
 from .dataset import (
     POLLUTANTS,
     CityDataset,
@@ -223,49 +216,6 @@ def _run_share(share, specs: list[ModelSpec]):
             yield from _run_cell(ready, spec)
 
 
-def _serve(share, specs: list[ModelSpec], out) -> NoReturn:
-    """Worker body: append each result to the file ``out`` as it is made, then exit.
-
-    Each result is one protocol-4 pickle, flushed at once so that the
-    results made before a crash count as sent. Protocol 4, not 5: protocol
-    5 rebuilds each of a tree's five arrays as a view onto its own buffer
-    object, so an unpickled 100-tree forest fitted on 580 x 10 rows holds
-    610 KB instead of 373 KB (tracemalloc), from a pickle of about the
-    same size (315 KB against 319 KB). An unexpected exception
-    is written as its traceback text. The process ends in ``os._exit`` on
-    every path, so it never returns into the caller's stack.
-    """
-    status = 1
-    try:
-        for result in _run_share(share, specs):
-            pickle.dump(result, out, protocol=4)
-            out.flush()
-        status = 0
-    except Exception:
-        pickle.dump(traceback.format_exc(), out, protocol=4)
-        out.flush()
-    finally:
-        os._exit(status)
-
-
-def _read_back(share, n_specs: int, out) -> list:
-    """The results a finished worker wrote to ``out``; raises unless all are there."""
-    who = ", ".join(p.value for p, _ in share)
-    results = []
-    out.seek(0)
-    try:
-        while True:
-            results.append(pickle.load(out))
-    except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
-        pass
-    if results and isinstance(results[-1], str):
-        raise RuntimeError(f"benchmark worker for {who} failed:\n{results[-1]}")
-    unsent = len(share) * n_specs - len(results)
-    if unsent:
-        raise RuntimeError(f"benchmark worker for {who} ended with {unsent} results unsent")
-    return results
-
-
 def run_benchmark(
     city_sets: list[CityDataset],
     pollutants: list[PollutantKind],
@@ -277,44 +227,18 @@ def run_benchmark(
     """Score every (pollutant, learner) cell; failures become report rows.
 
     Each pollutant's data is prepared once, in this process, and shared by
-    its learners. The pollutants are dealt round-robin into
-    ``min(jobs, len(pollutants))`` shares: this process runs share 0 and a
-    forked worker runs each other share on the inherited data, writing its
-    results to an unnamed temporary file. Once its own share is done, this
-    process waits for each worker in turn and reads its file back; a worker
-    that failed or ended before writing all its results raises
-    ``RuntimeError``, and any worker still running is then killed. Every
-    cell seeds from its own spec, so the result does not depend on
-    ``jobs``. The report is sorted by canonical pollutant order then
-    learner order.
+    its learners. ``workers.run_shares`` deals the pollutants into
+    ``min(jobs, len(pollutants))`` shares and runs all but the first in
+    forked workers; a worker that failed or ended before writing all its
+    results raises ``RuntimeError``. Every cell seeds from its own spec, so
+    the result does not depend on ``jobs``. The report is sorted by
+    canonical pollutant order then learner order.
     """
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
     specs = sorted(specs, key=lambda spec: KINDS.index(spec.kind))
     prepared = [(p, _prepare(city_sets, p, split_spec, scaling_mode))
                 for p in sorted(pollutants, key=POLLUTANTS.index)]
-    n = max(1, min(jobs, len(prepared)))
-    shares = [prepared[i::n] for i in range(n)]
-    results: list[tuple[EvalCell, TrainedModel | None]] = []
-    files, pids = [], []  # every worker's results file; the workers not yet reaped
-    try:
-        for share in shares[1:]:
-            files.append(tempfile.TemporaryFile())
-            pid = os.fork()
-            if pid == 0:
-                _serve(share, specs, files[-1])
-            pids.append(pid)
-        results.extend(_run_share(shares[0], specs))
-        for share, out in zip(shares[1:], files):
-            os.waitpid(pids[0], 0)
-            del pids[0]
-            results.extend(_read_back(share, len(specs), out))
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for out in files:
-            out.close()
+    results = workers.run_shares("benchmark", prepared, jobs,
+                                 lambda share: _run_share(share, specs), len(specs))
     results.sort(key=lambda r: (POLLUTANTS.index(r[0].pollutant), KINDS.index(r[0].kind)))
     trained = {
         (cell.pollutant, cell.kind): model

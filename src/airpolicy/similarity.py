@@ -4,7 +4,8 @@ Correlation uses population moments and a two-tailed significance from the
 Student-t null distribution, evaluated through a self-contained regularized
 incomplete beta function (continued fraction), so no statistics dependency
 is involved. Alignment uses the classic monotone dynamic-programming
-recurrence over pointwise costs with path recovery.
+recurrence over pointwise costs with path recovery. ``screen_many``
+screens several pollutants in worker processes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, workers
 from .dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind, write_csv
 from .errors import (
     DomainError,
@@ -150,12 +151,25 @@ def two_tailed_p(r: float, n: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` times 2**-e, and e, where e is the exponent of a's largest magnitude.
+
+    Every scaled entry is below 1 in magnitude, so moments can neither
+    overflow nor, for a series that is not flat, vanish. A power of two
+    scales exactly, so wherever the scaled entries stay normal, moments,
+    r and z-scores keep the bits they have without the scaling.
+    """
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a, -e), e
+
+
 def pearson(x, y) -> CorrelationResult:
     """Population-moment Pearson correlation with significance and band.
 
     Both inputs must have the same length n >= 3, finite values, and
     nonzero variance; a flat series has no defined correlation and raises
-    instead of pretending r = 0, as does a series whose moments overflow.
+    instead of pretending r = 0. Each series is scaled by a power of two
+    first, so any finite scale gives its true r.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -168,22 +182,16 @@ def pearson(x, y) -> CorrelationResult:
         raise InsufficientDataError(f"need n >= 3, got {n}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise DomainError("series contain non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        xc = xa - xa.mean()
-        yc = ya - ya.mean()
-        sx = math.sqrt(float(xc @ xc) / n)
-        sy = math.sqrt(float(yc @ yc) / n)
-        sxy = float(xc @ yc)
+    xa, ya = _unit_scaled(xa)[0], _unit_scaled(ya)[0]
+    xc = xa - xa.mean()
+    yc = ya - ya.mean()
+    sx = math.sqrt(float(xc @ xc) / n)
+    sy = math.sqrt(float(yc @ yc) / n)
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError(
             "zero variance leaves the correlation undefined"
         )
-    r = sxy / (n * sx * sy)
-    if not math.isfinite(r):
-        raise UndefinedCorrelationError(
-            "the moments overflow float64, leaving the correlation undefined"
-        )
-    r = min(1.0, max(-1.0, r))
+    r = min(1.0, max(-1.0, float(xc @ yc) / (n * sx * sy)))
     return CorrelationResult(
         r=r,
         r_squared=r * r,
@@ -198,12 +206,16 @@ def pearson(x, y) -> CorrelationResult:
 # ---------------------------------------------------------------------------
 
 def z_normalize(series: np.ndarray) -> np.ndarray:
-    """Center to zero mean and scale by population std; a flat series is only centered."""
-    a = np.asarray(series, dtype=np.float64)
+    """Center to zero mean and scale by population std; a flat series is only centered.
+
+    The moments come from the series scaled by a power of two, so any
+    finite scale gives its true z-scores.
+    """
+    a, e = _unit_scaled(np.asarray(series, dtype=np.float64))
     mu = a.mean()
     sigma = a.std()
     if sigma == 0.0:
-        return a - mu
+        return np.ldexp(a - mu, e)
     return (a - mu) / sigma
 
 
@@ -404,6 +416,40 @@ def screen_all(
                         np.concatenate(pooled_x), np.concatenate(pooled_y),
                         cost, normalize, window)
         )
+    return cells
+
+
+def screen_many(
+    city_sets: list[CityDataset],
+    pollutants: list[PollutantKind],
+    cost: str = "absolute",
+    normalize: bool = True,
+    window: int | None = None,
+    jobs: int = 1,
+) -> list[ScreenCell]:
+    """``screen_all`` for every pollutant, in ``jobs`` processes.
+
+    ``workers.run_shares`` deals the pollutants round-robin into
+    ``min(jobs, len(pollutants))`` shares and runs all but the first in
+    forked workers. The cells come back in the order of ``pollutants``,
+    and a pollutant that ``screen_all`` rejects raises its error, the
+    first such pollutant's in that order, as a serial loop would. Each
+    cell depends only on its own series, so the cells do not depend on
+    ``jobs``.
+    """
+    def run(share):
+        for pollutant, _ in share:
+            try:
+                yield pollutant, screen_all(city_sets, pollutant, cost, normalize, window)
+            except InsufficientDataError as exc:
+                yield pollutant, exc
+
+    done = dict(workers.run_shares("screen", [(p, None) for p in pollutants], jobs, run, 1))
+    cells = []
+    for pollutant in pollutants:
+        if isinstance(done[pollutant], InsufficientDataError):
+            raise done[pollutant]
+        cells.extend(done[pollutant])
     return cells
 
 

@@ -1,4 +1,5 @@
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -43,10 +44,23 @@ def make_city(name="city_x", year=2020, n_periods=None, seed=1,
 
 @pytest.fixture
 def no_child_left():
-    """After the test, fail if a forked benchmark worker was left unreaped."""
+    """After the test, fail if a forked worker was left unreaped."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a test whose workers take over 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("workers still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

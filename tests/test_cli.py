@@ -5,15 +5,24 @@ import datetime as dt
 import filecmp
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from airpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, _collect_grids, main
-from airpolicy.dataset import PollutantKind
+from airpolicy.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    _collect_grids,
+    build_parser,
+    main,
+)
+from airpolicy.dataset import PollutantKind, read_city_csv, write_city_csv
 from airpolicy.ingest import DensityGrid, write_grid
 
 SMALL_KINDS = '--set=models.kinds=["knn","linreg"]'
@@ -395,26 +404,35 @@ def test_malformed_city_file_is_exit_2(tmp_path, capsys, command, corrupt, says)
     assert says in _cli_input_error([command, "--config", cfg, "--out", out])
 
 
-def test_overflowing_density_means_fail_their_screen_cells(tmp_path):
-    # Two periods at 1.7e308 pass ingest, but the series' moments overflow.
+def test_overflowing_density_means_screen_at_scale_and_fail_benchmark_cells(tmp_path):
+    # Two periods at 1.7e308 pass ingest. Screening scales each series by a
+    # power of two before its moments, so those cells hold finite values;
+    # benchmark scaling of the column overflows, and CO's cells name it.
     cfg = run_synth(tmp_path, seed=0)
     path = os.path.join(os.path.dirname(cfg), "city_d", "densities.csv")
     for line in (2, 3):
         _edit_line(path, line, lambda b: b",".join([*b.split(b",")[:2], b"1.7e308",
                                                     *b.split(b",")[3:]]))
     out = str(tmp_path / "run")
-    for command, code in (("ingest", EXIT_OK), ("screen", EXIT_PARTIAL)):
+    for command, code in (("ingest", EXIT_OK), ("screen", EXIT_OK),
+                          ("benchmark", EXIT_PARTIAL)):
         proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", command,
-                               "--config", cfg, "--out", out],
+                               "--config", cfg, "--out", out, SMALL_KINDS],
                               capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     with open(os.path.join(out, "screen.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
-    failed = [r for r in rows if r["pollutant"] == "CO" and r["city"] in ("city_d", "pooled")]
-    assert len(failed) == 16
-    assert all(r["r"] == r["band"] == r["dtw_distance"] == "" for r in failed)
+    scaled = [r for r in rows if r["pollutant"] == "CO" and r["city"] in ("city_d", "pooled")]
+    assert len(scaled) == 16
+    assert all(-1.0 < float(r["r"]) < 1.0 and math.isfinite(float(r["dtw_distance"]))
+               for r in scaled)
     assert not [r for r in rows if r["r"] == "-1.0"]
+    with open(os.path.join(out, "report.json")) as fh:
+        cells = json.load(fh)["rows"]
+    assert [r["error"] for r in cells if r["pollutant"] == "CO"] == [
+        "scaling column CO_mean overflows float64"] * 2
+    assert all(r["error"] == "" for r in cells if r["pollutant"] != "CO")
 
 
 def test_benchmark_tracer_installs():
@@ -541,6 +559,31 @@ def test_closed_stdout_is_exit_1_with_complete_outputs(tmp_path, capsys):
 
 def test_jobs_below_one_is_exit_2():
     assert "--jobs must be at least 1, got 0" in _cli_input_error(["benchmark", "--jobs", "0"])
+
+
+def test_jobs_defaults_to_the_usable_cpus():
+    assert build_parser().parse_args(["screen"]).jobs == len(os.sched_getaffinity(0))
+
+
+def test_screen_pollutant_without_usable_periods_is_exit_2_at_any_jobs(tmp_path):
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+    # O3 and NO2 keep two periods per city, one short of what screening needs.
+    # At --jobs 2 NO2 is in the command's own share and O3 in the worker's;
+    # at --jobs 4 each is a worker's whole share.
+    cities = os.path.join(out, "cities")
+    for name in sorted(os.listdir(cities)):
+        if name.endswith(".csv"):
+            ds = read_city_csv(os.path.join(cities, name))
+            stats = ds.stats.copy()
+            stats[2:, 1:3] = np.nan
+            write_city_csv(replace(ds, stats=stats), os.path.join(cities, name))
+    before = sorted(os.listdir(out))
+    for jobs in ("1", "2", "4"):
+        says = _cli_input_error(["screen", "--config", cfg, "--out", out, "--jobs", jobs])
+        assert says == "input error: no city has 3 complete periods for O3\n", jobs
+        assert sorted(os.listdir(out)) == before
 
 
 def test_null_profile_screen_flag(tmp_path, capsys):

@@ -270,19 +270,6 @@ def test_learner_numeric_errors_fail_only_their_cell(monkeypatch, exc):
     assert len(trained) == 35
 
 
-@pytest.fixture
-def deadline():
-    """Fail, instead of hanging, a test whose workers take over 60 s."""
-    def expire(signum, frame):
-        raise TimeoutError("benchmark workers still running after 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 # The city lacks O3, so O3's preparation fails; mgbr diverges on the other
 # three. Dealt round-robin, O3 and one diverging mgbr cell fall in a
 # worker's share for every jobs > 1 (O3 is always share 1).

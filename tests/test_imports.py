@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import of the package is used, and
-every exported name exists."""
+"""Source hygiene: every module-level import of the package is used, every
+exported name exists, and only the worker helper forks."""
 
 import ast
 import importlib
@@ -42,3 +42,22 @@ def test_every_export_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+def fork_calls(source: str) -> int:
+    """How many times the source calls ``os.fork``."""
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "fork" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "os")
+
+
+def test_guard_finds_a_fork_call():
+    assert fork_calls("import os\n\npid = os.fork()\n") == 1
+    assert fork_calls("import os\n\nhasattr(os, 'fork')\n") == 0
+
+
+def test_only_the_worker_helper_forks():
+    forking = [str(p.relative_to(PACKAGE)) for p in MODULES
+               if fork_calls(p.read_text(encoding="utf-8"))]
+    assert forking == ["workers.py"]

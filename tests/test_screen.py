@@ -2,6 +2,8 @@
 and the CSV layout."""
 
 import csv
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 from airpolicy.dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind
 from airpolicy.errors import InsufficientDataError
-from airpolicy.similarity import POOLED_SCOPE, Band, screen_all, write_screen_csv
+from airpolicy import similarity
+from airpolicy.similarity import POOLED_SCOPE, Band, screen_all, screen_many, write_screen_csv
 
 from conftest import make_city
 
@@ -120,3 +123,49 @@ def test_screen_csv_deterministic(tmp_path):
     write_screen_csv(cells, p2)
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def _gap_cities():
+    # City b misses a run of O3 and SO2 periods and one period of measures;
+    # measure 0 is flat in city a, so its correlation cells there fail.
+    a = make_city("a", n_periods=30, seed=3)
+    measures = a.measures.copy()
+    measures[:, 0] = 0.5
+    a = CityDataset(city_name="a", year=a.year, measures=measures, stats=a.stats.copy())
+    b = make_city("b", n_periods=40, seed=4)
+    measures, stats = b.measures.copy(), b.stats.copy()
+    stats[5:12, 1:] = np.nan
+    measures[20] = np.nan
+    return [a, CityDataset(city_name="b", year=b.year, measures=measures, stats=stats)]
+
+
+def test_screen_many_does_not_depend_on_jobs(deadline, no_child_left):
+    cities = _gap_cities()
+    pollutants = [PollutantKind.SO2, PollutantKind.CO, PollutantKind.O3, PollutantKind.NO2]
+    serial = [c for p in pollutants for c in screen_all(cities, p, "squared", True, 5)]
+    assert any(c.error for c in serial) and {c.n for c in serial} == {30, 32, 39, 62, 69}
+    for jobs in (1, 2, 3, 8):
+        assert screen_many(cities, pollutants, "squared", True, 5, jobs=jobs) == serial, jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_screen_many_raises_the_first_rejected_pollutant(deadline, no_child_left, jobs):
+    # At jobs=2, NO2 is in this process's share and O3 in the worker's; the
+    # error is still O3's, the first in the caller's order.
+    cities = [make_city("a", n_periods=20, pollutants=(PollutantKind.CO, PollutantKind.SO2))]
+    with pytest.raises(InsufficientDataError, match="periods for O3$"):
+        screen_many(cities, list(POLLUTANTS), jobs=jobs)
+
+
+def test_screen_worker_killed_mid_run_raises_in_parent(monkeypatch, deadline, no_child_left):
+    screen = similarity.screen_all
+
+    def dies_on_o3(city_sets, pollutant, *args):
+        if pollutant is PollutantKind.O3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return screen(city_sets, pollutant, *args)
+
+    monkeypatch.setattr(similarity, "screen_all", dies_on_o3)
+    # At jobs=2 the worker's share is O3 then SO2; it dies before either is sent.
+    with pytest.raises(RuntimeError, match="^screen worker for O3, SO2 ended with 2 results unsent$"):
+        screen_many([make_city("a", n_periods=20)], list(POLLUTANTS), jobs=2)

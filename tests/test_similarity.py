@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -144,14 +144,54 @@ def test_pearson_rejects_degenerate_input():
         pearson(x, np.array([1.0, np.nan, 2.0]))
 
 
-def test_pearson_overflowed_moments_raise_without_warning():
-    # The centred moments overflow to inf and r to NaN, which a clamp to
-    # [-1, 1] would report as a perfect negative correlation.
-    x = [1.7e308, 1.0e308, -1.6e308, 0.5e308, 1.2e308]
+def test_pearson_gives_the_true_r_at_any_finite_scale():
+    # Unscaled, these centred moments overflow to inf (r = NaN) past about
+    # 1e154 and vanish below about 1e-162 ("zero variance").
+    x = np.array([1.7e308, 1.0e308, -1.6e308, 0.5e308, 1.2e308])
+    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    gen = SplitMix64(205)
+    u = np.array(gen.normals(40))
+    v = np.array(gen.normals(40)) + 0.3 * u
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UndefinedCorrelationError, match="overflow"):
-            pearson(x, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert pearson(x, y).r == pytest.approx(pearson_oracle(x, y), abs=1e-13)
+        for scale in (1e160, 1e300, 1e-160, 1e-300):
+            assert pearson(scale * u, v).r == pytest.approx(pearson(u, v).r, abs=1e-13)
+            assert pearson(u, scale * v).r == pytest.approx(pearson_oracle(u, scale * v),
+                                                            abs=1e-13)
+
+
+def _unscaled_r(x, y):
+    # The moments without the power-of-two prescale, as before it existed.
+    xc, yc = x - x.mean(), y - y.mean()
+    sx, sy = math.sqrt(float(xc @ xc) / x.size), math.sqrt(float(yc @ yc) / y.size)
+    return min(1.0, max(-1.0, float(xc @ yc) / (x.size * sx * sy)))
+
+
+def _normal(a):
+    return np.isfinite(a).all() and (np.abs(a[a != 0.0]) >= np.finfo(float).tiny).all()
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.integers(3, 60),
+       st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_power_of_two_scaling_keeps_the_bits(seed, n, k, j):
+    gen = SplitMix64(seed)
+    x = np.array(gen.normals(n)) * 3.0 + 1.0
+    y = np.array(gen.normals(n)) + 0.5 * x
+    flat = np.full(n, x[0])
+    xk, yj, flatk = np.ldexp(x, k), np.ldexp(y, j), np.ldexp(flat, k)
+    assume(_normal(xk) and _normal(yj) and _normal(flatk))
+    base = pearson(x, y)
+    assert base.r == _unscaled_r(x, y)
+    assert pearson(xk, yj) == base
+    z = z_normalize(x)
+    assert np.array_equal(z, (x - x.mean()) / x.std())
+    assert np.array_equal(z_normalize(xk), z)
+    # A flat series is only centred, so its result scales with it; one whose
+    # mean rounds off its value has a tiny std and takes the other branch.
+    zf = z_normalize(flat)
+    assert np.array_equal(z_normalize(flatk), zf if flat.std() else np.ldexp(zf, k))
 
 
 @settings(max_examples=60)
@@ -384,3 +424,13 @@ def test_z_normalize_moments():
 def test_z_normalize_flat_series_centered_only():
     z = z_normalize(np.full(5, 4.2))
     assert np.array_equal(z, np.zeros(5))
+
+
+def test_z_normalize_huge_series_keeps_its_shape():
+    # Unscaled, the variance of a 1e160-scale series overflows and every
+    # z-score comes out 0.
+    a = np.array(SplitMix64(211).normals(50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e160, 1e300, 1e-300):
+            assert np.allclose(z_normalize(scale * a), z_normalize(a), rtol=0, atol=1e-12)
