@@ -89,7 +89,7 @@ def run_shares(what: str, items: list, jobs: int, run: Callable[[list], Iterable
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    n = max(1, min(jobs if hasattr(os, "fork") else 1, len(items)))
+    n = max(1, min(jobs, len(items)))
     shares = [items[i::n] for i in range(n)]
     results = []
     files, pids = [], []  # every worker's results file; the workers not yet reaped

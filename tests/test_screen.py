@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airpolicy.dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind
 from airpolicy.errors import InsufficientDataError
@@ -169,3 +171,14 @@ def test_screen_worker_killed_mid_run_raises_in_parent(monkeypatch, deadline, no
     # At jobs=2 the worker's share is O3 then SO2; it dies before either is sent.
     with pytest.raises(RuntimeError, match="^screen worker for O3, SO2 ended with 2 results unsent$"):
         screen_many([make_city("a", n_periods=20)], list(POLLUTANTS), jobs=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-900, 900))
+def test_screen_cells_keep_their_bits_under_power_of_two_scaling(seed, k):
+    city = make_city("a", n_periods=20, seed=seed % 1000)
+    scaled = CityDataset(city_name="a", year=city.year, measures=city.measures.copy(),
+                         stats=np.ldexp(city.stats, k))
+    got = screen_all([scaled], PollutantKind.NO2, normalize=True)
+    assert got == screen_all([city], PollutantKind.NO2, normalize=True)
+    assert all(c.error == "" and np.isfinite(c.dtw_distance) for c in got)
