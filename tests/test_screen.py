@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airpolicy import similarity
 from airpolicy.dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind
 from airpolicy.errors import InsufficientDataError
-from airpolicy import similarity
 from airpolicy.similarity import POOLED_SCOPE, Band, screen_all, screen_many, write_screen_csv
 
 from conftest import make_city
@@ -128,7 +128,7 @@ def test_screen_csv_deterministic(tmp_path):
 
 
 def _gap_cities():
-    # City b misses a run of O3 and SO2 periods and one period of measures;
+    # City b misses a run of O3, NO2 and SO2 periods and one period of measures;
     # measure 0 is flat in city a, so its correlation cells there fail.
     a = make_city("a", n_periods=30, seed=3)
     measures = a.measures.copy()
