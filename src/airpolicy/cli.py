@@ -6,6 +6,12 @@ only after its last write. Exit codes: 0 success, 1 some cells failed but
 the run completed, or standard output closed before the summary was
 printed, 2 config or input error. The output directory comes from --out,
 else the AIRPOLICY_OUT environment variable, else the config.
+
+Each command imports the modules it runs inside its ``cmd_*`` function, so
+a process loads (and, without a bytecode cache, compiles) only those:
+``ingest`` never loads the learners, the DTW screen or the worker helper.
+The ingest and city-file functions stay names of this module, looked up
+at each call.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import sys
 
 import numpy as np
 
-from . import evaluation, models, report, similarity, synth, workers
 from .config import PipelineConfig, default_max_levels, load_config
 from .dataset import (
     POLLUTANTS,
@@ -51,6 +56,15 @@ def _load(args) -> PipelineConfig:
     if not args.config:
         raise ConfigError("--config is required for this command")
     return load_config(args.config, overrides=args.set or [], out_dir=_resolve_out(args))
+
+
+def _default_jobs() -> int:
+    """The CPUs this process may use, or 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _city_csv_path(out_dir: str, name: str) -> str:
@@ -147,6 +161,8 @@ def _read_cities(config: PipelineConfig) -> list[CityDataset]:
 # ---------------------------------------------------------------------------
 
 def cmd_screen(args) -> int:
+    from . import report, similarity
+
     config = _load(args)
     city_sets = _read_cities(config)
     all_cells = similarity.screen_many(
@@ -177,6 +193,8 @@ def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
     The inputs are the latest period (over cities in order) with all 10
     features present; None when there is none.
     """
+    from . import models
+
     found = None
     for ds in ds_list:
         rows = ds.features(pollutant)
@@ -197,6 +215,8 @@ def _print_forecast(pollutant: PollutantKind, forecast) -> None:
 
 
 def cmd_benchmark(args) -> int:
+    from . import evaluation, models, report
+
     config = _load(args)
     city_sets = _read_cities(config)
     specs = config.model_specs()
@@ -232,6 +252,8 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_predict(args) -> int:
+    from . import models
+
     config = _load(args)
     city_sets = _read_cities(config)
     forecasts = []
@@ -263,6 +285,8 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     result = synth.generate(
         out_dir=_resolve_out(args) or "synth",
         profile=args.profile,
@@ -289,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config and env)")
-        p.add_argument("--jobs", type=int, default=workers.default_jobs(),
+        p.add_argument("--jobs", type=int, default=_default_jobs(),
                        help="screen and benchmark: worker processes, at most one per "
                             "pollutant (default: the CPUs this process may use); other "
                             "commands ignore it")

@@ -6,6 +6,10 @@ coerced) and fills in the absent keys; the rules no type states (choices,
 ranges, city names, hyperparameter domains) then run on the filled document,
 which ``report.json`` echoes. So bad input fails before any output exists.
 Dotted --set overrides are applied to the raw document, then validated.
+
+The specs the document describes, ``ModelSpec`` (the learner kinds and their
+hyperparameter rules) and ``SplitSpec``, are defined here too, so checking a
+config imports no learner and no evaluation code.
 """
 
 from __future__ import annotations
@@ -13,15 +17,115 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dataset import MeasureKind, PollutantKind, DEFAULT_MAX_LEVEL
 from .errors import ConfigError, DomainError
-from .evaluation import SplitSpec
 from .ingest import DEFAULT_COLUMN_MAP
-from .models import HYPER_DEFAULTS, KINDS, ModelSpec
-from .models.base import HYPER_ALIASES
+
+KINDS = ("knn", "dtr", "rfr", "linreg", "ridge", "lasso", "mgbr", "madab", "dnn")
+
+# Per-kind defaults; depths, estimator counts, layer sizes, and the
+# forest's seed are fixed values, the rest are documented choices.
+HYPER_DEFAULTS: dict[str, dict] = {
+    "knn": {"k": 5},
+    "dtr": {"max_depth": 5},
+    "rfr": {"n_trees": 100, "max_depth": 5},
+    "linreg": {},
+    "ridge": {"lam": 1.0},
+    "lasso": {"lam": 0.001, "tol": 1e-6, "max_sweeps": 10000},
+    "mgbr": {"epochs": 5, "eta0": 0.01, "l2": 1e-4},
+    "madab": {"estimators": 5, "base_depth": 3},
+    "dnn": {"epochs": 500, "batch_size": 16, "learning_rate": 0.01},
+}
+
+# Alternate names accepted in configs; stored under the canonical key.
+HYPER_ALIASES: dict[str, dict[str, str]] = {
+    "mgbr": {"estimators": "epochs"},
+}
+
+DEFAULT_SEEDS: dict[str, int] = {"rfr": 2}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A learner kind plus resolved hyperparameters and a seed.
+
+    Hyperparameter names and domains are checked at construction, so a typo
+    or a zero count fails before any training run.
+    """
+
+    kind: str
+    hyperparameters: dict = field(default_factory=dict)
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
+        defaults = HYPER_DEFAULTS[self.kind]
+        aliases = HYPER_ALIASES.get(self.kind, {})
+        resolved = dict(defaults)
+        for key, value in self.hyperparameters.items():
+            canonical = aliases.get(key, key)
+            if canonical != key and canonical in self.hyperparameters:
+                raise ConfigError(
+                    f"{self.kind}: both {key!r} and its canonical form {canonical!r} given"
+                )
+            if canonical not in defaults:
+                raise ConfigError(
+                    f"{self.kind}: unknown hyperparameter {key!r}; known: {sorted(defaults)}"
+                )
+            # Counts are at least 1; depths and float hyperparameters at least 0.
+            low = 0 if canonical.endswith("depth") or isinstance(defaults[canonical], float) else 1
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= low):
+                raise ConfigError(
+                    f"{self.kind}: hyperparameter {key!r} must be a number >= {low}, "
+                    f"got {value!r}"
+                )
+            if isinstance(defaults[canonical], int) and not isinstance(value, numbers.Integral):
+                raise ConfigError(
+                    f"{self.kind}: hyperparameter {key!r} must be an integer, got {value!r}")
+            resolved[canonical] = value
+        object.__setattr__(self, "hyperparameters", resolved)
+        if self.seed is None:
+            object.__setattr__(self, "seed", DEFAULT_SEEDS.get(self.kind, 0))
+
+    @property
+    def params(self) -> dict:
+        return self.hyperparameters
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "hyperparameters": dict(self.hyperparameters),
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelSpec":
+        return cls(kind=d["kind"], hyperparameters=dict(d["hyperparameters"]),
+                   seed=d["seed"])
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    mode: str = "chronological"
+    test_fraction: float = 0.2
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("chronological", "random"):
+            raise DomainError(f"unknown split mode {self.mode!r}")
+        if not (0.0 < self.test_fraction < 1.0):
+            raise DomainError(
+                f"test_fraction must lie in (0, 1), got {self.test_fraction}"
+            )
+
+    def to_dict(self) -> dict:
+        return {"mode": self.mode, "test_fraction": self.test_fraction, "seed": self.seed}
+
 
 # Each key's default; a required key's value only gives its type. A
 # non-empty object is a section, an empty one a free-form map, and a None
@@ -166,6 +270,16 @@ def _city(c, where: str) -> dict:
     return city
 
 
+def _reject_duplicates(values: list[str], what: str) -> None:
+    """A ConfigError naming the first value that repeats: each name is one
+    output file or one screened or benchmarked cell."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"duplicate {what} {value!r}")
+        seen.add(value)
+
+
 def config_from_dict(d: dict) -> PipelineConfig:
     _check_type(d, dict, "config root")
     doc = _filled(d, _DEFAULTS, "config", required=("year", "cities"))
@@ -174,9 +288,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
     if not isinstance(doc["cities"], list) or not doc["cities"]:
         raise ConfigError("cities must be a non-empty list")
     doc["cities"] = [_city(c, f"cities[{i}]") for i, c in enumerate(doc["cities"])]
-    names = [c["name"] for c in doc["cities"]]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate city names")
+    _reject_duplicates([c["name"] for c in doc["cities"]], "city name")
 
     try:
         pollutants = tuple(PollutantKind(p) for p in doc["pollutants"])
@@ -184,11 +296,13 @@ def config_from_dict(d: dict) -> PipelineConfig:
         raise ConfigError(f"unknown pollutant in config: {exc}")
     if not pollutants:
         raise ConfigError("pollutants must be non-empty")
+    _reject_duplicates([p.value for p in pollutants], "pollutant")
 
     models = doc["models"]
     for k in models["kinds"]:
         if k not in KINDS:
             raise ConfigError(f"unknown model kind {k!r}; expected one of {KINDS}")
+    _reject_duplicates(models["kinds"], "model kind")
     for k, over in models["overrides"].items():
         if k not in KINDS:
             raise ConfigError(f"override for unknown model kind {k!r}")

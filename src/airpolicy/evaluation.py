@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import models, workers
+from .config import SplitSpec
 from .dataset import (
     POLLUTANTS,
     CityDataset,
@@ -35,24 +36,6 @@ from .dataset import (
 from .errors import AirPolicyError, DomainError, InsufficientDataError, ShapeError
 from .models import KINDS, ModelSpec, TrainedModel
 from .rng import SplitMix64
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    mode: str = "chronological"
-    test_fraction: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("chronological", "random"):
-            raise DomainError(f"unknown split mode {self.mode!r}")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise DomainError(
-                f"test_fraction must lie in (0, 1), got {self.test_fraction}"
-            )
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "test_fraction": self.test_fraction, "seed": self.seed}
 
 
 def _subset(sset: SupervisedSet, idx: list[int]) -> SupervisedSet:

@@ -4,10 +4,8 @@ Importing this package registers every kind: knn, dtr, rfr, linreg, ridge,
 lasso, mgbr, madab, dnn.
 """
 
+from ..config import HYPER_DEFAULTS, KINDS, ModelSpec
 from .base import (
-    HYPER_DEFAULTS,
-    KINDS,
-    ModelSpec,
     TrainedModel,
     fit,
     fit_arrays,

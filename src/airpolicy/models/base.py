@@ -1,8 +1,9 @@
-"""Model specs, the fit/predict contract, and versioned JSON persistence.
+"""The fit/predict contract and versioned JSON persistence.
 
-Every learner kind registers a trainer and a deserializer here. Specs
-validate hyperparameter names and domains eagerly so a typo or a zero count
-fails at construction, not after a training run. Model files are plain JSON with parameter arrays;
+Every learner kind registers a trainer and a deserializer here; the specs
+they train from (``ModelSpec``, the kinds and their hyperparameter rules)
+live in ``config``, so validating a config loads no learner code. Model
+files are plain JSON with parameter arrays;
 floats survive the round trip bit for bit, so a reloaded model predicts
 identically. A kind whose parameters are arrays declares each array's name
 and shape once, in ``shapes``; this module writes them and checks them on
@@ -12,96 +13,16 @@ load, and the kind keeps only the rules a shape cannot state.
 from __future__ import annotations
 
 import json
-import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import ModelSpec
 from ..dataset import IDENTITY_SCALING, ScalingSpec, SupervisedSet
 from ..errors import AirPolicyError, ConfigError, ShapeError
 
 MODEL_FORMAT = "airpolicy-model"
 MODEL_VERSION = 1
-
-KINDS = ("knn", "dtr", "rfr", "linreg", "ridge", "lasso", "mgbr", "madab", "dnn")
-
-# Per-kind defaults; depths, estimator counts, layer sizes, and the
-# forest's seed are fixed values, the rest are documented choices.
-HYPER_DEFAULTS: dict[str, dict] = {
-    "knn": {"k": 5},
-    "dtr": {"max_depth": 5},
-    "rfr": {"n_trees": 100, "max_depth": 5},
-    "linreg": {},
-    "ridge": {"lam": 1.0},
-    "lasso": {"lam": 0.001, "tol": 1e-6, "max_sweeps": 10000},
-    "mgbr": {"epochs": 5, "eta0": 0.01, "l2": 1e-4},
-    "madab": {"estimators": 5, "base_depth": 3},
-    "dnn": {"epochs": 500, "batch_size": 16, "learning_rate": 0.01},
-}
-
-# Alternate names accepted in configs; stored under the canonical key.
-HYPER_ALIASES: dict[str, dict[str, str]] = {
-    "mgbr": {"estimators": "epochs"},
-}
-
-DEFAULT_SEEDS: dict[str, int] = {"rfr": 2}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """A learner kind plus resolved hyperparameters and a seed."""
-
-    kind: str
-    hyperparameters: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
-        defaults = HYPER_DEFAULTS[self.kind]
-        aliases = HYPER_ALIASES.get(self.kind, {})
-        resolved = dict(defaults)
-        for key, value in self.hyperparameters.items():
-            canonical = aliases.get(key, key)
-            if canonical != key and canonical in self.hyperparameters:
-                raise ConfigError(
-                    f"{self.kind}: both {key!r} and its canonical form {canonical!r} given"
-                )
-            if canonical not in defaults:
-                raise ConfigError(
-                    f"{self.kind}: unknown hyperparameter {key!r}; known: {sorted(defaults)}"
-                )
-            # Counts are at least 1; depths and float hyperparameters at least 0.
-            low = 0 if canonical.endswith("depth") or isinstance(defaults[canonical], float) else 1
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= low):
-                raise ConfigError(
-                    f"{self.kind}: hyperparameter {key!r} must be a number >= {low}, "
-                    f"got {value!r}"
-                )
-            if isinstance(defaults[canonical], int) and not isinstance(value, numbers.Integral):
-                raise ConfigError(
-                    f"{self.kind}: hyperparameter {key!r} must be an integer, got {value!r}")
-            resolved[canonical] = value
-        object.__setattr__(self, "hyperparameters", resolved)
-        if self.seed is None:
-            object.__setattr__(self, "seed", DEFAULT_SEEDS.get(self.kind, 0))
-
-    @property
-    def params(self) -> dict:
-        return self.hyperparameters
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(kind=d["kind"], hyperparameters=dict(d["hyperparameters"]),
-                   seed=d["seed"])
 
 
 class TrainedModel:

@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .config import KINDS
 from .dataset import MEASURES, POLLUTANTS, write_csv, write_json
 from .errors import DomainError
-from .evaluation import EvalReport
-from .models import KINDS
 from .similarity import POOLED_SCOPE, ScreenCell
+
+if TYPE_CHECKING:  # screen renders figures without loading the learners
+    from .evaluation import EvalReport
 
 FIGURE_IDS = ("R2_bars", "DTW_bars", "RMSE_CO_O3", "RMSE_NO2_SO2")
 

@@ -182,15 +182,17 @@ def pearson(x, y) -> CorrelationResult:
         raise InsufficientDataError(f"need n >= 3, got {n}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise DomainError("series contain non-finite values")
+    # Flatness is tested exactly: the mean of a constant can round off its
+    # value and leave a spurious std of about 1e-16.
+    if xa.min() == xa.max() or ya.min() == ya.max():
+        raise UndefinedCorrelationError(
+            "zero variance leaves the correlation undefined"
+        )
     xa, ya = _unit_scaled(xa)[0], _unit_scaled(ya)[0]
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sx = math.sqrt(float(xc @ xc) / n)
     sy = math.sqrt(float(yc @ yc) / n)
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError(
-            "zero variance leaves the correlation undefined"
-        )
     r = min(1.0, max(-1.0, float(xc @ yc) / (n * sx * sy)))
     return CorrelationResult(
         r=r,
@@ -206,17 +208,16 @@ def pearson(x, y) -> CorrelationResult:
 # ---------------------------------------------------------------------------
 
 def z_normalize(series: np.ndarray) -> np.ndarray:
-    """Center to zero mean and scale by population std; a flat series is only centered.
+    """Center to zero mean and scale by population std; a flat series is all zeros.
 
-    The moments come from the series scaled by a power of two, so any
-    finite scale gives its true z-scores.
+    Flatness is tested exactly, before any moment, since the mean of a
+    constant can round off its value. The moments come from the series
+    scaled by a power of two, so any finite scale gives its true z-scores.
     """
-    a, e = _unit_scaled(np.asarray(series, dtype=np.float64))
-    mu = a.mean()
-    sigma = a.std()
-    if sigma == 0.0:
-        return np.ldexp(a - mu, e)
-    return (a - mu) / sigma
+    a = _unit_scaled(np.asarray(series, dtype=np.float64))[0]
+    if a.size == 0 or a.min() == a.max():
+        return np.zeros_like(a)
+    return (a - a.mean()) / a.std()
 
 
 def dtw(a, b, cost: str = "absolute", window: int | None = None) -> DtwResult:

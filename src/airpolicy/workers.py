@@ -19,15 +19,6 @@ from typing import Callable, Iterable, NoReturn
 from .errors import DomainError
 
 
-def default_jobs() -> int:
-    """The CPUs this process may use, or 1 where ``os.fork`` does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _serve(run: Callable[[list], Iterable], share: list, out) -> NoReturn:
     """Worker body: append each result to the file ``out`` as it is made, then exit.
 

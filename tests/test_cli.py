@@ -317,9 +317,14 @@ def _named(name):
     (_named("a/b"), [], "cities[1].name must be a plain file name"),
     (_named("../../escape"), [], "cities[1].name must be a plain file name"),
     (_named("x\0y"), [], "cities[1].name must be a plain file name"),
+    (_named("city_a"), [], "duplicate city name 'city_a'"),
+    (lambda doc: json.dumps(doc).encode(), ['pollutants=["CO","CO"]'],
+     "duplicate pollutant 'CO'"),
+    (lambda doc: json.dumps(doc).encode(), ['models.kinds=["knn","knn"]'],
+     "duplicate model kind 'knn'"),
 ], ids=["not-utf8", "list-root", "string-root", "year-10000", "year-0", "knn-k-negative",
         "knn-k-0", "dnn-batch-0", "madab-estimators-0", "slash-name", "escaping-name",
-        "nul-name"])
+        "nul-name", "duplicate-city", "duplicate-pollutant", "duplicate-kind"])
 def test_bad_config_is_exit_2_and_writes_nothing(tmp_path, text, sets, says):
     with open(run_synth(tmp_path, seed=0)) as fh:
         doc = json.load(fh)

@@ -111,6 +111,9 @@ def test_minimal_document_fills_defaults():
     (lambda d: d["cities"][0].update(name=""), "must be a plain file name"),
     (lambda d: d["cities"][0].update(name="."), "must be a plain file name"),
     (lambda d: d["cities"][0].update(name=".."), "must be a plain file name"),
+    (lambda d: d.update(pollutants=["CO", "NO2", "CO"]), "duplicate pollutant 'CO'"),
+    (lambda d: d.update(models={"kinds": ["knn", "rfr", "knn"]}),
+     "duplicate model kind 'knn'"),
 ])
 def test_invalid_documents_are_rejected(mutate, fragment):
     doc = base_doc()

@@ -1,9 +1,12 @@
 """Source hygiene: every module-level import of the package is used, every
-exported name exists, and only the worker helper forks."""
+exported name exists, only the worker helper forks, and each command loads
+only the modules it runs."""
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +64,49 @@ def test_only_the_worker_helper_forks():
     forking = [str(p.relative_to(PACKAGE)) for p in MODULES
                if fork_calls(p.read_text(encoding="utf-8"))]
     assert forking == ["workers.py"]
+
+
+# A command prints the package modules it loaded to stderr as it exits.
+_LIST_MODULES = """\
+import sys
+from airpolicy.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "airpolicy"), file=sys.stderr)
+sys.exit(code)
+"""
+
+# The modules each command must not load: the learners, the DTW screen, the
+# worker helper, the report and the generator cost a process their import
+# and, without a bytecode cache, their compilation.
+NOT_LOADED = {
+    "ingest": {"models", "evaluation", "similarity", "workers", "report", "synth"},
+    "screen": {"models", "evaluation", "synth"},
+    "predict": {"similarity", "evaluation", "workers", "synth"},
+}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A synthetic config and an output directory holding its cities and a CO linreg model."""
+    from airpolicy.cli import main
+
+    root = tmp_path_factory.mktemp("modules")
+    sets = ['--set=pollutants=["CO"]', '--set=models.kinds=["linreg"]',
+            "--set=predict.kind=linreg"]
+    cfg = str(root / "synth" / "config.json")
+    out = str(root / "run")
+    assert main(["synth", "--out", str(root / "synth")]) == 0
+    assert main(["ingest", "--config", cfg, "--out", out]) == 0
+    assert main(["benchmark", "--config", cfg, "--out", out, "--jobs", "1", *sets]) == 0
+    return cfg, out, sets
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_command_loads_only_its_own_modules(small_run, command):
+    cfg, out, sets = small_run
+    proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, command,
+                           "--config", cfg, "--out", out, "--jobs", "1", *sets],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.split(".")[1] for m in proc.stderr.split() if "." in m}
+    assert loaded & NOT_LOADED[command] == set(), sorted(loaded)

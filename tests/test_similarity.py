@@ -426,6 +426,18 @@ def test_z_normalize_flat_series_centered_only():
     assert np.array_equal(z, np.zeros(5))
 
 
+@pytest.mark.parametrize("level", [0.7, -4.651725, 1 / 3])
+def test_flat_series_has_no_correlation_at_any_level(level):
+    # The mean of 183 copies of 0.7 or -4.651725 rounds off the value; a
+    # variance taken from it reads about 1e-32, not 0.
+    flat = np.full(183, level)
+    assert np.array_equal(z_normalize(flat), np.zeros(183))
+    ramp = np.arange(183.0)
+    for x, y in ((flat, ramp), (ramp, flat)):
+        with pytest.raises(UndefinedCorrelationError, match="zero variance"):
+            pearson(x, y)
+
+
 def test_z_normalize_huge_series_keeps_its_shape():
     # Unscaled, the variance of a 1e160-scale series overflows and every
     # z-score comes out 0.
