@@ -11,7 +11,8 @@ Each command imports the modules it runs inside its ``cmd_*`` function, so
 a process loads (and, without a bytecode cache, compiles) only those:
 ``ingest`` never loads the learners, the DTW screen or the worker helper.
 The ingest and city-file functions stay names of this module, looked up
-at each call.
+at each call, where the benchmark's tracer (``pipebench/tracing.py``)
+wraps them.
 """
 
 from __future__ import annotations
