@@ -191,8 +191,9 @@ def cmd_screen(args) -> int:
 def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
     """Return (city, period, inputs, prediction) for the next period.
 
-    The inputs are the latest period (over cities in order) with all 10
-    features present; None when there is none.
+    The inputs are the newest period with all 10 features present, from the
+    later city in config order when two cities end on that period; None
+    when there is none.
     """
     from . import models
 
@@ -200,7 +201,7 @@ def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
     for ds in ds_list:
         rows = ds.features(pollutant)
         complete = np.flatnonzero(~np.isnan(rows).any(axis=1))
-        if complete.size:
+        if complete.size and (found is None or complete[-1] >= found[1]):
             found = ds.city_name, int(complete[-1]), rows[complete[-1]]
     if found is None:
         return None

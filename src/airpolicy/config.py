@@ -21,9 +21,8 @@ import numbers
 import os
 from dataclasses import dataclass, field
 
-from .dataset import MeasureKind, PollutantKind, DEFAULT_MAX_LEVEL
+from .dataset import DEFAULT_COLUMN_MAP, DEFAULT_MAX_LEVEL, MeasureKind, PollutantKind
 from .errors import ConfigError, DomainError
-from .ingest import DEFAULT_COLUMN_MAP
 
 KINDS = ("knn", "dtr", "rfr", "linreg", "ridge", "lasso", "mgbr", "madab", "dnn")
 

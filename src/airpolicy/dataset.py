@@ -58,6 +58,12 @@ class PollutantKind(enum.Enum):
 MEASURES: tuple[MeasureKind, ...] = tuple(MeasureKind)
 POLLUTANTS: tuple[PollutantKind, ...] = tuple(PollutantKind)
 
+# A policy CSV's column for each measure, unless a city's column_map says otherwise.
+DEFAULT_COLUMN_MAP: dict[MeasureKind, str] = {m: m.value for m in MEASURES}
+
+# The scope name of the cells that pool every city's periods.
+POOLED_SCOPE = "pooled"
+
 DEFAULT_MAX_LEVEL = 4
 N_FEATURES = len(MEASURES) + 2
 N_TARGETS = 2

@@ -25,6 +25,7 @@ from . import models, workers
 from .config import SplitSpec
 from .dataset import (
     POLLUTANTS,
+    POOLED_SCOPE,
     CityDataset,
     PollutantKind,
     SupervisedSet,
@@ -96,7 +97,7 @@ def rmse(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float, fl
 class EvalCell:
     pollutant: PollutantKind
     kind: str
-    scope: str = "pooled"
+    scope: str = POOLED_SCOPE
     rmse_mean: float | None = None
     rmse_std: float | None = None
     rmse_joint: float | None = None

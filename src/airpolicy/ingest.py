@@ -247,9 +247,6 @@ def parse_policy_csv(
     return PolicyTable(rows=tuple(parsed))
 
 
-DEFAULT_COLUMN_MAP: dict[MeasureKind, str] = {m: m.value for m in MEASURES}
-
-
 # ---------------------------------------------------------------------------
 # City assembly
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from ..dataset import IDENTITY_SCALING, ScalingSpec, SupervisedSet
 from ..errors import AirPolicyError, ConfigError, ShapeError
 
 MODEL_FORMAT = "airpolicy-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class TrainedModel:
@@ -181,6 +181,19 @@ def float_array(value, shape: tuple, name: str) -> np.ndarray:
             return a
     dims = " x ".join("n" if d is None else str(d) for d in shape)
     raise ConfigError(f"{name} must be {dims} finite numbers")
+
+
+def int_array(value, n: int | None, lo: int, hi: int, name: str) -> np.ndarray:
+    """``value`` as an intp array of ``n`` entries, where ``None`` is any number.
+
+    ``value`` must be a list of JSON integers in [lo, hi), checked before any
+    conversion, so no bool, float or out-of-range integer reaches numpy;
+    anything else raises ConfigError naming ``name``.
+    """
+    if (isinstance(value, list) and n in (None, len(value))
+            and all(type(e) is int and lo <= e < hi for e in value)):
+        return np.array(value, dtype=np.intp)
+    raise ConfigError(f"{name} must be {'n' if n is None else n} integers in [{lo}, {hi})")
 
 
 def _load_scaling(d: dict, input_dim: int, output_dim: int) -> ScalingSpec:

@@ -75,7 +75,7 @@ class BoostModel(TrainedModel):
         return out
 
     def _params(self) -> dict:
-        # One column's nested dict at a time, as the file is written.
+        # One column's trees at a time, as the file is written.
         return {
             "columns": (
                 {"trees": [t.to_dict() for t in trees],

@@ -31,8 +31,8 @@ class ForestModel(TrainedModel):
         return acc / len(self.trees)
 
     def _params(self) -> dict:
-        # One tree's nested dict at a time, as the file is written.
-        return {"roots": (tree.to_dict() for tree in self.trees)}
+        # One tree's arrays at a time, as the file is written.
+        return {"trees": (tree.to_dict() for tree in self.trees)}
 
 
 def _fit_rfr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> ForestModel:
@@ -49,11 +49,11 @@ def _fit_rfr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> ForestModel:
 
 
 def _load_rfr(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> ForestModel:
-    roots = params["roots"]
-    if not (isinstance(roots, list) and roots):
-        raise ConfigError("rfr roots must be a non-empty list of trees")
+    trees = params["trees"]
+    if not (isinstance(trees, list) and trees):
+        raise ConfigError("rfr trees must be a non-empty list of trees")
     return ForestModel(spec, input_dim, output_dim,
-                       [Tree.from_dict(d, input_dim, output_dim) for d in roots])
+                       [Tree.from_dict(d, input_dim, output_dim) for d in trees])
 
 
 register_kind("rfr", _fit_rfr, _load_rfr)

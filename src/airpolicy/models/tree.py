@@ -9,8 +9,8 @@ value <= threshold go left, and ties prefer the lower feature index, then
 the lower threshold.
 
 A fitted tree is a ``Tree``: parallel per-node arrays in pre-order, node 0
-the root, as scikit-learn's ``Tree`` keeps them. Model files still hold the
-nested JSON of one object per node.
+the root, as scikit-learn's ``Tree`` keeps them. A model file holds the same
+five arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ import numpy as np
 
 from .. import kernels
 from ..errors import ConfigError, InsufficientDataError
-from .base import ModelSpec, TrainedModel, float_array, register_kind
-
-_LEAF_KEYS = {"value"}
-_SPLIT_KEYS = {"value", "feature", "threshold", "left", "right"}
+from .base import ModelSpec, TrainedModel, float_array, int_array, register_kind
 
 
 class Tree:
@@ -40,56 +37,35 @@ class Tree:
         self.value = np.asarray(value, dtype=np.float64)
 
     def to_dict(self) -> dict:
-        """The nested node objects of the model file, from the root down."""
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
-
-        def node(i: int) -> dict:
-            d = {"value": value[i]}
-            if feature[i] >= 0:
-                d["feature"] = feature[i]
-                d["threshold"] = threshold[i]
-                d["left"] = node(left[i])
-                d["right"] = node(right[i])
-            return d
-
-        return node(0)
+        """The five arrays as lists: the model file's form of a tree."""
+        return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, d, input_dim: int, output_dim: int) -> "Tree":
-        """Parse nested node objects; anything but a well-formed tree raises ConfigError.
+        """Read the arrays of ``to_dict``; anything but a well-formed tree raises ConfigError.
 
-        A node is ``{"value"}`` (a leaf) or also has ``feature``, ``threshold``,
-        ``left`` and ``right``. Walked with an explicit stack, so the depth is
-        bounded by the JSON parser alone.
+        Each array is checked alone, then the structure: a leaf has no
+        children, and a split node i has ``left = i + 1 < right < n``, so
+        every descent moves to a higher node and ends at a leaf.
         """
-        feature, threshold, left, right, value = [], [], [], [], []
-        stack = [(d, None, -1)]  # (node object, its parent's left or right list, parent)
-        while stack:
-            node, children, parent = stack.pop()
-            i = len(feature)
-            if children is not None:
-                children[parent] = i
-            if not isinstance(node, dict) or node.keys() not in (_LEAF_KEYS, _SPLIT_KEYS):
-                raise ConfigError(f"tree node {i} must be an object with a value and "
-                                  f"either no children or feature, threshold, left and right")
-            value.append(node["value"])
-            left.append(-1)
-            right.append(-1)
-            if len(node) == 1:
-                feature.append(-1)
-                threshold.append(0.0)
-                continue
-            f = node["feature"]
-            if not (type(f) is int and 0 <= f < input_dim):
-                raise ConfigError(f"tree node {i} feature must be an integer in "
-                                  f"[0, {input_dim}), got {f!r}")
-            feature.append(f)
-            threshold.append(node["threshold"])
-            stack.append((node["right"], right, i))
-            stack.append((node["left"], left, i))
-        return cls(feature, float_array(threshold, (None,), "tree thresholds"), left, right,
-                   float_array(value, (None, output_dim), "tree values"))
+        if not (isinstance(d, dict) and d.keys() == set(cls.__slots__)):
+            raise ConfigError(f"a tree must be an object of exactly the arrays "
+                              f"{', '.join(cls.__slots__)}")
+        feature = int_array(d["feature"], None, -1, input_dim, "tree feature")
+        n = len(feature)
+        if n == 0:
+            raise ConfigError("a tree must have at least one node")
+        left = int_array(d["left"], n, -1, n, "tree left")
+        right = int_array(d["right"], n, -1, n, "tree right")
+        threshold = float_array(d["threshold"], (n,), "tree threshold")
+        value = float_array(d["value"], (n, output_dim), "tree value")
+        well_formed = np.where(feature >= 0, (left == np.arange(1, n + 1)) & (left < right),
+                               (left == -1) & (right == -1))
+        if not well_formed.all():
+            raise ConfigError(f"tree node {np.flatnonzero(~well_formed)[0]}: a leaf must have "
+                              f"no children, and a split node i the children "
+                              f"left = i + 1 < right < n")
+        return cls(feature, threshold, left, right, value)
 
 
 def _weighted_mean(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -163,7 +139,7 @@ class DecisionTreeModel(TrainedModel):
         return tree_predict(self.tree, X)
 
     def _params(self) -> dict:
-        return {"root": self.tree.to_dict()}
+        return {"tree": self.tree.to_dict()}
 
 
 def _fit_dtr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> DecisionTreeModel:
@@ -173,7 +149,7 @@ def _fit_dtr(spec: ModelSpec, X: np.ndarray, Y: np.ndarray) -> DecisionTreeModel
 
 def _load_dtr(spec: ModelSpec, input_dim: int, output_dim: int, params: dict) -> DecisionTreeModel:
     return DecisionTreeModel(spec, input_dim, output_dim,
-                             Tree.from_dict(params["root"], input_dim, output_dim))
+                             Tree.from_dict(params["tree"], input_dim, output_dim))
 
 
 register_kind("dtr", _fit_dtr, _load_dtr)

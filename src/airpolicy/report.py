@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import KINDS
-from .dataset import MEASURES, POLLUTANTS, write_csv, write_json
+from .dataset import MEASURES, POLLUTANTS, POOLED_SCOPE, write_csv, write_json
 from .errors import DomainError
-from .similarity import POOLED_SCOPE, ScreenCell
 
-if TYPE_CHECKING:  # screen renders figures without loading the learners
+if TYPE_CHECKING:  # screen loads no learner, and benchmark no screening
     from .evaluation import EvalReport
+    from .similarity import ScreenCell
 
 FIGURE_IDS = ("R2_bars", "DTW_bars", "RMSE_CO_O3", "RMSE_NO2_SO2")
 

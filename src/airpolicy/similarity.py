@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, workers
-from .dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind, write_csv
+from .dataset import (
+    MEASURES,
+    POLLUTANTS,
+    POOLED_SCOPE,
+    CityDataset,
+    MeasureKind,
+    PollutantKind,
+    write_csv,
+)
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -304,9 +312,6 @@ def _backtrack(acc: np.ndarray) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # Screening table
 # ---------------------------------------------------------------------------
-
-POOLED_SCOPE = "pooled"
-
 
 @dataclass(frozen=True)
 class ScreenCell:

@@ -24,6 +24,7 @@ from airpolicy.dataset import (
     IDENTITY_SCALING,
     MEASURES,
     POLLUTANTS,
+    POOLED_SCOPE,
     build_supervised,
     periods_in_year,
 )
@@ -33,7 +34,7 @@ from airpolicy.models.nnet import gradient_check
 from airpolicy.models.tree import grow_tree, tree_predict
 from airpolicy.report import render_screen_summary
 from airpolicy.rng import SplitMix64
-from airpolicy.similarity import POOLED_SCOPE, Band, band_of, dtw, pearson, screen_all
+from airpolicy.similarity import Band, band_of, dtw, pearson, screen_all
 
 from test_models import exhaustive_root_split, lasso_lambda_max
 from test_similarity import check_path_valid, dtw_oracle, p_oracle, pearson_oracle

@@ -19,11 +19,15 @@ from airpolicy.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     _collect_grids,
+    _forecast,
     build_parser,
     main,
 )
 from airpolicy.dataset import PollutantKind, read_city_csv, write_city_csv
 from airpolicy.ingest import DensityGrid, write_grid
+from airpolicy.models import ModelSpec, fit_arrays
+
+from conftest import make_city
 
 SMALL_KINDS = '--set=models.kinds=["knn","linreg"]'
 PREDICT_LINREG = "--set=predict.kind=linreg"
@@ -91,6 +95,27 @@ def test_full_pipeline(tmp_path, capsys):
                        "forecast_mean,forecast_std")
     assert len(rows) == 5
     assert rows[1].startswith("CO,linreg,city_d,182,")
+
+
+def _city_complete_through(name, last):
+    """A 2020 city whose pollutant densities are absent after period ``last``."""
+    return make_city(name, pollutant_fn=lambda t, j: (0.02, 0.001) if t <= last
+                     else (math.nan, math.nan))
+
+
+@pytest.mark.parametrize("order, want", [
+    (("a", "b"), ("a", 182)),
+    (("b", "a"), ("a", 182)),
+    (("a", "c"), ("c", 182)),
+], ids=["newest-first", "newest-last", "tie-takes-later"])
+def test_forecast_uses_the_newest_complete_record(order, want):
+    cities = {"a": _city_complete_through("a", 182), "b": _city_complete_through("b", 100),
+              "c": _city_complete_through("c", 182)}
+    X, Y = np.random.default_rng(5).normal(size=(30, 10)), np.ones((30, 2))
+    model = fit_arrays(ModelSpec(kind="linreg"), X, Y)
+    city, period, x, _ = _forecast(model, [cities[c] for c in order], PollutantKind.CO)
+    assert (city, period) == want
+    np.testing.assert_array_equal(x, cities[city].features(PollutantKind.CO)[period])
 
 
 def _reject_constant(name):
@@ -211,25 +236,52 @@ def model_run(tmp_path_factory):
     return cfg, out
 
 
-def _root(doc):
-    return doc["params"]["root"]
+def _tree(doc):
+    return doc["params"]["tree"]
 
 
 def _params(doc):
     return doc["params"]
 
 
+def _set(name, i, value):
+    """An edit that sets entry ``i`` of the dtr tree's array ``name``."""
+    return lambda d: _tree(d)[name].__setitem__(i, value)
+
+
+def _leaf_child(d):
+    """Give the first leaf a child."""
+    t = _tree(d)
+    leaf = t["feature"].index(-1)
+    t["left"][leaf] = len(t["feature"]) - 1
+
+
 @pytest.mark.parametrize("kind, edit, says", [
-    ("dtr", lambda d: _root(d).update(feature="x"),
-     "tree node 0 feature must be an integer in [0, 10), got 'x'"),
-    ("dtr", lambda d: _root(d).update(feature=99), "tree node 0 feature must be an integer"),
-    ("dtr", lambda d: _root(d)["left"].update(value=[1.0]), "tree values must be n x 2 finite"),
-    ("dtr", lambda d: _root(d).update(threshold=None), "tree thresholds must be n finite"),
-    ("dtr", lambda d: _root(d)["right"]["value"].__setitem__(0, float("nan")),
-     "tree values must be n x 2 finite"),
-    ("dtr", lambda d: _root(d).pop("right"), "tree node 0 must be an object with a value"),
-    ("dtr", lambda d: _root(d).update(left=5), "tree node 1 must be an object with a value"),
-    ("rfr", lambda d: _params(d).update(roots=[]), "rfr roots must be a non-empty list"),
+    ("dtr", _set("feature", 0, "x"), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _set("feature", 0, 1.0), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _set("feature", 0, True), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _set("feature", 0, 99), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _set("feature", 0, 10), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _set("feature", 0, -2), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _leaf_child, "a leaf must have no children"),
+    ("dtr", _set("right", 0, -1), "tree node 0: a leaf must have no children, and a split node i"),
+    ("dtr", _set("left", 0, {}), "tree left must be"),
+    ("dtr", _set("left", 0, 2), "tree node 0: a leaf must have no children, and a split node i"),
+    ("dtr", _set("right", 0, 1), "tree node 0: a leaf must have no children, and a split node i"),
+    ("dtr", lambda d: _tree(d)["right"].__setitem__(0, len(_tree(d)["right"])),
+     "tree right must be"),
+    ("dtr", lambda d: _tree(d)["left"].append(-1), "tree left must be"),
+    ("dtr", lambda d: _tree(d).update(feature=[], threshold=[], left=[], right=[], value=[]),
+     "a tree must have at least one node"),
+    ("dtr", _set("value", 1, [1.0]), "tree value must be"),
+    ("dtr", _set("threshold", 0, None), "tree threshold must be"),
+    ("dtr", _set("threshold", 0, float("inf")), "tree threshold must be"),
+    ("dtr", lambda d: _tree(d)["value"][-1].__setitem__(0, float("nan")),
+     "tree value must be"),
+    ("dtr", lambda d: _tree(d).pop("threshold"),
+     "a tree must be an object of exactly the arrays feature, threshold, left, right, value"),
+    ("dtr", lambda d: _tree(d).update(depth=[5]), "a tree must be an object of exactly"),
+    ("rfr", lambda d: _params(d).update(trees=[]), "rfr trees must be a non-empty list"),
     ("madab", lambda d: _params(d).update(columns=_params(d)["columns"][:1]),
      "madab columns must be a list of 2"),
     ("madab", lambda d: _params(d)["columns"][1].update(trees=[], alphas=[]),
@@ -254,8 +306,12 @@ def _params(doc):
     ("linreg", lambda d: d["scaling"]["input_offset"].pop(),
      "scaling input_offset must be 10 finite numbers"),
     ("linreg", lambda d: d["scaling"].update(fitted="yes"), "scaling fitted must be true or false"),
-], ids=["dtr-feature-x", "dtr-feature-99", "dtr-value-1-element", "dtr-threshold-null",
-        "dtr-value-nan", "dtr-one-child", "dtr-child-not-object", "rfr-no-trees",
+], ids=["dtr-feature-x", "dtr-feature-float", "dtr-feature-bool", "dtr-feature-99",
+        "dtr-feature-10", "dtr-feature-minus-2", "dtr-leaf-with-child", "dtr-one-child",
+        "dtr-child-not-object", "dtr-left-not-next", "dtr-right-not-after-left",
+        "dtr-right-past-end", "dtr-lengths-differ", "dtr-empty", "dtr-value-1-element",
+        "dtr-threshold-null", "dtr-threshold-inf", "dtr-value-nan", "dtr-missing-key",
+        "dtr-extra-key", "rfr-no-trees",
         "madab-1-column", "madab-column-no-trees", "madab-extra-alpha", "knn-lo-9-values",
         "knn-zero-span", "knn-rows-differ", "knn-rows-below-k", "knn-fractional-k",
         "linreg-beta-10-rows", "mgbr-mu-9-values", "mgbr-zero-sd", "mgbr-string-weight",

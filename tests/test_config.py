@@ -15,9 +15,8 @@ from airpolicy.config import (
     load_config,
     parse_set_override,
 )
-from airpolicy.dataset import DEFAULT_MAX_LEVEL, MeasureKind, PollutantKind
+from airpolicy.dataset import DEFAULT_COLUMN_MAP, DEFAULT_MAX_LEVEL, MeasureKind, PollutantKind
 from airpolicy.errors import ConfigError
-from airpolicy.ingest import DEFAULT_COLUMN_MAP
 from airpolicy.models import KINDS
 
 

@@ -79,6 +79,7 @@ sys.exit(code)
 # worker helper, the report and the generator cost a process their import
 # and, without a bytecode cache, their compilation.
 NOT_LOADED = {
+    "benchmark": {"similarity", "synth"},
     "ingest": {"models", "evaluation", "similarity", "workers", "report", "synth"},
     "screen": {"models", "evaluation", "synth"},
     "predict": {"similarity", "evaluation", "workers", "synth"},

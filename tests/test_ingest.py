@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from airpolicy.dataset import (
+    DEFAULT_COLUMN_MAP,
     DEFAULT_MAX_LEVEL,
     MEASURES,
     POLLUTANTS,
@@ -30,7 +31,6 @@ from airpolicy.errors import (
     SchemaError,
 )
 from airpolicy.ingest import (
-    DEFAULT_COLUMN_MAP,
     DensityGrid,
     PolicyTable,
     aggregate_periods,

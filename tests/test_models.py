@@ -770,9 +770,9 @@ def test_model_json_guards():
     bad = dict(d, format="other-format")
     with pytest.raises(ConfigError):
         model_from_json(json.dumps(bad))
-    bad = dict(d, version=999)
-    with pytest.raises(ConfigError):
-        model_from_json(json.dumps(bad))
+    for version in (1, 999):
+        with pytest.raises(ConfigError, match=f"unsupported model version {version}"):
+            model_from_json(json.dumps(dict(d, version=version)))
     no_spec = {k: v for k, v in d.items() if k != "spec"}
     wrong_type = dict(d, params={"beta": None})
     wrong_size = dict(d, params={"beta": [[1.0]]})
@@ -906,15 +906,15 @@ GOLDEN_SPECS = [
     ModelSpec(kind="dnn", hyperparameters={"epochs": 3}),
 ]
 GOLDEN_SHA256 = {
-    "knn": "18e676fbfc0b1c1001d3abea86da17c202b42597acea5afefaf2b7497722b286",
-    "linreg": "195cdcae621ae26ccf97c7146066fec19e30255f1eecdd0a85ef1d346171ad7e",
-    "ridge": "90c332e7d87660cf3f1cad5f78cf1d37f0b42212da4e2668ed2b6912032a0570",
-    "lasso": "575c84ab4b23cb3ed8bf20b5e06dc431fac6c64d75edb3152c7bc0d80242da56",
-    "rfr": "6652847e2a82cb06ff5006eae1fd870aae40da8ee3d0430c8dbb90c11f87a00a",
-    "dtr": "2a190e99549c1e87a63135a8daa63677940dbc08794b6475ab00be86b8ecaff8",
-    "madab": "e17d750a6fef55bfef3102df2474b69b1030044b42667f94a21ec7be5874073c",
-    "mgbr": "14ce989406e7e03146d2230f446968247bb7cef80d724fe6c565b64c4419f3bc",
-    "dnn": "45709f69ecea26be3cd0c2047ea57a98617c208460c5de5e435c16944dd0f48d",
+    "knn": "e8c9a4d5b5b1be41632cc313307dda3cf509039e4d63aeb989ee4388ea64ed21",
+    "linreg": "5c64fe5f698bca49d061a48a3284eb0ba760494dc2742b0f76022c7be1ac0477",
+    "ridge": "73e03bf8336aecccfad9438945b7d3cd102f4cb3fe5673e9698e16eaa6c1482c",
+    "lasso": "a6fb8fe9f7f98d3b9dd6a5c4f79aa8f0b4c17f3230951c266277e4ec8f1c2c21",
+    "rfr": "3cd1e0a2b7db8929651ee6567055f1525a13bb8d7c033e627b622e7e9436f961",
+    "dtr": "5ad50cd8403370d78c66e27bc146da3bbc81d9c06e2710096ec5b43d4e88d1a2",
+    "madab": "1eec78b3f7fd46fea2c52e8ab757e00e4113936ed14ffff11091ef2dbf0765aa",
+    "mgbr": "2a543b4444cf71ebb22a19bd78908948b964904048b853a2f72b0cb0950d35f5",
+    "dnn": "11df5e2d377a77c78cd2925f61d2c20b084350c90fad79c676d05cf83aacca78",
 }
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from airpolicy.dataset import MEASURES, MeasureKind, PollutantKind
+from airpolicy.dataset import MEASURES, POOLED_SCOPE, MeasureKind, PollutantKind
 from airpolicy.errors import DomainError
 from airpolicy.evaluation import EvalCell, EvalReport
 from airpolicy.report import (
@@ -21,7 +21,7 @@ from airpolicy.report import (
     render_screen_summary,
     write_figure,
 )
-from airpolicy.similarity import POOLED_SCOPE, Band, ScreenCell, band_of
+from airpolicy.similarity import Band, ScreenCell, band_of
 
 
 def pooled_cell(measure, pollutant, r=0.5, dtw=1.25):

@@ -12,9 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airpolicy import similarity
-from airpolicy.dataset import MEASURES, POLLUTANTS, CityDataset, MeasureKind, PollutantKind
+from airpolicy.dataset import (
+    MEASURES,
+    POLLUTANTS,
+    POOLED_SCOPE,
+    CityDataset,
+    MeasureKind,
+    PollutantKind,
+)
 from airpolicy.errors import InsufficientDataError
-from airpolicy.similarity import POOLED_SCOPE, Band, screen_all, screen_many, write_screen_csv
+from airpolicy.similarity import Band, screen_all, screen_many, write_screen_csv
 
 from conftest import make_city
 
