@@ -249,6 +249,10 @@ def _set(name, i, value):
     return lambda d: _tree(d)[name].__setitem__(i, value)
 
 
+BAD_FEATURE = "tree feature must be n integers in [-1, 10)"
+BAD_ROOT = "tree node 0: a leaf must have no children, and a split node i"
+
+
 def _leaf_child(d):
     """Give the first leaf a child."""
     t = _tree(d)
@@ -257,17 +261,17 @@ def _leaf_child(d):
 
 
 @pytest.mark.parametrize("kind, edit, says", [
-    ("dtr", _set("feature", 0, "x"), "tree feature must be n integers in [-1, 10)"),
-    ("dtr", _set("feature", 0, 1.0), "tree feature must be n integers in [-1, 10)"),
-    ("dtr", _set("feature", 0, True), "tree feature must be n integers in [-1, 10)"),
-    ("dtr", _set("feature", 0, 99), "tree feature must be n integers in [-1, 10)"),
-    ("dtr", _set("feature", 0, 10), "tree feature must be n integers in [-1, 10)"),
-    ("dtr", _set("feature", 0, -2), "tree feature must be n integers in [-1, 10)"),
+    ("dtr", _set("feature", 0, "x"), BAD_FEATURE),
+    ("dtr", _set("feature", 0, 1.0), BAD_FEATURE),
+    ("dtr", _set("feature", 0, True), BAD_FEATURE),
+    ("dtr", _set("feature", 0, 99), BAD_FEATURE),
+    ("dtr", _set("feature", 0, 10), BAD_FEATURE),
+    ("dtr", _set("feature", 0, -2), BAD_FEATURE),
     ("dtr", _leaf_child, "a leaf must have no children"),
-    ("dtr", _set("right", 0, -1), "tree node 0: a leaf must have no children, and a split node i"),
+    ("dtr", _set("right", 0, -1), BAD_ROOT),
     ("dtr", _set("left", 0, {}), "tree left must be"),
-    ("dtr", _set("left", 0, 2), "tree node 0: a leaf must have no children, and a split node i"),
-    ("dtr", _set("right", 0, 1), "tree node 0: a leaf must have no children, and a split node i"),
+    ("dtr", _set("left", 0, 2), BAD_ROOT),
+    ("dtr", _set("right", 0, 1), BAD_ROOT),
     ("dtr", lambda d: _tree(d)["right"].__setitem__(0, len(_tree(d)["right"])),
      "tree right must be"),
     ("dtr", lambda d: _tree(d)["left"].append(-1), "tree left must be"),
