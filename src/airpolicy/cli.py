@@ -4,8 +4,9 @@ Every command validates its configuration and inputs fully before writing
 anything, so a config error never leaves partial outputs, and prints
 only after its last write. Exit codes: 0 success, 1 some cells failed but
 the run completed, or standard output closed before the summary was
-printed, 2 config or input error. The output directory comes from --out,
-else the AIRPOLICY_OUT environment variable, else the config.
+printed, 2 config or input error, 130 interrupted (Ctrl-C). The output
+directory comes from --out, else the AIRPOLICY_OUT environment variable,
+else the config.
 
 Each command imports the modules it runs inside its ``cmd_*`` function, so
 a process loads (and, without a bytecode cache, compiles) only those:
@@ -46,6 +47,7 @@ from .ingest import (
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _resolve_out(args) -> str | None:
@@ -85,7 +87,7 @@ def _collect_grids(grids_dir: str, year: int):
             continue
         entries = []
         for fname in sorted(os.listdir(pdir)):
-            if fname.endswith(".meta.json") or not fname.endswith(".csv"):
+            if not fname.endswith(".csv"):
                 continue
             stem = fname[:-4]
             try:
@@ -126,11 +128,8 @@ def cmd_ingest(args) -> int:
             for p, entries in _collect_grids(city.grids_dir, config.year).items():
                 densities[p] = aggregate_periods(entries, config.year,
                                                  config.aggregation_mode)
-        datasets.append(build_city_dataset(
-            city.name, config.year, policy, densities,
-            max_levels=max_levels, center=city.center,
-            box_half_width=city.box_half_width,
-        ))
+        datasets.append(build_city_dataset(city.name, config.year, policy, densities,
+                                           max_levels=max_levels))
     os.makedirs(os.path.join(config.out_dir, "cities"), exist_ok=True)
     for ds in datasets:
         write_city_csv(ds, _city_csv_path(config.out_dir, ds.city_name))
@@ -371,6 +370,10 @@ def main(argv=None) -> int:
     except (AirPolicyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        # run_shares has already killed and reaped its workers.
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -131,7 +131,7 @@ class SplitSpec:
 # default leaves the value to its own rule in config_from_dict or _city.
 _CITY_DEFAULTS = {
     "name": "", "policy_csv": "", "density_csv": None, "grids_dir": None,
-    "center": [0.0, 0.0], "box_half_width": 0.25, "column_map": {}, "date_column": "date",
+    "column_map": {}, "date_column": "date",
 }
 _DEFAULTS = {
     "year": 0, "cities": None, "pollutants": [p.value for p in PollutantKind],
@@ -206,8 +206,6 @@ class CityConfig:
     policy_csv: str
     density_csv: str | None
     grids_dir: str | None
-    center: tuple[float, float]
-    box_half_width: float
     column_map: dict[MeasureKind, str]
     date_column: str
 
@@ -228,7 +226,6 @@ class PipelineConfig:
     aggregation_mode: str
     predict_kind: str
     out_dir: str
-    seed: int
     document: dict
 
     def model_specs(self) -> list[ModelSpec]:
@@ -256,10 +253,6 @@ def _city(c, where: str) -> dict:
         raise ConfigError(f"{where}: exactly one of density_csv or grids_dir is required")
     source = "grids_dir" if city["density_csv"] is None else "density_csv"
     _check_type(city[source], str, f"{where}.{source}")
-    center = city["center"]
-    if not (len(center) == 2 and all(_is_number(v) for v in center)):
-        raise ConfigError(f"{where}: center must be [lon, lat], got {center!r}")
-    city["center"] = [float(v) for v in center]
     column_map = {m.value: col for m, col in DEFAULT_COLUMN_MAP.items()}
     for key, col in city["column_map"].items():
         if key not in _MEASURES:
@@ -341,7 +334,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
     return PipelineConfig(
         year=doc["year"],
         cities=tuple(
-            CityConfig(**{**c, "center": tuple(c["center"]), "column_map": {
+            CityConfig(**{**c, "column_map": {
                 MeasureKind(k): col for k, col in c["column_map"].items()}})
             for c in doc["cities"]
         ),
@@ -357,7 +350,6 @@ def config_from_dict(d: dict) -> PipelineConfig:
         aggregation_mode=doc["aggregation_mode"],
         predict_kind=doc["predict"]["kind"],
         out_dir=doc["out_dir"],
-        seed=doc["seed"],
         document=doc,
     )
 

@@ -15,6 +15,7 @@ import enum
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,17 +113,13 @@ class CityDataset:
     ``stats`` periods x 4 x (mean, std) in ``POLLUTANTS`` order. NaN marks
     an absent entry: data gaps stay inside the arrays, and downstream
     consumers skip them rather than interpolate, so a fully ingested year
-    always has 183 rows. ``center`` is (longitude, latitude) in degrees;
-    the analysis box is the square of half-width ``box_half_width`` degrees
-    around it (side = twice the half-width).
+    always has 183 rows.
     """
 
     city_name: str
     year: int
     measures: np.ndarray
     stats: np.ndarray
-    center: tuple[float, float] = (0.0, 0.0)
-    box_half_width: float = 0.25
 
     def __post_init__(self):
         if not self.city_name:
@@ -406,7 +403,8 @@ def read_csv_rows(path: str) -> list[tuple[int, list[str]]]:
 
 
 def read_meta(path: str, fields: dict) -> dict:
-    """The keys of a JSON sidecar, each passed through its converter in ``fields``.
+    """The keys of a JSON sidecar, each passed through its converter in
+    ``fields``; other keys are ignored.
 
     Invalid JSON and missing or unusable keys raise MalformedInputError
     naming the file.
@@ -470,9 +468,11 @@ def _city_header() -> list[str]:
 
 
 def write_city_csv(ds: CityDataset, path: str) -> None:
-    """Write one city to CSV plus a .meta.json sidecar with its metadata.
+    """Write one city to CSV, row t being period t; absent measure or
+    pollutant entries become empty fields.
 
-    Absent measure or pollutant entries become empty fields.
+    Name the file ``<city_name>.csv``: read_city_csv takes the name from
+    the file name and the year from row 0's start date.
     """
     rows = [_city_header()]
     values = np.hstack([ds.measures, ds.stats.reshape(len(ds), -1)]).tolist()
@@ -480,16 +480,6 @@ def write_city_csv(ds: CityDataset, path: str) -> None:
         rows.append([t, period_start_date(ds.year, t).isoformat()]
                     + [None if math.isnan(v) else v for v in row])
     write_csv(path, rows)
-    write_json(_meta_path(path), {
-        "city_name": ds.city_name,
-        "year": ds.year,
-        "center": [float(ds.center[0]), float(ds.center[1])],
-        "box_half_width": float(ds.box_half_width),
-    })
-
-
-def _meta_path(csv_path: str) -> str:
-    return csv_path + ".meta.json"
 
 
 def _city_value(cell: str) -> float:
@@ -503,19 +493,13 @@ def _city_value(cell: str) -> float:
 
 
 def read_city_csv(path: str) -> CityDataset:
-    """Reload a city written by write_city_csv.
+    """Reload a city written by write_city_csv, named by its file name
+    without ``.csv``.
 
-    Row t must be period t with its start date, from period 0 on; a cell
-    is empty or a finite number, and a mean or std without its partner
-    reads as absent.
+    Row t must be period t with its start date, from period 0 on, so row 0
+    starts on 1 January of the city's year; a cell is empty or a finite
+    number, and a mean or std without its partner reads as absent.
     """
-    meta = read_meta(_meta_path(path), {
-        "city_name": str,
-        # A year the calendar can hold; date() rejects the others.
-        "year": lambda v: dt.date(int(v), 1, 1).year,
-        "center": lambda v: (float(v[0]), float(v[1])),
-        "box_half_width": float,
-    })
     rows = read_csv_rows(path)
     expected = _city_header()
     if not rows:
@@ -524,6 +508,8 @@ def read_city_csv(path: str) -> CityDataset:
     if header != expected:
         missing = [c for c in expected if c not in header]
         raise SchemaError(missing or expected, path=path)
+    if len(rows) == 1:
+        raise MalformedInputError(path, None, "no periods")
     values = np.empty((len(rows) - 1, len(expected) - 2))
     for t, (line, row) in enumerate(rows[1:]):
         if len(row) != len(expected):
@@ -531,7 +517,10 @@ def read_city_csv(path: str) -> CityDataset:
         try:
             if int(row[0]) != t:
                 raise ValueError(f"period {row[0]} where period {t} belongs")
-            if parse_date(row[1]) != period_start_date(meta["year"], t):
+            start = parse_date(row[1])
+            if t == 0:
+                year = start.year
+            if start != period_start_date(year, t):
                 raise ValueError(f"start date {row[1]} is not that of period {t}")
             values[t] = [_city_value(cell) for cell in row[2:]]
         except ValueError as exc:
@@ -540,12 +529,10 @@ def read_city_csv(path: str) -> CityDataset:
     stats[np.isnan(stats).any(axis=2)] = math.nan
     try:
         return CityDataset(
-            city_name=meta["city_name"],
-            year=meta["year"],
+            city_name=os.path.basename(path).removesuffix(".csv"),
+            year=year,
             measures=values[:, :len(MEASURES)],
             stats=stats,
-            center=meta["center"],
-            box_half_width=meta["box_half_width"],
         )
     except DomainError as exc:
         raise MalformedInputError(path, None, exc) from None

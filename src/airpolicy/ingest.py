@@ -47,14 +47,11 @@ class DensityGrid:
 
     ``values`` is row-major with ``width * height`` entries; cells equal to
     ``nodata`` (NaN by default, compared via isnan) carry no observation.
-    ``bbox`` is (lon_min, lat_min, lon_max, lat_max) in degrees.
     """
 
     width: int
     height: int
     values: np.ndarray
-    pixel_size: float = 50.0
-    bbox: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     label: str = ""
     nodata: float = float("nan")
 
@@ -145,8 +142,6 @@ def write_grid(grid: DensityGrid, path: str) -> None:
     write_json(_grid_meta_path(path), {
         "width": grid.width,
         "height": grid.height,
-        "pixel_size": float(grid.pixel_size),
-        "bbox": [float(v) for v in grid.bbox],
         "label": grid.label,
         "nodata": float(grid.nodata),
     })
@@ -156,8 +151,6 @@ def read_grid(path: str) -> DensityGrid:
     meta = read_meta(_grid_meta_path(path), {
         "width": int,
         "height": int,
-        "pixel_size": float,
-        "bbox": lambda v: tuple(float(c) for c in v),
         "label": str,
         "nodata": float,
     })
@@ -277,8 +270,6 @@ def build_city_dataset(
     policy: PolicyTable,
     densities: dict[PollutantKind, list[tuple[int, float, float]]],
     max_levels: dict[MeasureKind, int] | None = None,
-    center: tuple[float, float] = (0.0, 0.0),
-    box_half_width: float = 0.25,
 ) -> CityDataset:
     """Assemble a full-calendar CityDataset from parsed inputs.
 
@@ -308,6 +299,4 @@ def build_city_dataset(
         year=year,
         measures=measures,
         stats=stats,
-        center=center,
-        box_half_width=box_half_width,
     )

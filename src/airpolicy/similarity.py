@@ -460,10 +460,12 @@ def screen_many(
 
 
 def write_screen_csv(cells: list[ScreenCell], path: str) -> None:
-    """Tidy CSV of the screening table; failed cells keep empty value fields."""
-    header = ["city", "measure", "pollutant", "r", "r2", "p", "band", "dtw_distance", "n"]
+    """Tidy CSV of the screening table; failed cells keep empty value fields
+    and give the reason in the last column, ``error``."""
+    header = ["city", "measure", "pollutant", "r", "r2", "p", "band", "dtw_distance", "n",
+              "error"]
     write_csv(path, [header] + [
         [c.city, c.measure.value, c.pollutant.value, c.r, c.r_squared, c.p_value,
-         None if c.band is None else c.band.value, c.dtw_distance, c.n]
+         None if c.band is None else c.band.value, c.dtw_distance, c.n, c.error]
         for c in cells
     ])

@@ -198,7 +198,6 @@ def _write_grids(
             grid = DensityGrid(
                 width=2, height=1,
                 values=np.array([means[t] - stds[t], means[t] + stds[t]]),
-                bbox=(0.0, 0.0, 0.5, 0.25),
                 label=date.isoformat(),
             )
             write_grid(grid, os.path.join(gdir, f"{date.isoformat()}.csv"))
@@ -233,8 +232,7 @@ def generate(
     root = SplitMix64(seed)
     city_dirs = []
     cities_cfg = []
-    for ci in range(n_cities):
-        name = CITY_NAMES[ci]
+    for name in CITY_NAMES[:n_cities]:
         city_gen = root.spawn()
         levels, series = generate_city(city_gen, profile, year, noise)
         city_dir = os.path.join(out_dir, name)
@@ -250,8 +248,6 @@ def generate(
             "name": name,
             "policy_csv": policy_path,
             "density_csv": density_path,
-            "center": [10.0 + ci, 45.0],
-            "box_half_width": 0.25,
         })
     config = {
         "year": year,

@@ -334,11 +334,9 @@ def test_10_byte_identical_reruns(capsys, tmp_path, no_child_left):
         expected = {"report.csv", "report.json", "screen.csv",
                     "screen_summary.txt"}
         assert expected <= set(first)
-        # Each city persists as a CSV plus a metadata sidecar.
-        for city in ("city_a", "city_b", "city_c", "city_d"):
-            assert f"cities/{city}.csv" in first
-            assert f"cities/{city}.csv.meta.json" in first
-        assert sum(1 for k in first if k.startswith("cities/")) == 8
+        # Each city persists as one CSV file.
+        assert sorted(k for k in first if k.startswith("cities/")) == [
+            f"cities/{city}.csv" for city in ("city_a", "city_b", "city_c", "city_d")]
         assert sum(1 for k in first if k.startswith("models/")) == 36
         assert sum(1 for k in first if k.startswith("fig_")) == 8
         for jobs in (1, 8):

@@ -16,6 +16,7 @@ import pytest
 
 from airpolicy.cli import (
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PARTIAL,
     _collect_grids,
@@ -23,7 +24,13 @@ from airpolicy.cli import (
     build_parser,
     main,
 )
-from airpolicy.dataset import PollutantKind, read_city_csv, write_city_csv
+from airpolicy.dataset import (
+    MEASURES,
+    MeasureKind,
+    PollutantKind,
+    read_city_csv,
+    write_city_csv,
+)
 from airpolicy.ingest import DensityGrid, write_grid
 from airpolicy.models import ModelSpec, fit_arrays
 
@@ -361,6 +368,12 @@ def _named(name):
     return text
 
 
+def _centered(doc):
+    """The config with the city box key that configs no longer take."""
+    doc["cities"][1]["center"] = [11.0, 45.0]
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("text, sets, says", [
     (lambda doc: b"\xff\xfe{}", [], "is not valid JSON"),
     (lambda doc: b"[]", ["seed=1"], "config root must be an object"),
@@ -382,9 +395,10 @@ def _named(name):
      "duplicate pollutant 'CO'"),
     (lambda doc: json.dumps(doc).encode(), ['models.kinds=["knn","knn"]'],
      "duplicate model kind 'knn'"),
+    (_centered, [], "unknown keys in cities[1]: center"),
 ], ids=["not-utf8", "list-root", "string-root", "year-10000", "year-0", "knn-k-negative",
         "knn-k-0", "dnn-batch-0", "madab-estimators-0", "slash-name", "escaping-name",
-        "nul-name", "duplicate-city", "duplicate-pollutant", "duplicate-kind"])
+        "nul-name", "duplicate-city", "duplicate-pollutant", "duplicate-kind", "center-key"])
 def test_bad_config_is_exit_2_and_writes_nothing(tmp_path, text, sets, says):
     with open(run_synth(tmp_path, seed=0)) as fh:
         doc = json.load(fh)
@@ -437,12 +451,16 @@ def _cut_row(path):
     _edit_line(path, 5, lambda b: b[:20])
 
 
-def _drop_year(path):
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
-    del meta["year"]
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh)
+def _not_new_year(path):
+    # The year is that of row 0's start date, which must be a 1 January.
+    _edit_line(path, 2, lambda b: b.replace(b"2020-01-01", b"2020-01-03", 1))
+
+
+def _no_periods(path):
+    with open(path) as fh:
+        header = fh.readline()
+    with open(path, "w") as fh:
+        fh.write(header)
 
 
 def _skip_period(path):
@@ -456,10 +474,11 @@ def _nan_cell(path):
 @pytest.mark.parametrize("command, corrupt, says", [
     ("screen", _bad_period, "city_b.csv, line 5: invalid literal"),
     ("benchmark", _cut_row, "city_b.csv, line 5: 4 cells"),
-    ("screen", _drop_year, "city_b.csv.meta.json: missing or bad key 'year'"),
+    ("screen", _not_new_year, "city_b.csv, line 2: start date 2020-01-03 is not that of period 0"),
+    ("benchmark", _no_periods, "city_b.csv: no periods"),
     ("screen", _skip_period, "city_b.csv, line 6: period 4 where period 3 belongs"),
     ("predict", _nan_cell, "city_b.csv, line 5: non-finite value 'nan'"),
-], ids=["bad-period", "cut-row", "no-year", "skip-period", "nan-cell"])
+], ids=["bad-period", "cut-row", "no-year", "no-periods", "skip-period", "nan-cell"])
 def test_malformed_city_file_is_exit_2(tmp_path, capsys, command, corrupt, says):
     cfg = run_synth(tmp_path, seed=0)
     out = str(tmp_path / "run")
@@ -582,7 +601,7 @@ def test_ingest_skips_dates_outside_the_year(tmp_path, capsys):
     assert main(["ingest", "--config", cfg, "--out", out2]) == EXIT_OK
     capsys.readouterr()
     names = sorted(os.listdir(os.path.join(out1, "cities")))
-    assert len(names) == 8 and names == sorted(os.listdir(os.path.join(out2, "cities")))
+    assert len(names) == 4 and names == sorted(os.listdir(os.path.join(out2, "cities")))
     for name in names:
         assert filecmp.cmp(os.path.join(out1, "cities", name),
                            os.path.join(out2, "cities", name), shallow=False), name
@@ -649,6 +668,40 @@ def test_screen_pollutant_without_usable_periods_is_exit_2_at_any_jobs(tmp_path)
         says = _cli_input_error(["screen", "--config", cfg, "--out", out, "--jobs", jobs])
         assert says == "input error: no city has 3 complete periods for O3\n", jobs
         assert sorted(os.listdir(out)) == before
+
+
+def test_failed_screen_cells_carry_their_error_note(tmp_path, capsys):
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "cities", "city_b.csv")
+    ds = read_city_csv(path)
+    measures = ds.measures.copy()
+    measures[:, MEASURES.index(MeasureKind.RE_IN_MOV)] = 0.5
+    write_city_csv(replace(ds, measures=measures), path)
+    assert main(["screen", "--config", cfg, "--out", out]) == EXIT_PARTIAL
+    with open(os.path.join(out, "screen.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [r for r in rows if r["error"]]
+    assert sorted(r["pollutant"] for r in failed) == ["CO", "NO2", "O3", "SO2"]
+    for r in failed:
+        assert (r["city"], r["measure"], r["r"], r["p"]) == ("city_b", "RE_IN_MOV", "", "")
+        assert "zero variance leaves the correlation undefined" in r["error"]
+
+
+def test_interrupt_is_exit_130_without_traceback(tmp_path, capsys, monkeypatch):
+    from airpolicy import evaluation
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(evaluation, "run_benchmark", interrupted)
+    assert main(["benchmark", "--config", cfg, "--out", out]) == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_null_profile_screen_flag(tmp_path, capsys):

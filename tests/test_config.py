@@ -41,9 +41,9 @@ def test_minimal_document_fills_defaults():
     assert cfg.dtw_cost == "absolute" and cfg.dtw_normalize and cfg.dtw_window is None
     assert cfg.aggregation_mode == "per_grid"
     assert cfg.predict_kind == "rfr"
-    assert cfg.out_dir == "out" and cfg.seed == 0
+    assert cfg.out_dir == "out" and cfg.echo()["seed"] == 0
     assert cfg.cities[0].column_map == DEFAULT_COLUMN_MAP
-    assert cfg.cities[0].box_half_width == 0.25
+    assert cfg.cities[0].date_column == "date"
 
 
 @pytest.mark.parametrize("mutate, fragment", [
@@ -77,9 +77,8 @@ def test_minimal_document_fills_defaults():
     (lambda d: d.update(predict=[]), "predict must be an object"),
     (lambda d: d.update(measure_max_levels=[]), "measure_max_levels must be an object"),
     (lambda d: d.update(cities=[5]), "cities[0] must be an object"),
-    (lambda d: d["cities"][0].update(box_half_width="abc"),
-     "cities[0].box_half_width must be a number"),
-    (lambda d: d["cities"][0].update(center=["a", 1]), "center must be [lon, lat]"),
+    (lambda d: d["cities"][0].update(center=[10.0, 45.0], box_half_width=0.25),
+     "unknown keys in cities[0]: box_half_width, center"),
     (lambda d: d["cities"][0].update(column_map=[]), "cities[0].column_map must be an object"),
     (lambda d: d.update(split={"test_fraction": "abc"}), "split.test_fraction must be a number"),
     (lambda d: d.update(split={"test_fraction": "0.3"}), "split.test_fraction must be a number"),
@@ -217,13 +216,13 @@ def test_load_config_precedence(tmp_path):
     doc["seed"] = 11
     path.write_text(json.dumps(doc))
     cfg = load_config(str(path))
-    assert cfg.out_dir == "from_file" and cfg.seed == 11
+    assert cfg.out_dir == "from_file" and cfg.echo()["seed"] == 11
     # The explicit out_dir beats both the file and --set overrides.
     cfg = load_config(str(path), overrides=["seed=22", "out_dir=from_set"],
                       out_dir="from_arg")
-    assert cfg.out_dir == "from_arg" and cfg.seed == 22
+    assert cfg.out_dir == "from_arg" and cfg.echo()["seed"] == 22
     cfg = load_config(str(path), overrides=["seed=22"])
-    assert cfg.seed == 22
+    assert cfg.echo()["seed"] == 22
 
 
 @pytest.mark.parametrize("override, fragment", [
@@ -286,10 +285,9 @@ def _synth_doc(tmp_path, monkeypatch):
         return json.load(fh)
 
 
-def _int_center_doc(tmp_path, monkeypatch):
+def _column_map_doc(tmp_path, monkeypatch):
     doc = base_doc()
-    doc["cities"][0].update(center=[1, 2], box_half_width=1,
-                            column_map={"RE_GAT": "gatherings"})
+    doc["cities"][0].update(column_map={"RE_GAT": "gatherings"})
     return doc
 
 
@@ -312,12 +310,12 @@ def _grids_doc(tmp_path, monkeypatch):
 # sha256 of json.dumps(echo(), sort_keys=True, indent=2): report.json embeds
 # the echo, so these pin its bytes across rewrites of the config parser.
 @pytest.mark.parametrize("make, digest", [
-    (_synth_doc, "c8df69d1d8e879bb507ba71ec2051ac954bc11fe40f3137ba3981c54c6e6b848"),
-    (lambda *_: base_doc(), "b5c760134a352340b1598e9eb0adc25945d70db525f7b96d10086906071172ee"),
-    (_int_center_doc, "8a17e0cf8f41937b118e996afc79b432529f35b34ac3c96173fd246131f277b8"),
-    (_overrides_doc, "518c2958ce95d04804d0d21650d4ba940857bbd07cc8654192f138a92f11c542"),
-    (_grids_doc, "50fc5ef7e13432ca5cbd79c5e5cc921622ecc1f7c29a3ca9d2908611c30d1169"),
-], ids=["synth-seed0", "minimal", "int-center", "overrides", "grids-dir"])
+    (_synth_doc, "e52d4c1eb3662f26c7dea13967bf8d6d60a37d51bed2a2f593d74b4a28763817"),
+    (lambda *_: base_doc(), "75a641c95a28e11dceebe0afeaa4ce9b572bce874d4b13a5e25f8014ef8a8827"),
+    (_column_map_doc, "9c17f7e7de3d5cf663f2a1ca0ed5c56c26f6722b28ac6d5716826fe78d2b07e8"),
+    (_overrides_doc, "792a318997d076cf8d6f6bdcff635319806abec3fd2a210f32b227ae6a049399"),
+    (_grids_doc, "e423751a9ae26087fd356c80b30bd13682dc54249d28102ee1da26da8c3d2373"),
+], ids=["synth-seed0", "minimal", "column-map", "overrides", "grids-dir"])
 def test_echo_matches_golden_digest(tmp_path, monkeypatch, make, digest):
     text = json.dumps(config_from_dict(make(tmp_path, monkeypatch)).echo(),
                       sort_keys=True, indent=2)
@@ -330,8 +328,7 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=12,
 )
-CITY_KEYS = ["name", "policy_csv", "density_csv", "grids_dir", "center", "box_half_width",
-             "column_map", "date_column"]
+CITY_KEYS = ["name", "policy_csv", "density_csv", "grids_dir", "column_map", "date_column"]
 
 
 def _doc_with_city(changes):

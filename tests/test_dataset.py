@@ -301,7 +301,7 @@ def test_supervised_arrays_are_read_only():
 
 def test_city_csv_round_trip_exact(tmp_path):
     ds = make_city(n_periods=9)
-    path = str(tmp_path / "city.csv")
+    path = str(tmp_path / f"{ds.city_name}.csv")
     write_city_csv(ds, path)
     again = read_city_csv(path)
     assert again.city_name == ds.city_name
@@ -310,6 +310,14 @@ def test_city_csv_round_trip_exact(tmp_path):
     # repr round-trip, so exact
     assert np.array_equal(again.measures, ds.measures, equal_nan=True)
     assert np.array_equal(again.stats, ds.stats, equal_nan=True)
+
+
+def test_city_csv_reads_under_its_file_name(tmp_path):
+    # The file holds no name; its year is row 0's.
+    path = str(tmp_path / "renamed.csv")
+    write_city_csv(make_city(name="city_x", year=2021, n_periods=3), path)
+    again = read_city_csv(path)
+    assert (again.city_name, again.year) == ("renamed", 2021)
 
 
 def test_city_csv_preserves_gaps(tmp_path):

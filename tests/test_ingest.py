@@ -181,14 +181,14 @@ def test_aggregate_periods_unknown_mode():
 def test_grid_file_round_trip_exact(tmp_path):
     g = DensityGrid(width=3, height=2,
                     values=np.array([0.1, float("nan"), 0.3, 1e-7, 2e-7, 3.3e-4]),
-                    pixel_size=25.0, bbox=(10.0, 45.0, 10.5, 45.5), label="week1")
+                    label="week1")
     path = str(tmp_path / "g.csv")
     write_grid(g, path)
+    with open(path + ".meta.json") as fh:
+        assert sorted(json.load(fh)) == ["height", "label", "nodata", "width"]
     back = read_grid(path)
     assert back.width == 3 and back.height == 2
     assert np.array_equal(back.values, g.values, equal_nan=True)
-    assert back.pixel_size == 25.0
-    assert back.bbox == g.bbox
     assert back.label == "week1"
 
 
@@ -388,7 +388,7 @@ def _write_density(path):
 
 GRID = DensityGrid(width=2, height=2, values=np.array([0.1, float("nan"), 0.3, 0.4]))
 
-# name -> (reader, writer of a valid file and its sidecar)
+# name -> (reader, writer of a valid file and any sidecar)
 READERS = {
     "policy": (lambda p: parse_policy_csv(p, DEFAULT_COLUMN_MAP), _write_policy),
     "density": (parse_density_csv, _write_density),
@@ -443,13 +443,13 @@ def test_malformed_cell_names_file_and_line(tmp_path, name, line, old, new):
         READERS[name][0](path)
 
 
-@pytest.mark.parametrize("name", ["grid", "city"])
+@pytest.mark.parametrize("name", ["grid"])
 def test_sidecar_missing_or_bad_key_is_malformed(tmp_path, name):
     path, _ = _valid_file(tmp_path, name)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
     bad = [{k: v for k, v in meta.items() if k != key} for key in meta]
-    bad += [dict(meta, **{key: "x"}) for key in meta if key not in ("label", "city_name")]
+    bad += [dict(meta, **{key: "x"}) for key in meta if key != "label"]
     for doc in bad:
         with open(path + ".meta.json", "w") as fh:
             json.dump(doc, fh)
@@ -459,3 +459,16 @@ def test_sidecar_missing_or_bad_key_is_malformed(tmp_path, name):
         fh.write("{not json")
     with pytest.raises(MalformedInputError, match="meta.json, line 1"):
         READERS[name][0](path)
+
+
+def test_grid_sidecar_with_a_box_still_reads(tmp_path):
+    # Grid sidecars once also held the grid's pixel size and lon/lat box.
+    path = str(tmp_path / "g.csv")
+    write_grid(GRID, path)
+    with open(path + ".meta.json") as fh:
+        meta = json.load(fh)
+    with open(path + ".meta.json", "w") as fh:
+        json.dump({**meta, "pixel_size": 25.0, "bbox": [10.0, 45.0, 10.5, 45.5]}, fh)
+    back = read_grid(path)
+    assert (back.width, back.height, back.label) == (GRID.width, GRID.height, GRID.label)
+    assert np.array_equal(back.values, GRID.values, equal_nan=True)

@@ -111,7 +111,7 @@ def test_screen_csv_format(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["city", "measure", "pollutant", "r", "r2", "p",
-                       "band", "dtw_distance", "n"]
+                       "band", "dtw_distance", "n", "error"]
     assert len(rows) == 1 + len(cells)
     body = rows[1:]
     # Values round-trip through repr exactly.
@@ -123,6 +123,7 @@ def test_screen_csv_format(tmp_path):
             assert float(row[3]) == cell.r
             assert row[6] == cell.band.value
         assert int(row[8]) == cell.n
+        assert row[9] == cell.error
 
 
 def test_screen_csv_deterministic(tmp_path):
