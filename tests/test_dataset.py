@@ -379,14 +379,16 @@ def _set_cell(lines, line, col, text):
     lines[line - 1] = ",".join(cells)
 
 
-@pytest.mark.parametrize("col, text, says", [
-    (2, "nan", "line 2: non-finite value 'nan'"),
-    (10, "-inf", "line 2: non-finite value '-inf'"),
-    (1, "2020-01-02", "line 2: start date 2020-01-02 is not that of period 0"),
-    (1, "2020-02-30", "line 2: bad date"),
-], ids=["nan", "inf", "wrong-date", "bad-date"])
-def test_city_csv_rejects_bad_cells_naming_the_line(tmp_path, col, text, says):
-    path = _rewritten(tmp_path, lambda lines: _set_cell(lines, 2, col, text))
+@pytest.mark.parametrize("line, col, text, says", [
+    (2, 2, "nan", "line 2: non-finite value 'nan'"),
+    (2, 10, "-inf", "line 2: non-finite value '-inf'"),
+    (2, 1, "2020-01-02", "line 2: start date 2020-01-02 is not that of period 0"),
+    (2, 1, "2020-02-30", "line 2: bad date"),
+    # Period 1's start date in the next year: row 0 fixes the year.
+    (3, 1, "2021-01-03", "line 3: start date 2021-01-03 is not that of period 1"),
+], ids=["nan", "inf", "wrong-date", "bad-date", "other-year"])
+def test_city_csv_rejects_bad_cells_naming_the_line(tmp_path, line, col, text, says):
+    path = _rewritten(tmp_path, lambda lines: _set_cell(lines, line, col, text))
     with pytest.raises(MalformedInputError, match=says):
         read_city_csv(path)
 
