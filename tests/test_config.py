@@ -77,8 +77,8 @@ def test_minimal_document_fills_defaults():
     (lambda d: d.update(predict=[]), "predict must be an object"),
     (lambda d: d.update(measure_max_levels=[]), "measure_max_levels must be an object"),
     (lambda d: d.update(cities=[5]), "cities[0] must be an object"),
-    (lambda d: d["cities"][0].update(center=[10.0, 45.0], box_half_width=0.25),
-     "unknown keys in cities[0]: box_half_width, center"),
+    (lambda d: d["cities"][0].update(center=[10.0, 45.0]), "unknown keys in cities[0]: center"),
+    (lambda d: d["cities"][0].update(box_half_width=0.25), "in cities[0]: box_half_width"),
     (lambda d: d["cities"][0].update(column_map=[]), "cities[0].column_map must be an object"),
     (lambda d: d.update(split={"test_fraction": "abc"}), "split.test_fraction must be a number"),
     (lambda d: d.update(split={"test_fraction": "0.3"}), "split.test_fraction must be a number"),
