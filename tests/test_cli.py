@@ -616,6 +616,82 @@ def test_grid_files_outside_the_year_are_skipped(tmp_path):
     assert [date for date, _ in got[PollutantKind.CO]] == [dt.date(2020, 3, 1)]
 
 
+def _gappy_grid_config(root):
+    """Seed-0 inputs of two cities with gaps and repeats: city_a on the grid
+    route, some grid files removed and some periods given a second grid;
+    city_b on its density CSV, rows removed and some periods given two or
+    three rows; in both, policy rows and cells removed and a 2019 row whose
+    out-of-range level the year filter drops."""
+    from airpolicy.dataset import period_start_date
+    from airpolicy.synth import generate
+
+    res = generate(root, seed=0, emit_grids=True, n_cities=2)
+    grids = os.path.join(res.city_dirs[0], "grids")
+    for j, p in enumerate(PollutantKind):
+        for t in (5 + j, 40, 41, 100):
+            path = os.path.join(grids, p.value, f"{period_start_date(2020, t)}.csv")
+            os.remove(path)
+            os.remove(path + ".meta.json")
+        for t in (10, 60 + j, 150):
+            src = os.path.join(grids, p.value, f"{period_start_date(2020, t + 1)}.csv")
+            dst = os.path.join(grids, p.value,
+                               f"{period_start_date(2020, t) + dt.timedelta(days=1)}.csv")
+            for suffix in ("", ".meta.json"):
+                with open(src + suffix, "rb") as fin, open(dst + suffix, "wb") as fout:
+                    fout.write(fin.read())
+    density = os.path.join(res.city_dirs[1], "densities.csv")
+    with open(density) as fh:
+        lines = fh.read().splitlines()
+    kept = [ln for i, ln in enumerate(lines) if i == 0 or i % 17]
+    repeats = []
+    for ln in lines[20:700:37]:
+        date, rest = ln.split(",", 1)
+        next_day = dt.date.fromisoformat(date) + dt.timedelta(days=1)
+        repeats += [f"{next_day},{rest}", f"{date},{rest.replace('0.0', '0.01', 1)}"]
+    with open(density, "w") as fh:
+        fh.write("\n".join(kept + repeats) + "\n")
+    for city_dir in res.city_dirs:
+        policy = os.path.join(city_dir, "policy.csv")
+        with open(policy) as fh:
+            lines = fh.read().splitlines()
+        kept = [ln for i, ln in enumerate(lines) if i == 0 or i % 11]
+        kept[30] = kept[30].rsplit(",", 2)[0] + ",,3"
+        kept.append("2019-12-31," + ",".join(["9"] * len(MEASURES)))
+        with open(policy, "w") as fh:
+            fh.write("\n".join(kept) + "\n")
+    with open(res.config_path) as fh:
+        config = json.load(fh)
+    del config["cities"][0]["density_csv"]
+    config["cities"][0]["grids_dir"] = grids
+    with open(res.config_path, "w") as fh:
+        json.dump(config, fh)
+    return res.config_path
+
+
+@pytest.mark.parametrize("route, mode, digest", [
+    ("csv", "per_grid",
+     "c8cb2d7d6b5e61bc32111fbb2443bf9ec1d8289d884cbf12c06173acc3d13162"),
+    ("grids", "per_grid",
+     "bd8f079ec7f18e735ed7df1f72b3985981dba991a7fab6bcca4ad1b168d223d0"),
+    ("grids", "pooled_pixels",
+     "922c43a13e01ce0dc92b1bf3dd4fe1ce4d1365933f36c6a612c10663c53b0c2d"),
+], ids=["density-csv", "grids-per-grid", "grids-pooled-pixels"])
+def test_seed_0_city_bytes_match_golden_digest(tmp_path, capsys, route, mode, digest):
+    """The cities/*.csv that ingest writes from seed-0 inputs, pinned across
+    rewrites of the period averaging."""
+    from airpolicy.synth import generate
+    from test_synth import tree_sha256
+
+    root = str(tmp_path / "synth")
+    cfg = (generate(root, seed=0).config_path if route == "csv"
+           else _gappy_grid_config(root))
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out,
+                 f"--set=aggregation_mode={mode}"]) == EXIT_OK
+    capsys.readouterr()
+    assert tree_sha256(os.path.join(out, "cities")) == digest
+
+
 def _run_into_closed_pipe(argv):
     """Run the CLI with stdout a pipe whose reader closed at once (`| true`)."""
     proc = subprocess.Popen([sys.executable, "-m", "airpolicy.cli", *argv],
