@@ -117,19 +117,18 @@ def cmd_ingest(args) -> int:
     # Build every city before writing any, so a bad input leaves no output.
     datasets = []
     for city in config.cities:
-        policy = parse_policy_csv(city.policy_csv, city.column_map, city.date_column)
+        policy = parse_policy_csv(city.policy_csv, city.column_map, config.year,
+                                  max_levels, city.date_column)
         densities = {}
         if city.density_csv is not None:
-            per_date = parse_density_csv(city.density_csv)
-            for p, entries in per_date.items():
+            for p, entries in parse_density_csv(city.density_csv).items():
                 in_year = [e for e in entries if e[0].year == config.year]
                 densities[p] = aggregate_stat_periods(in_year, config.year)
         else:
             for p, entries in _collect_grids(city.grids_dir, config.year).items():
                 densities[p] = aggregate_periods(entries, config.year,
                                                  config.aggregation_mode)
-        datasets.append(build_city_dataset(city.name, config.year, policy, densities,
-                                           max_levels=max_levels))
+        datasets.append(build_city_dataset(city.name, config.year, policy, densities))
     os.makedirs(os.path.join(config.out_dir, "cities"), exist_ok=True)
     for ds in datasets:
         write_city_csv(ds, _city_csv_path(config.out_dir, ds.city_name))

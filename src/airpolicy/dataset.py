@@ -21,13 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    AmbiguousInputError,
     DegenerateColumnError,
     DomainError,
     EmptyDatasetError,
     InsufficientDataError,
     MalformedInputError,
-    OrdinalRangeError,
     SchemaError,
     ShapeError,
 )
@@ -68,17 +66,6 @@ POOLED_SCOPE = "pooled"
 DEFAULT_MAX_LEVEL = 4
 N_FEATURES = len(MEASURES) + 2
 N_TARGETS = 2
-
-
-def normalize_measure(raw_level: int, max_level: int = DEFAULT_MAX_LEVEL) -> float:
-    """Map an ordinal stringency level onto [0, 1] as raw_level / max_level."""
-    if max_level < 1:
-        raise DomainError(f"max_level must be >= 1, got {max_level}")
-    if raw_level < 0 or raw_level > max_level:
-        raise OrdinalRangeError(
-            f"ordinal level {raw_level} outside [0, {max_level}]"
-        )
-    return raw_level / max_level
 
 
 def is_leap_year(year: int) -> bool:
@@ -155,35 +142,27 @@ class CityDataset:
         return np.hstack([self.measures, self.stats[:, POLLUTANTS.index(pollutant)]])
 
 
-def group_by_period(rows, year: int) -> list[tuple[int, list]]:
-    """Rows whose first item is a date, grouped by 2-day period.
+def resample_to_periods(dates, values: np.ndarray, year: int) -> np.ndarray:
+    """Average dated rows into 2-day periods: every period mean of the package.
 
-    Periods come in ascending order, each with its rows in input order;
-    periods with no row are omitted. Every date must fall inside ``year``.
+    ``values`` holds one row per entry of ``dates``, one column or several,
+    NaN where an entry is absent. Returns periods x columns, each cell the
+    mean of its column's present entries dated in that period, added in
+    input order, NaN where the period has none. A repeated date counts once
+    per row. Every date must fall inside ``year``.
     """
-    groups: dict[int, list] = {}
-    for row in rows:
-        date = row[0]
+    for date in dates:
         if date.year != year:
             raise DomainError(f"date {date} outside year {year}")
-        groups.setdefault(period_of_date(date), []).append(row)
-    return sorted(groups.items())
-
-
-def resample_to_periods(
-    daily: list[tuple[dt.date, float]], year: int
-) -> list[tuple[int, float]]:
-    """Average a daily series into 2-day periods.
-
-    Each period's value is the arithmetic mean of the days actually present
-    in it (one present day stands alone); periods with no present day are
-    omitted. Dates must fall inside ``year`` and repeat nowhere.
-    """
-    groups = group_by_period(daily, year)
-    dates = [date for date, _ in daily]
-    if len(set(dates)) < len(dates):
-        raise AmbiguousInputError(f"duplicate date {max(dates, key=dates.count)}")
-    return [(p, sum([float(v) for _, v in days]) / len(days)) for p, days in groups]
+    periods = np.array([period_of_date(d) for d in dates], dtype=np.intp)
+    n = periods_in_year(year)
+    out = np.empty((n, values.shape[1]))
+    for j, column in enumerate(values.T):
+        present = ~np.isnan(column)
+        total = np.bincount(periods[present], weights=column[present], minlength=n)
+        with np.errstate(invalid="ignore"):
+            out[:, j] = total / np.bincount(periods[present], minlength=n)
+    return out
 
 
 # ---------------------------------------------------------------------------

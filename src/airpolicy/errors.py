@@ -9,10 +9,6 @@ class AirPolicyError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class OrdinalRangeError(AirPolicyError):
-    """Raw measure level outside [0, max_level]."""
-
-
 class AmbiguousInputError(AirPolicyError):
     """Duplicate dates or otherwise ambiguous input rows."""
 

@@ -20,10 +20,8 @@ from .dataset import (
     CityDataset,
     MeasureKind,
     PollutantKind,
-    DEFAULT_MAX_LEVEL,
-    group_by_period,
-    normalize_measure,
     parse_date,
+    period_of_date,
     periods_in_year,
     read_csv_rows,
     read_meta,
@@ -88,25 +86,23 @@ def grid_stats(grid: DensityGrid) -> tuple[float, float, float]:
 
 def aggregate_stat_periods(
     entries: list[tuple[dt.date, float, float]], year: int
-) -> list[tuple[int, float, float]]:
-    """Average per-date (mean, std) rows into 2-day periods.
+) -> np.ndarray:
+    """Average per-date (date, mean, std) rows into 2-day periods.
 
-    Multiple rows in one period contribute the average of their means and
-    the average of their stds; periods with no row are omitted.
+    Returns periods x (mean, std): a period with several rows gets the
+    average of their means and the average of their stds, a period with no
+    row NaN.
     """
-    return [
-        (p, sum(float(m) for _, m, _ in rows) / len(rows),
-         sum(float(s) for _, _, s in rows) / len(rows))
-        for p, rows in group_by_period(entries, year)
-    ]
+    stats = np.array([(m, s) for _, m, s in entries], dtype=np.float64).reshape(-1, 2)
+    return resample_to_periods([date for date, _, _ in entries], stats, year)
 
 
 def aggregate_periods(
     grids: list[tuple[dt.date, DensityGrid]],
     year: int,
     mode: str = "per_grid",
-) -> list[tuple[int, float, float]]:
-    """Reduce dated grids to per-period (mean, std).
+) -> np.ndarray:
+    """Reduce dated grids to periods x (mean, std), NaN where no grid.
 
     per_grid (default): each grid is reduced with grid_stats first, then
     statistics are averaged within the period, which is robust to grids with
@@ -114,17 +110,19 @@ def aggregate_periods(
     period's grids are pooled and the statistics recomputed over the pool.
     """
     if mode == "per_grid":
-        entries = []
-        for date, grid in grids:
-            mean, std, _ = grid_stats(grid)
-            entries.append((date, mean, std))
-        return aggregate_stat_periods(entries, year)
+        return aggregate_stat_periods(
+            [(date, *grid_stats(grid)[:2]) for date, grid in grids], year)
     if mode != "pooled_pixels":
         raise DomainError(f"unknown aggregation mode {mode!r}")
-    out = []
-    for p, rows in group_by_period(grids, year):
-        pool = np.concatenate([_valid_values(grid) for _, grid in rows])
-        out.append((p, float(pool.mean()), float(pool.std())))
+    pools: dict[int, list[np.ndarray]] = {}
+    for date, grid in grids:
+        if date.year != year:
+            raise DomainError(f"date {date} outside year {year}")
+        pools.setdefault(period_of_date(date), []).append(_valid_values(grid))
+    out = np.full((periods_in_year(year), 2), np.nan)
+    for p, values in pools.items():
+        pool = np.concatenate(values)
+        out[p] = pool.mean(), pool.std()
     return out
 
 
@@ -169,28 +167,15 @@ def read_grid(path: str) -> DensityGrid:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Per-date raw ordinal levels for the 8 measures; cells may be missing."""
+    """One city's policy rows dated in the target year.
 
-    rows: tuple[tuple[dt.date, dict[MeasureKind, int]], ...]
+    ``dates`` are distinct and ascending; ``levels`` holds dates x 8 in
+    ``MEASURES`` order, each level over its measure's max level (so in
+    [0, 1]), NaN for a missing cell.
+    """
 
-    def __post_init__(self):
-        prev = None
-        for date, _ in self.rows:
-            if prev is not None and date <= prev:
-                raise AmbiguousInputError(f"dates not strictly increasing at {date}")
-            prev = date
-
-    def daily_series(
-        self, measure: MeasureKind, max_level: int = DEFAULT_MAX_LEVEL, year: int | None = None
-    ) -> list[tuple[dt.date, float]]:
-        """Normalized [0,1] intensities for one measure, skipping missing cells."""
-        out = []
-        for date, cells in self.rows:
-            if year is not None and date.year != year:
-                continue
-            if measure in cells:
-                out.append((date, normalize_measure(cells[measure], max_level)))
-        return out
+    dates: list[dt.date]
+    levels: np.ndarray
 
 
 def _read_table(path: str, required) -> list[tuple[int, dict[str, str]]]:
@@ -211,33 +196,46 @@ def _read_table(path: str, required) -> list[tuple[int, dict[str, str]]]:
 def parse_policy_csv(
     path: str,
     column_map: dict[MeasureKind, str],
+    year: int,
+    max_levels: dict[MeasureKind, int],
     date_column: str = "date",
 ) -> PolicyTable:
-    """Read a per-date ordinal table from a tracker-style CSV export.
+    """Read the rows dated in ``year`` of a tracker-style CSV export.
 
     Blank or unparseable ordinal cells become missing cells, never level 0
-    (0 is a real level meaning no measure). Rows are sorted by date.
+    (0 is a real level meaning no measure). A level outside [0, max level]
+    names the file and line. Every row's date must parse and occur once;
+    rows of other years are otherwise skipped. Rows are sorted by date.
     """
-    parsed: list[tuple[dt.date, dict[MeasureKind, int]]] = []
+    seen: set[dt.date] = set()
+    rows: list[tuple[dt.date, list[float]]] = []
     for line, raw in _read_table(path, (date_column, *column_map.values())):
         try:
             date = parse_date(raw[date_column])
         except ValueError as exc:
             raise MalformedInputError(path, line, exc) from None
-        cells: dict[MeasureKind, int] = {}
+        if date in seen:
+            raise AmbiguousInputError(f"duplicate date {date} in {path}")
+        seen.add(date)
+        if date.year != year:
+            continue
+        levels = [math.nan] * len(MEASURES)
         for measure, col in column_map.items():
             try:
-                cells[measure] = int(raw[col].strip())
+                level = int(raw[col].strip())
             except ValueError:
                 continue
-        parsed.append((date, cells))
-    if not parsed:
+            top = max_levels[measure]
+            if not 0 <= level <= top:
+                raise MalformedInputError(
+                    path, line, f"{col}: ordinal level {level} outside [0, {top}]")
+            levels[MEASURES.index(measure)] = level / top
+        rows.append((date, levels))
+    if not seen:
         raise EmptyInputError(f"{path} has a header but no data rows")
-    parsed.sort(key=lambda item: item[0])
-    for (a, _), (b, _) in zip(parsed, parsed[1:]):
-        if a == b:
-            raise AmbiguousInputError(f"duplicate date {a} in {path}")
-    return PolicyTable(rows=tuple(parsed))
+    rows.sort(key=lambda item: item[0])
+    return PolicyTable(dates=[date for date, _ in rows],
+                       levels=np.array([v for _, v in rows]).reshape(-1, len(MEASURES)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,35 +266,20 @@ def build_city_dataset(
     city_name: str,
     year: int,
     policy: PolicyTable,
-    densities: dict[PollutantKind, list[tuple[int, float, float]]],
-    max_levels: dict[MeasureKind, int] | None = None,
+    densities: dict[PollutantKind, np.ndarray],
 ) -> CityDataset:
     """Assemble a full-calendar CityDataset from parsed inputs.
 
-    ``densities`` maps each pollutant to per-period (index, mean, std) rows
-    as produced by aggregate_periods. Policy rows outside the target year
-    are ignored. Every calendar period becomes a row; data gaps stay as
-    NaN entries.
+    ``densities`` maps each pollutant to its periods x (mean, std) array as
+    produced by aggregate_periods. Every calendar period becomes a row;
+    data gaps stay as NaN entries.
     """
-    max_levels = max_levels or {}
-    n_periods = periods_in_year(year)
-    measures = np.full((n_periods, len(MEASURES)), np.nan)
-    for j, m in enumerate(MEASURES):
-        daily = policy.daily_series(m, max_levels.get(m, DEFAULT_MAX_LEVEL), year=year)
-        for p, v in resample_to_periods(daily, year):
-            measures[p, j] = v
-    stats = np.full((n_periods, len(POLLUTANTS), 2), np.nan)
-    for pollutant, rows in densities.items():
-        column = stats[:, POLLUTANTS.index(pollutant)]
-        for p, mean, std in rows:
-            if p < 0 or p >= n_periods:
-                raise DomainError(f"period {p} outside year {year}")
-            if not np.isnan(column[p]).all():
-                raise AmbiguousInputError(f"duplicate period {p} for {pollutant.value}")
-            column[p] = mean, std
+    stats = np.full((periods_in_year(year), len(POLLUTANTS), 2), np.nan)
+    for pollutant, column in densities.items():
+        stats[:, POLLUTANTS.index(pollutant)] = column
     return CityDataset(
         city_name=city_name,
         year=year,
-        measures=measures,
+        measures=resample_to_periods(policy.dates, policy.levels, year),
         stats=stats,
     )

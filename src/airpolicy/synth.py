@@ -93,12 +93,9 @@ def _measure_levels(gen: SplitMix64, n_days: int) -> list[int]:
 
 def _period_intensity(levels: list[int], year: int) -> list[float]:
     start = dt.date(year, 1, 1)
-    daily = [
-        (start + dt.timedelta(days=i), lvl / DEFAULT_MAX_LEVEL)
-        for i, lvl in enumerate(levels)
-    ]
-    resampled = resample_to_periods(daily, year)
-    return [v for _, v in resampled]
+    dates = [start + dt.timedelta(days=i) for i in range(len(levels))]
+    daily = np.array(levels)[:, None] / DEFAULT_MAX_LEVEL
+    return resample_to_periods(dates, daily, year)[:, 0].tolist()
 
 
 def _pollutant_series(

@@ -425,13 +425,17 @@ def _edit_line(path, line, edit):
 # would leave the first three cities behind.
 @pytest.mark.parametrize("fname, line, old, new, says", [
     ("policy.csv", 3, b"2020-01-02", b"2020-13-04", "policy.csv, line 3: bad date"),
+    ("policy.csv", 3, b"02,1,", b"02,9,",
+     "policy.csv, line 3: RE_IN_MOV: ordinal level 9 outside [0, 4]"),
+    ("policy.csv", 3, b",0,1,", b"," + b"1" + b"0" * 400 + b",1,",
+     "policy.csv, line 3: C_PUB_TRAN: ordinal level 1000"),
     ("densities.csv", 3, b",CO,", b",XX,", "densities.csv, line 3: 'XX'"),
     ("densities.csv", 3, b",CO,0.", b",CO,abc", "densities.csv, line 3: could not"),
     ("densities.csv", 3, b",CO,", b",\xff\xfe,", "densities.csv, line 3: bytes"),
     ("densities.csv", 1, b",std", b"", "missing columns"),
     ("densities.csv", 3, b"0.040318576887614484", b"nan", "densities.csv, line 3: mean nan"),
     ("densities.csv", 3, b",0.0048", b",-0.0048", "densities.csv, line 3: std -0.0048"),
-], ids=["bad-date", "unknown-gas", "bad-mean", "undecodable", "missing-column",
+], ids=["bad-date", "level-9", "level-1e400", "unknown-gas", "bad-mean", "undecodable", "missing-column",
         "nan-mean", "negative-std"])
 def test_malformed_ingest_input_is_exit_2_and_writes_nothing(tmp_path, fname, line,
                                                              old, new, says):
@@ -598,6 +602,9 @@ def test_ingest_skips_dates_outside_the_year(tmp_path, capsys):
     assert main(["ingest", "--config", cfg, "--out", out1]) == EXIT_OK
     with open(os.path.join(os.path.dirname(cfg), "city_a", "densities.csv"), "a") as fh:
         fh.write("2021-01-01,CO,0.03,0.004\n")
+    # A level out of range is ignored on a row of another year.
+    with open(os.path.join(os.path.dirname(cfg), "city_a", "policy.csv"), "a") as fh:
+        fh.write("2019-12-31," + ",".join(["9"] * len(MEASURES)) + "\n")
     assert main(["ingest", "--config", cfg, "--out", out2]) == EXIT_OK
     capsys.readouterr()
     names = sorted(os.listdir(os.path.join(out1, "cities")))

@@ -20,7 +20,6 @@ from airpolicy.dataset import (
     apply_scaling,
     build_supervised,
     fit_scaling,
-    normalize_measure,
     period_of_date,
     period_start_date,
     periods_in_year,
@@ -29,13 +28,11 @@ from airpolicy.dataset import (
     write_city_csv,
 )
 from airpolicy.errors import (
-    AmbiguousInputError,
     DegenerateColumnError,
     DomainError,
     EmptyDatasetError,
     InsufficientDataError,
     MalformedInputError,
-    OrdinalRangeError,
     ShapeError,
 )
 
@@ -76,51 +73,76 @@ def test_period_start_date_inverts_period_of_date():
             assert period_of_date(start) == t
 
 
-# -- ordinal normalization --------------------------------------------------
-
-def test_normalize_measure_table():
-    assert normalize_measure(0) == 0.0
-    assert normalize_measure(2) == 0.5
-    assert normalize_measure(4) == 1.0
-    assert normalize_measure(1, max_level=2) == 0.5
-
-
-def test_normalize_measure_rejects_out_of_range():
-    with pytest.raises(OrdinalRangeError):
-        normalize_measure(5)
-    with pytest.raises(OrdinalRangeError):
-        normalize_measure(-1)
-    with pytest.raises(DomainError):
-        normalize_measure(0, max_level=0)
-
-
 # -- resampling -------------------------------------------------------------
 
+def loop_period_means(dates, values, year):
+    """Reference: per period and column, the present entries added left to
+    right in input order, over their count; NaN where none is present."""
+    out = np.full((periods_in_year(year), values.shape[1]), np.nan)
+    for p in range(periods_in_year(year)):
+        for j in range(values.shape[1]):
+            present = [float(v) for d, v in zip(dates, values[:, j])
+                       if period_of_date(d) == p and not math.isnan(v)]
+            if present:
+                total = 0.0
+                for v in present:
+                    total += v
+                out[p, j] = total / len(present)
+    return out
+
+
+@st.composite
+def dated_rows(draw):
+    """In-year dates, repeats allowed, with 1-3 columns of values or NaN gaps,
+    in a leap year or a common one (whose last period has one day). The days
+    fall in a window of a few periods, so periods gather several rows."""
+    year = draw(st.sampled_from([2020, 2021]))
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(1, 3))
+    last = dts.days_in_year(year) - 1
+    first = draw(st.integers(0, last))
+    window = st.integers(first, min(last, first + draw(st.integers(0, 9))))
+    days = draw(st.lists(window, min_size=n, max_size=n))
+    cells = draw(st.lists(st.floats(-1e6, 1e6) | st.just(math.nan),
+                          min_size=n * k, max_size=n * k))
+    dates = [dt.date(year, 1, 1) + dt.timedelta(days=d) for d in days]
+    return dates, np.array(cells, dtype=np.float64).reshape(n, k), year
+
+
+@given(dated_rows())
+def test_resample_matches_a_left_to_right_loop_bit_for_bit(rows):
+    dates, values, year = rows
+    got, want = resample_to_periods(dates, values, year), loop_period_means(dates, values, year)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    present = ~np.isnan(want)
+    assert np.array_equal(got[present].view(np.int64), want[present].view(np.int64))
+
+
 def test_resample_means_match_hand_computation():
-    year = 2021
-    series = [
-        (dt.date(2021, 1, 1), 0.25),   # period 0
-        (dt.date(2021, 1, 2), 0.75),   # period 0
-        (dt.date(2021, 1, 3), 1.0),    # period 1 (only one day present)
-        (dt.date(2021, 1, 6), 0.5),    # period 2
-    ]
-    out = resample_to_periods(series, year)
-    assert out == [(0, 0.5), (1, 1.0), (2, 0.5)]
+    dates = [dt.date(2021, 1, 1), dt.date(2021, 1, 2),   # period 0
+             dt.date(2021, 1, 3),                        # period 1 (one day present)
+             dt.date(2021, 1, 6), dt.date(2021, 1, 6),   # period 2, one date twice
+             dt.date(2021, 12, 31)]                      # period 182, a single day
+    values = np.array([[0.25], [0.75], [1.0], [0.5], [0.6], [0.125]])
+    out = resample_to_periods(dates, values, 2021)
+    assert out.shape == (183, 1)
+    assert out[[0, 1, 2, 182], 0].tolist() == [0.5, 1.0, 0.55, 0.125]
 
 
-def test_resample_rejects_wrong_year_and_duplicates():
-    with pytest.raises(DomainError):
-        resample_to_periods([(dt.date(2020, 1, 1), 0.5)], 2021)
-    with pytest.raises(AmbiguousInputError):
-        resample_to_periods([(dt.date(2021, 1, 1), 0.5),
-                             (dt.date(2021, 1, 1), 0.6)], 2021)
+def test_resample_rejects_a_date_outside_the_year():
+    for dates in ([dt.date(2020, 12, 31)], [dt.date(2021, 1, 1), dt.date(2022, 1, 1)]):
+        with pytest.raises(DomainError):
+            resample_to_periods(dates, np.full((len(dates), 1), math.nan), 2021)
 
 
 def test_resample_skips_absent_periods():
-    series = [(dt.date(2021, 3, 1), 0.2), (dt.date(2021, 7, 1), 0.4)]
-    out = resample_to_periods(series, 2021)
-    assert [t for t, _ in out] == [period_of_date(dt.date(2021, 3, 1)),
-                                   period_of_date(dt.date(2021, 7, 1))]
+    dates = [dt.date(2021, 3, 1), dt.date(2021, 7, 1)]
+    out = resample_to_periods(dates, np.array([[0.2, math.nan], [0.4, 0.1]]), 2021)
+    t3, t7 = period_of_date(dates[0]), period_of_date(dates[1])
+    assert out[t3, 0] == 0.2 and math.isnan(out[t3, 1])
+    assert out[t7].tolist() == [0.4, 0.1]
+    assert np.isnan(np.delete(out, [t3, t7], axis=0)).all()
 
 
 # -- city datasets ----------------------------------------------------------

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import of the package is used, every
-exported name exists, only the worker helper forks, and each command loads
-only the modules it runs."""
+exported name exists, every error class is raised, only the worker helper
+forks, and each command loads only the modules it runs."""
 
 import ast
 import importlib
@@ -45,6 +45,36 @@ def test_every_export_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+def raised_names(source: str) -> set[str]:
+    """The names the source raises: ``X`` of ``raise X``, ``raise X(...)`` and
+    ``raise m.X(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_guard_finds_raised_names():
+    source = "raise A('x')\nraise B\nraise m.C(1) from None\ntry:\n    f()\nexcept D:\n    raise\n"
+    assert raised_names(source) == {"A", "B", "C"}
+
+
+def test_every_error_class_is_raised():
+    """A class of errors.py that no code raises is dead; a base class other
+    classes derive from is caught, not raised."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases}
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8"))
+                           for p in PACKAGE.rglob("*.py")))
+    assert [c.name for c in classes if c.name not in bases | raised] == []
 
 
 def fork_calls(source: str) -> int:

@@ -18,6 +18,7 @@ from airpolicy.dataset import (
     POLLUTANTS,
     MeasureKind,
     PollutantKind,
+    period_of_date,
     read_city_csv,
     write_city_csv,
 )
@@ -44,6 +45,8 @@ from airpolicy.ingest import (
 )
 
 from conftest import make_city
+
+MAX_LEVELS = {m: DEFAULT_MAX_LEVEL for m in MeasureKind}
 
 
 def two_pass_stats(values):
@@ -140,7 +143,9 @@ def test_aggregate_stat_periods_hand_case():
         (dt.date(2021, 1, 4), 7.0, 0.5),    # period 1
     ]
     out = aggregate_stat_periods(entries, 2021)
-    assert out == [(0, 15.0, 2.0), (1, 7.0, 0.5)]
+    assert out.shape == (183, 2)
+    assert out[:2].tolist() == [[15.0, 2.0], [7.0, 0.5]]
+    assert np.isnan(out[2:]).all()
 
 
 def test_aggregate_stat_periods_rejects_other_year():
@@ -155,10 +160,10 @@ def test_aggregate_periods_modes_differ_by_pooling():
     per_grid = aggregate_periods([(d1, g1), (d2, g2)], 2021, "per_grid")
     pooled = aggregate_periods([(d1, g1), (d2, g2)], 2021, "pooled_pixels")
     # Means coincide for equal-size grids; stds do not.
-    assert per_grid[0][0] == pooled[0][0] == 0
-    assert per_grid[0][1] == pooled[0][1] == 2.0
-    assert per_grid[0][2] == 0.0       # each grid is internally constant
-    assert pooled[0][2] == 2.0         # pooled pixels spread between grids
+    assert per_grid[0, 0] == pooled[0, 0] == 2.0
+    assert per_grid[0, 1] == 0.0       # each grid is internally constant
+    assert pooled[0, 1] == 2.0         # pooled pixels spread between grids
+    assert np.isnan(per_grid[1:]).all() and np.isnan(pooled[1:]).all()
 
 
 def test_aggregate_periods_pooled_matches_oracle():
@@ -167,8 +172,14 @@ def test_aggregate_periods_pooled_matches_oracle():
     out = aggregate_periods([(d, grid_of(vals1)), (d, grid_of(vals2))],
                             2021, "pooled_pixels")
     omean, ostd = two_pass_stats(vals1 + vals2)
-    assert out[0][1] == pytest.approx(omean, rel=1e-14)
-    assert out[0][2] == pytest.approx(ostd, rel=1e-12)
+    mean, std = out[period_of_date(d)]
+    assert mean == pytest.approx(omean, rel=1e-14)
+    assert std == pytest.approx(ostd, rel=1e-12)
+
+
+def test_aggregate_periods_pooled_rejects_other_year():
+    with pytest.raises(DomainError):
+        aggregate_periods([(dt.date(2020, 5, 5), grid_of([1.0]))], 2021, "pooled_pixels")
 
 
 def test_aggregate_periods_unknown_mode():
@@ -203,35 +214,62 @@ def write_policy(tmp_path, body, header=POLICY_HEADER):
     return str(path)
 
 
+def parse_2021(path, column_map=DEFAULT_COLUMN_MAP, max_levels=MAX_LEVELS, **kw):
+    return parse_policy_csv(path, column_map, 2021, max_levels, **kw)
+
+
 def full_row(date, level):
     return f"{date}," + ",".join(str(level) for _ in MeasureKind)
 
 
 def test_parse_policy_hand_built_oracle(tmp_path):
     body = "\n".join([full_row("2021-01-01", 2), full_row("2021-01-02", 4)])
-    table = parse_policy_csv(write_policy(tmp_path, body), DEFAULT_COLUMN_MAP)
-    assert len(table.rows) == 2
-    date0, cells0 = table.rows[0]
-    assert date0 == dt.date(2021, 1, 1)
-    assert cells0[MeasureKind.C_SCHOOL] == 2
-    series = table.daily_series(MeasureKind.C_SCHOOL)
-    assert series == [(dt.date(2021, 1, 1), 0.5), (dt.date(2021, 1, 2), 1.0)]
+    table = parse_2021(write_policy(tmp_path, body))
+    assert table.dates == [dt.date(2021, 1, 1), dt.date(2021, 1, 2)]
+    assert table.levels.shape == (2, len(MEASURES))
+    assert table.levels[:, MEASURES.index(MeasureKind.C_SCHOOL)].tolist() == [0.5, 1.0]
+
+
+def test_parse_policy_scales_each_level_by_its_max_level(tmp_path):
+    levels = [0, 2, 4, 1, 2, 3, 0, 4]
+    path = write_policy(tmp_path, "2021-01-01," + ",".join(map(str, levels)))
+    table = parse_2021(path, max_levels={**MAX_LEVELS, MEASURES[3]: 2, MEASURES[4]: 2})
+    assert table.levels[0].tolist() == [0.0, 0.5, 1.0, 0.5, 1.0, 0.75, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("level", ["5", "-1", "1" + "0" * 400])
+def test_parse_policy_level_out_of_range_names_file_and_line(tmp_path, level):
+    body = "\n".join([full_row("2021-01-01", 2), full_row("2021-01-02", 4),
+                      full_row("2021-01-03", level)])
+    with pytest.raises(MalformedInputError,
+                       match=f"policy.csv, line 4: RE_IN_MOV: ordinal level {level} outside"):
+        parse_2021(write_policy(tmp_path, body))
+
+
+def test_parse_policy_skips_rows_of_other_years(tmp_path):
+    body = "\n".join([full_row("2020-12-31", 9), full_row("2021-01-01", 1),
+                      full_row("2022-01-01", 4)])
+    table = parse_2021(write_policy(tmp_path, body))
+    assert table.dates == [dt.date(2021, 1, 1)]
+    assert table.levels.tolist() == [[0.25] * len(MEASURES)]
+    path = write_policy(tmp_path, full_row("2020-12-31", 1))
+    table = parse_2021(path)
+    assert table.dates == [] and table.levels.shape == (0, len(MEASURES))
 
 
 def test_parse_policy_blank_cell_is_missing_not_zero(tmp_path):
     cols = [m.value for m in MeasureKind]
     row = "2021-01-01," + ",".join("" if c == "C_SCHOOL" else "1" for c in cols)
-    table = parse_policy_csv(write_policy(tmp_path, row), DEFAULT_COLUMN_MAP)
-    _, cells = table.rows[0]
-    assert MeasureKind.C_SCHOOL not in cells
-    assert cells[MeasureKind.RE_GAT] == 1
+    table = parse_2021(write_policy(tmp_path, row))
+    assert math.isnan(table.levels[0, MEASURES.index(MeasureKind.C_SCHOOL)])
+    assert table.levels[0, MEASURES.index(MeasureKind.RE_GAT)] == 0.25
 
 
 def test_parse_policy_missing_column_names_file(tmp_path):
     header = POLICY_HEADER.replace("C_SCHOOL", "school_level")
     path = write_policy(tmp_path, full_row("2021-01-01", 1), header=header)
     with pytest.raises(SchemaError) as exc:
-        parse_policy_csv(path, DEFAULT_COLUMN_MAP)
+        parse_2021(path)
     assert "C_SCHOOL" in str(exc.value) and "policy.csv" in str(exc.value)
 
 
@@ -239,37 +277,32 @@ def test_parse_policy_custom_column_map(tmp_path):
     header = "day,schools"
     path = tmp_path / "p.csv"
     path.write_text(header + "\n2021-02-01,3\n")
-    table = parse_policy_csv(str(path), {MeasureKind.C_SCHOOL: "schools"},
-                             date_column="day")
-    assert table.rows[0][1] == {MeasureKind.C_SCHOOL: 3}
+    table = parse_2021(str(path), {MeasureKind.C_SCHOOL: "schools"}, date_column="day")
+    want = [0.75 if m is MeasureKind.C_SCHOOL else math.nan for m in MEASURES]
+    assert np.array_equal(table.levels, [want], equal_nan=True)
 
 
 def test_parse_policy_duplicate_date(tmp_path):
     body = "\n".join([full_row("2021-01-01", 1), full_row("2021-01-01", 2)])
     with pytest.raises(AmbiguousInputError):
-        parse_policy_csv(write_policy(tmp_path, body), DEFAULT_COLUMN_MAP)
+        parse_2021(write_policy(tmp_path, body))
 
 
 def test_parse_policy_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(EmptyInputError):
-        parse_policy_csv(str(path), DEFAULT_COLUMN_MAP)
+        parse_2021(str(path))
     path.write_text(POLICY_HEADER + "\n")
     with pytest.raises(EmptyInputError):
-        parse_policy_csv(str(path), DEFAULT_COLUMN_MAP)
+        parse_2021(str(path))
 
 
 def test_parse_policy_sorts_rows(tmp_path):
     body = "\n".join([full_row("2021-01-05", 1), full_row("2021-01-02", 2)])
-    table = parse_policy_csv(write_policy(tmp_path, body), DEFAULT_COLUMN_MAP)
-    assert [d for d, _ in table.rows] == [dt.date(2021, 1, 2), dt.date(2021, 1, 5)]
-
-
-def test_policy_table_rejects_unsorted_rows():
-    rows = ((dt.date(2021, 1, 2), {}), (dt.date(2021, 1, 1), {}))
-    with pytest.raises(AmbiguousInputError):
-        PolicyTable(rows=rows)
+    table = parse_2021(write_policy(tmp_path, body))
+    assert table.dates == [dt.date(2021, 1, 2), dt.date(2021, 1, 5)]
+    assert table.levels[:, 0].tolist() == [0.5, 0.25]
 
 
 # -- density csv ------------------------------------------------------------
@@ -299,56 +332,17 @@ def test_parse_density_csv_missing_columns(tmp_path):
 
 # -- assembly ---------------------------------------------------------------
 
-def _policy_for_days(days, level=2):
-    rows = tuple(
-        (dt.date(2021, 1, 1) + dt.timedelta(days=i),
-         {m: level for m in MeasureKind})
-        for i in range(days)
-    )
-    return PolicyTable(rows=rows)
-
-
 def test_build_city_dataset_full_calendar_with_gaps():
-    policy = _policy_for_days(4)   # periods 0 and 1 only
-    densities = {PollutantKind.CO: [(0, 0.03, 0.001), (5, 0.04, 0.002)]}
-    ds = build_city_dataset("test", 2021, policy, densities)
+    days = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(4)]
+    policy = PolicyTable(dates=days, levels=np.full((4, len(MEASURES)), 0.5))
+    co = np.full((183, 2), np.nan)
+    co[[0, 5]] = [0.03, 0.001], [0.04, 0.002]
+    ds = build_city_dataset("test", 2021, policy, {PollutantKind.CO: co})
     assert len(ds) == 183
-    assert ds.measures[0, MEASURES.index(MeasureKind.RE_GAT)] == 0.5
+    assert (ds.measures[:2] == 0.5).all()
     assert np.isnan(ds.measures[2:]).all()          # no policy data
-    co = ds.stats[:, POLLUTANTS.index(PollutantKind.CO)]
-    assert co[0].tolist() == [0.03, 0.001]
-    assert np.isnan(co[1]).all()
-    assert co[5].tolist() == [0.04, 0.002]
-    assert np.isnan(np.delete(co, [0, 5], axis=0)).all()
+    assert np.array_equal(ds.stats[:, POLLUTANTS.index(PollutantKind.CO)], co, equal_nan=True)
     assert np.isnan(np.delete(ds.stats, POLLUTANTS.index(PollutantKind.CO), axis=1)).all()
-
-
-def test_build_city_dataset_ignores_other_year_policy_rows():
-    rows = (
-        (dt.date(2020, 12, 31), {m: 4 for m in MeasureKind}),
-        (dt.date(2021, 1, 1), {m: 1 for m in MeasureKind}),
-    )
-    ds = build_city_dataset("t", 2021, PolicyTable(rows=rows), {})
-    assert ds.measures[0, MEASURES.index(MeasureKind.RE_GAT)] == 0.25
-
-
-def test_build_city_dataset_respects_per_measure_max_level():
-    rows = ((dt.date(2021, 1, 1), {MeasureKind.STAY_HOME_R: 2}),)
-    ds = build_city_dataset(
-        "t", 2021, PolicyTable(rows=rows), {},
-        max_levels={MeasureKind.STAY_HOME_R: 2},
-    )
-    assert ds.measures[0, MEASURES.index(MeasureKind.STAY_HOME_R)] == 1.0
-
-
-def test_build_city_dataset_rejects_bad_periods():
-    policy = _policy_for_days(1)
-    with pytest.raises(DomainError):
-        build_city_dataset("t", 2021, policy,
-                           {PollutantKind.CO: [(183, 1.0, 0.1)]})
-    with pytest.raises(AmbiguousInputError):
-        build_city_dataset("t", 2021, policy,
-                           {PollutantKind.CO: [(0, 1.0, 0.1), (0, 2.0, 0.1)]})
 
 
 def test_default_column_map_covers_all_measures():
@@ -390,7 +384,7 @@ GRID = DensityGrid(width=2, height=2, values=np.array([0.1, float("nan"), 0.3, 0
 
 # name -> (reader, writer of a valid file and any sidecar)
 READERS = {
-    "policy": (lambda p: parse_policy_csv(p, DEFAULT_COLUMN_MAP), _write_policy),
+    "policy": (parse_2021, _write_policy),
     "density": (parse_density_csv, _write_density),
     "grid": (read_grid, lambda p: write_grid(GRID, p)),
     "city": (read_city_csv, lambda p: write_city_csv(make_city(n_periods=3), p)),
@@ -423,6 +417,7 @@ def test_readers_raise_only_package_errors_on_fuzzed_files(tmp_path, name):
 
 @pytest.mark.parametrize("name, line, old, new", [
     ("policy", 3, b"2021-01-02", b"2021-13-04"),
+    ("policy", 3, b",4,", b",9,"),
     ("density", 2, b",CO,", b",XX,"),
     ("density", 3, b"6e-05", b"six"),
     ("density", 2, b"0.03", b"\xff\xfe"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from airpolicy.config import load_config
-from airpolicy.dataset import MEASURES, POLLUTANTS, periods_in_year
+from airpolicy.dataset import DEFAULT_MAX_LEVEL, MEASURES, POLLUTANTS, periods_in_year
 from airpolicy.errors import DomainError
 from airpolicy.ingest import (
     aggregate_stat_periods,
@@ -21,9 +21,11 @@ from airpolicy.similarity import pearson
 from airpolicy.synth import PLANTED, generate
 
 
+MAX_LEVELS = {m: DEFAULT_MAX_LEVEL for m in MEASURES}
+
+
 def ingest_city(city_cfg, year):
-    table = parse_policy_csv(city_cfg.policy_csv,
-                             column_map=city_cfg.column_map,
+    table = parse_policy_csv(city_cfg.policy_csv, city_cfg.column_map, year, MAX_LEVELS,
                              date_column=city_cfg.date_column)
     raw = parse_density_csv(city_cfg.density_csv)
     densities = {p: aggregate_stat_periods(rows, year) for p, rows in raw.items()}
@@ -138,7 +140,7 @@ def test_emit_grids_route_matches_csv_route(tmp_path):
     from airpolicy.ingest import aggregate_periods, read_grid
 
     grids_root = os.path.join(res.city_dirs[0], "grids")
-    table = parse_policy_csv(city.policy_csv, column_map=city.column_map)
+    table = parse_policy_csv(city.policy_csv, city.column_map, cfg.year, MAX_LEVELS)
     import datetime as dt
     densities = {}
     for p in POLLUTANTS:
