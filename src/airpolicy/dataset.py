@@ -145,8 +145,8 @@ class CityDataset:
 def resample_to_periods(dates, values: np.ndarray, year: int) -> np.ndarray:
     """Average dated rows into 2-day periods: every period mean of the package.
 
-    ``values`` holds one row per entry of ``dates``, one column or several,
-    NaN where an entry is absent. Returns periods x columns, each cell the
+    ``values`` is len(dates) x k, one row per date and one column or
+    several, NaN where an entry is absent. Returns periods x k, each cell the
     mean of its column's present entries dated in that period, added in
     input order, NaN where the period has none. A repeated date counts once
     per row. Every date must fall inside ``year``.

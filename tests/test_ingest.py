@@ -237,15 +237,6 @@ def test_parse_policy_scales_each_level_by_its_max_level(tmp_path):
     assert table.levels[0].tolist() == [0.0, 0.5, 1.0, 0.5, 1.0, 0.75, 0.0, 1.0]
 
 
-@pytest.mark.parametrize("level", ["5", "-1", "1" + "0" * 400])
-def test_parse_policy_level_out_of_range_names_file_and_line(tmp_path, level):
-    body = "\n".join([full_row("2021-01-01", 2), full_row("2021-01-02", 4),
-                      full_row("2021-01-03", level)])
-    with pytest.raises(MalformedInputError,
-                       match=f"policy.csv, line 4: RE_IN_MOV: ordinal level {level} outside"):
-        parse_2021(write_policy(tmp_path, body))
-
-
 def test_parse_policy_skips_rows_of_other_years(tmp_path):
     body = "\n".join([full_row("2020-12-31", 9), full_row("2021-01-01", 1),
                       full_row("2022-01-01", 4)])
@@ -418,6 +409,8 @@ def test_readers_raise_only_package_errors_on_fuzzed_files(tmp_path, name):
 @pytest.mark.parametrize("name, line, old, new", [
     ("policy", 3, b"2021-01-02", b"2021-13-04"),
     ("policy", 3, b",4,", b",9,"),
+    ("policy", 3, b",4,", b",-1,"),
+    pytest.param("policy", 3, b",4,", b",1" + b"0" * 400 + b",", id="policy-3-level-1e400"),
     ("density", 2, b",CO,", b",XX,"),
     ("density", 3, b"6e-05", b"six"),
     ("density", 2, b"0.03", b"\xff\xfe"),
