@@ -35,6 +35,7 @@ from airpolicy.errors import (
     MalformedInputError,
     ShapeError,
 )
+from airpolicy.ingest import parse_policy_csv
 
 from conftest import make_city
 
@@ -71,6 +72,20 @@ def test_period_start_date_inverts_period_of_date():
             start = period_start_date(year, t)
             assert start == dt.date(year, 1, 1) + dt.timedelta(days=2 * t)
             assert period_of_date(start) == t
+
+
+# -- ordinal normalization --------------------------------------------------
+
+def test_normalize_measure_table(tmp_path):
+    """A level is divided by its measure's max level when the policy is read."""
+    school = MeasureKind.C_SCHOOL
+    path = tmp_path / "policy.csv"
+    path.write_text("date,C_SCHOOL\n2021-01-01,0\n2021-01-02,2\n2021-01-03,4\n")
+    table = parse_policy_csv(str(path), {school: "C_SCHOOL"}, 2021, {school: 4})
+    assert table.levels[:, MEASURES.index(school)].tolist() == [0.0, 0.5, 1.0]
+    path.write_text("date,C_SCHOOL\n2021-01-01,1\n")
+    table = parse_policy_csv(str(path), {school: "C_SCHOOL"}, 2021, {school: 2})
+    assert table.levels[0, MEASURES.index(school)] == 0.5
 
 
 # -- resampling -------------------------------------------------------------

@@ -336,6 +336,14 @@ def test_build_city_dataset_full_calendar_with_gaps():
     assert np.isnan(np.delete(ds.stats, POLLUTANTS.index(PollutantKind.CO), axis=1)).all()
 
 
+def test_build_city_dataset_respects_per_measure_max_level(tmp_path):
+    path = write_policy(tmp_path, full_row("2021-01-01", 2))
+    policy = parse_2021(path, max_levels={**MAX_LEVELS, MeasureKind.STAY_HOME_R: 2})
+    ds = build_city_dataset("t", 2021, policy, {})
+    assert ds.measures[0, MEASURES.index(MeasureKind.STAY_HOME_R)] == 1.0
+    assert ds.measures[0, MEASURES.index(MeasureKind.C_SCHOOL)] == 0.5
+
+
 def test_default_column_map_covers_all_measures():
     assert set(DEFAULT_COLUMN_MAP) == set(MeasureKind)
     assert DEFAULT_COLUMN_MAP[MeasureKind.C_SCHOOL] == "C_SCHOOL"
