@@ -34,7 +34,7 @@ from .dataset import (
     write_city_csv,
     write_csv,
 )
-from .errors import AirPolicyError, ConfigError
+from .errors import AirPolicyError, ConfigError, MalformedInputError
 from .ingest import (
     aggregate_periods,
     aggregate_stat_periods,
@@ -89,15 +89,13 @@ def _collect_grids(grids_dir: str, year: int):
         for fname in sorted(os.listdir(pdir)):
             if not fname.endswith(".csv"):
                 continue
-            stem = fname[:-4]
+            path = os.path.join(pdir, fname)
             try:
-                date = dt.date.fromisoformat(stem)
+                date = dt.date.fromisoformat(fname[:-4])
             except ValueError:
-                raise ConfigError(
-                    f"grid file name {fname!r} in {pdir} is not an ISO date"
-                )
+                raise MalformedInputError(path, None, "file name is not an ISO date") from None
             if date.year == year:
-                entries.append((date, read_grid(os.path.join(pdir, fname))))
+                entries.append((date, read_grid(path)))
         if entries:
             by_pollutant[p] = entries
     return by_pollutant

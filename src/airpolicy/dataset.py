@@ -20,15 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateColumnError,
-    DomainError,
-    EmptyDatasetError,
-    InsufficientDataError,
-    MalformedInputError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import DomainError, InsufficientDataError, MalformedInputError, ShapeError
 
 
 class MeasureKind(enum.Enum):
@@ -305,9 +297,7 @@ def build_supervised(
         ys.append(rows[t + 1, -2:])
         prov.extend((ds.city_name, int(i)) for i in t)
     if not pollutant_seen:
-        raise EmptyDatasetError(
-            f"pollutant {pollutant.value} absent from every period"
-        )
+        raise InsufficientDataError(f"pollutant {pollutant.value} absent from every period")
     return SupervisedSet(pollutant, np.concatenate(xs), np.concatenate(ys), tuple(prov))
 
 
@@ -329,7 +319,7 @@ def fit_scaling(sset: SupervisedSet, mode: str = "min_max") -> ScalingSpec:
         if not (math.isfinite(off) and math.isfinite(s)):
             raise DomainError(f"scaling column {name} overflows float64")
         if not (s > 0.0):
-            raise DegenerateColumnError(name)
+            raise DomainError(f"degenerate (constant) column: {name}")
     return ScalingSpec(
         mode=mode,
         fitted=True,
@@ -481,12 +471,10 @@ def read_city_csv(path: str) -> CityDataset:
     """
     rows = read_csv_rows(path)
     expected = _city_header()
-    if not rows:
-        raise SchemaError(expected, path=path)
-    header = rows[0][1]
+    header = rows[0][1] if rows else []
     if header != expected:
-        missing = [c for c in expected if c not in header]
-        raise SchemaError(missing or expected, path=path)
+        missing = sorted([c for c in expected if c not in header] or expected)
+        raise MalformedInputError(path, None, f"missing columns: {', '.join(missing)}")
     if len(rows) == 1:
         raise MalformedInputError(path, None, "no periods")
     values = np.empty((len(rows) - 1, len(expected) - 2))

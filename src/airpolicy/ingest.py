@@ -29,14 +29,7 @@ from .dataset import (
     write_csv,
     write_json,
 )
-from .errors import (
-    AmbiguousInputError,
-    DomainError,
-    EmptyInputError,
-    MalformedInputError,
-    NoValidPixelsError,
-    SchemaError,
-)
+from .errors import DomainError, InsufficientDataError, MalformedInputError
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ class DensityGrid:
 def _valid_values(grid: DensityGrid) -> np.ndarray:
     vals = grid.values[grid.valid_mask()]
     if vals.size == 0:
-        raise NoValidPixelsError(f"grid {grid.label!r} has no valid pixels")
+        raise InsufficientDataError(f"grid {grid.label!r} has no valid pixels")
     return vals
 
 
@@ -146,6 +139,8 @@ def write_grid(grid: DensityGrid, path: str) -> None:
 
 
 def read_grid(path: str) -> DensityGrid:
+    """Read a grid file and its sidecar; a grid that DensityGrid rejects or
+    without a valid pixel raises MalformedInputError naming the file."""
     meta = read_meta(_grid_meta_path(path), {
         "width": int,
         "height": int,
@@ -158,7 +153,13 @@ def read_grid(path: str) -> DensityGrid:
             values.extend([float(c) for c in row])
         except ValueError as exc:
             raise MalformedInputError(path, line, exc) from None
-    return DensityGrid(values=np.array(values, dtype=np.float64), **meta)
+    try:
+        grid = DensityGrid(values=np.array(values, dtype=np.float64), **meta)
+    except DomainError as exc:
+        raise MalformedInputError(path, None, exc) from None
+    if not grid.valid_mask().any():
+        raise MalformedInputError(path, None, "no valid pixels")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +186,11 @@ def _read_table(path: str, required) -> list[tuple[int, dict[str, str]]]:
     """
     rows = read_csv_rows(path)
     if not rows:
-        raise EmptyInputError(f"{path} is empty")
+        raise MalformedInputError(path, None, "empty file")
     header = rows[0][1]
     missing = [c for c in required if c not in header]
     if missing:
-        raise SchemaError(missing, path=path)
+        raise MalformedInputError(path, None, f"missing columns: {', '.join(sorted(missing))}")
     return [(line, dict(zip(header, row + [""] * len(header)))) for line, row in rows[1:]]
 
 
@@ -215,7 +216,7 @@ def parse_policy_csv(
         except ValueError as exc:
             raise MalformedInputError(path, line, exc) from None
         if date in seen:
-            raise AmbiguousInputError(f"duplicate date {date} in {path}")
+            raise MalformedInputError(path, line, f"duplicate date {date}")
         seen.add(date)
         if date.year != year:
             continue
@@ -232,7 +233,7 @@ def parse_policy_csv(
             levels[MEASURES.index(measure)] = level / top
         rows.append((date, levels))
     if not seen:
-        raise EmptyInputError(f"{path} has a header but no data rows")
+        raise MalformedInputError(path, None, "a header but no data rows")
     rows.sort(key=lambda item: item[0])
     return PolicyTable(dates=[date for date, _ in rows],
                        levels=np.array([v for _, v in rows]).reshape(-1, len(MEASURES)))

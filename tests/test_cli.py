@@ -425,6 +425,8 @@ def _edit_line(path, line, edit):
 # would leave the first three cities behind.
 @pytest.mark.parametrize("fname, line, old, new, says", [
     ("policy.csv", 3, b"2020-01-02", b"2020-13-04", "policy.csv, line 3: bad date"),
+    ("policy.csv", 3, b"2020-01-02", b"2020-01-01",
+     "policy.csv, line 3: duplicate date 2020-01-01"),
     ("policy.csv", 3, b"02,1,", b"02,9,",
      "policy.csv, line 3: RE_IN_MOV: ordinal level 9 outside [0, 4]"),
     ("policy.csv", 3, b",0,1,", b"," + b"1" + b"0" * 400 + b",1,",
@@ -435,8 +437,8 @@ def _edit_line(path, line, edit):
     ("densities.csv", 1, b",std", b"", "missing columns"),
     ("densities.csv", 3, b"0.040318576887614484", b"nan", "densities.csv, line 3: mean nan"),
     ("densities.csv", 3, b",0.0048", b",-0.0048", "densities.csv, line 3: std -0.0048"),
-], ids=["bad-date", "level-9", "level-1e400", "unknown-gas", "bad-mean", "undecodable", "missing-column",
-        "nan-mean", "negative-std"])
+], ids=["bad-date", "duplicate-date", "level-9", "level-1e400", "unknown-gas", "bad-mean",
+        "undecodable", "missing-column", "nan-mean", "negative-std"])
 def test_malformed_ingest_input_is_exit_2_and_writes_nothing(tmp_path, fname, line,
                                                              old, new, says):
     cfg = run_synth(tmp_path, seed=0)
@@ -673,6 +675,27 @@ def _gappy_grid_config(root):
     with open(res.config_path, "w") as fh:
         json.dump(config, fh)
     return res.config_path
+
+
+# city_a reads its gases from grid files; its bad file stops ingest before
+# city_b is built or anything is written.
+@pytest.mark.parametrize("rel, body, says", [
+    ("grids/CO/2020-01-05.csv", "0.1,0.2,0.3\n", "values length (3,) != width*height = 2"),
+    ("grids/CO/2020-01-05.csv", "0.1,inf\n", "non-finite value outside nodata cells"),
+    ("grids/CO/2020-01-05.csv", "nan,nan\n", "no valid pixels"),
+    ("grids/CO/2020-1-5.csv", "0.1,0.2\n", "file name is not an ISO date"),
+    ("policy.csv", "date," + ",".join(m.value for m in MEASURES) + "\n",
+     "a header but no data rows"),
+], ids=["value-count", "inf", "all-nodata", "bad-name", "header-only-policy"])
+def test_malformed_grid_route_input_is_exit_2_and_writes_nothing(tmp_path, rel, body, says):
+    cfg = _gappy_grid_config(str(tmp_path / "synth"))
+    path = str(tmp_path / "synth" / "city_a" / rel)
+    with open(path, "w") as fh:
+        fh.write(body)
+    out = str(tmp_path / "run")
+    assert f"input error: {path}: {says}\n" == _cli_input_error(
+        ["ingest", "--config", cfg, "--out", out])
+    assert not os.path.exists(os.path.join(out, "cities"))
 
 
 @pytest.mark.parametrize("route, mode, digest", [

@@ -28,9 +28,7 @@ from airpolicy.dataset import (
     write_city_csv,
 )
 from airpolicy.errors import (
-    DegenerateColumnError,
     DomainError,
-    EmptyDatasetError,
     InsufficientDataError,
     MalformedInputError,
     ShapeError,
@@ -253,7 +251,7 @@ def test_build_supervised_cities_never_mix():
 
 def test_build_supervised_missing_pollutant_everywhere():
     ds = make_city(pollutants=(PollutantKind.CO,), n_periods=5)
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(InsufficientDataError, match="pollutant SO2 absent from every period"):
         build_supervised([ds], PollutantKind.SO2)
 
 
@@ -296,9 +294,10 @@ def test_fit_scaling_degenerate_column_named():
     X[:, 2] = 0.5
     from dataclasses import replace
     flat = replace(sset, inputs=X)
-    with pytest.raises(DegenerateColumnError) as exc:
+    name = dts.feature_names(PollutantKind.CO)[2]
+    with pytest.raises(DomainError) as exc:
         fit_scaling(flat, "min_max")
-    assert dts.feature_names(PollutantKind.CO)[2] in str(exc.value)
+    assert str(exc.value) == f"degenerate (constant) column: {name}"
 
 
 def test_fit_scaling_needs_two_rows():
@@ -387,8 +386,7 @@ def test_city_csv_rejects_foreign_header(tmp_path):
         text = fh.read().replace("period_index", "period", 1)
     with open(path, "w") as fh:
         fh.write(text)
-    from airpolicy.errors import SchemaError
-    with pytest.raises(SchemaError):
+    with pytest.raises(MalformedInputError, match="c.csv: missing columns: period_index$"):
         read_city_csv(path)
 
 

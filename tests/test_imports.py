@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import of the package is used, every
-exported name exists, every error class is raised, only the worker helper
-forks, and each command loads only the modules it runs."""
+exported name exists, every error class is raised and is either caught by
+name or builds its own message, only the worker helper forks, and each
+command loads only the modules it runs."""
 
 import ast
 import importlib
@@ -75,6 +76,50 @@ def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(p.read_text(encoding="utf-8"))
                            for p in PACKAGE.rglob("*.py")))
     assert [c.name for c in classes if c.name not in bases | raised] == []
+
+
+def _names(node) -> set[str]:
+    """``X`` of ``X`` and ``m.X``, and of each element of a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+
+def caught_names(source: str) -> set[str]:
+    """The names the source's ``except`` clauses catch, a module-level tuple
+    constant such as ``_ERRORS = (A, B)`` counting as its elements."""
+    tree = ast.parse(source)
+    constants = {target.id: _names(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for name in _names(node.type):
+                caught |= constants.get(name, {name})
+    return caught
+
+
+def test_guard_finds_caught_names():
+    source = ("E = (A, m.B)\ntry:\n    f()\nexcept E:\n    pass\nexcept (C, m.D) as e:\n"
+              "    pass\nexcept F:\n    raise G\nexcept:\n    pass\n")
+    assert caught_names(source) == {"A", "B", "C", "D", "F"}
+
+
+def test_every_error_class_is_caught_or_builds_its_message():
+    """A class that no caller catches by name and that formats no message of
+    its own tells a caller nothing its base class does not: raise the class
+    its callers catch instead."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    caught = set().union(*(caught_names(p.read_text(encoding="utf-8"))
+                           for p in PACKAGE.rglob("*.py")))
+    own_message = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                   and any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                           for f in node.body)}
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            and node.name not in caught | own_message] == []
 
 
 def fork_calls(source: str) -> int:

@@ -24,12 +24,9 @@ from airpolicy.dataset import (
 )
 from airpolicy.errors import (
     AirPolicyError,
-    AmbiguousInputError,
     DomainError,
-    EmptyInputError,
+    InsufficientDataError,
     MalformedInputError,
-    NoValidPixelsError,
-    SchemaError,
 )
 from airpolicy.ingest import (
     DensityGrid,
@@ -91,7 +88,7 @@ def test_grid_stats_sentinel_nodata():
 
 
 def test_grid_stats_all_nodata_raises():
-    with pytest.raises(NoValidPixelsError):
+    with pytest.raises(InsufficientDataError, match="has no valid pixels"):
         grid_stats(grid_of([float("nan")] * 4))
 
 
@@ -259,7 +256,7 @@ def test_parse_policy_blank_cell_is_missing_not_zero(tmp_path):
 def test_parse_policy_missing_column_names_file(tmp_path):
     header = POLICY_HEADER.replace("C_SCHOOL", "school_level")
     path = write_policy(tmp_path, full_row("2021-01-01", 1), header=header)
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(MalformedInputError, match="policy.csv: missing columns: ") as exc:
         parse_2021(path)
     assert "C_SCHOOL" in str(exc.value) and "policy.csv" in str(exc.value)
 
@@ -275,17 +272,18 @@ def test_parse_policy_custom_column_map(tmp_path):
 
 def test_parse_policy_duplicate_date(tmp_path):
     body = "\n".join([full_row("2021-01-01", 1), full_row("2021-01-01", 2)])
-    with pytest.raises(AmbiguousInputError):
+    with pytest.raises(MalformedInputError,
+                       match="policy.csv, line 3: duplicate date 2021-01-01"):
         parse_2021(write_policy(tmp_path, body))
 
 
 def test_parse_policy_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(MalformedInputError, match="empty.csv: empty file"):
         parse_2021(str(path))
     path.write_text(POLICY_HEADER + "\n")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(MalformedInputError, match="empty.csv: a header but no data rows"):
         parse_2021(str(path))
 
 
@@ -317,7 +315,7 @@ def test_parse_density_csv(tmp_path):
 def test_parse_density_csv_missing_columns(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("date,gas,mean,std\n2021-01-01,CO,1,2\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(MalformedInputError, match="d.csv: missing columns: pollutant$"):
         parse_density_csv(str(path))
 
 
