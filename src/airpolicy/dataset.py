@@ -371,26 +371,6 @@ def read_csv_rows(path: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def read_meta(path: str, fields: dict) -> dict:
-    """The keys of a JSON sidecar, each passed through its converter in
-    ``fields``; other keys are ignored.
-
-    Invalid JSON and missing or unusable keys raise MalformedInputError
-    naming the file.
-    """
-    try:
-        doc = json.load(_utf8_text(path))
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(path, exc.lineno, exc.msg) from None
-    out = {}
-    for key, convert in fields.items():
-        try:
-            out[key] = convert(doc[key])
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError):
-            raise MalformedInputError(path, None, f"missing or bad key {key!r}") from None
-    return out
-
-
 def _cell(v) -> str:
     # repr of a Python float is shortest-round-trip; always cast first, since
     # numpy scalars repr differently.
@@ -408,8 +388,7 @@ def write_csv(path: str, rows) -> None:
 
 
 def write_json(path: str, doc) -> None:
-    """Write ``doc`` as indented JSON with sorted keys and a final newline.
-    NaN stays allowed: a grid's ``nodata`` is NaN by default."""
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

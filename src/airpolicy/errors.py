@@ -11,8 +11,8 @@ class AirPolicyError(ValueError):
 
 
 class MalformedInputError(AirPolicyError):
-    """An input file is empty, lacks columns, or holds bytes, a row, a cell
-    or a key that cannot be read."""
+    """An input file is empty, lacks columns, or holds bytes, a row or a
+    cell that cannot be read."""
 
     def __init__(self, path, line, detail):
         where = path if line is None else f"{path}, line {line}"

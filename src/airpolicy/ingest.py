@@ -1,9 +1,10 @@
 """Policy-table parsing and density-grid aggregation into period statistics.
 
 Two input routes produce identical downstream data: per-date density grids
-(a CSV body of row-major pixel values plus a JSON metadata sidecar) reduced
-here with grid_stats, or a pre-aggregated CSV that already lists per-date
-(mean, std) rows. Statistics use population std throughout.
+(one CSV file each, a height x width array of pixel values with NaN where a
+pixel has no data) reduced here with grid_stats, or a pre-aggregated CSV
+that already lists per-date (mean, std) rows. Statistics use population std
+throughout.
 """
 
 from __future__ import annotations
@@ -24,57 +25,18 @@ from .dataset import (
     period_of_date,
     periods_in_year,
     read_csv_rows,
-    read_meta,
     resample_to_periods,
     write_csv,
-    write_json,
 )
 from .errors import DomainError, InsufficientDataError, MalformedInputError
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """One gridded snapshot of a pollutant's column density (mol/m²).
-
-    ``values`` is row-major with ``width * height`` entries; cells equal to
-    ``nodata`` (NaN by default, compared via isnan) carry no observation.
-    """
-
-    width: int
-    height: int
-    values: np.ndarray
-    label: str = ""
-    nodata: float = float("nan")
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise DomainError(f"grid must be at least 1x1, got {self.width}x{self.height}")
-        if self.values.shape != (self.width * self.height,):
-            raise DomainError(
-                f"values length {self.values.shape} != width*height = {self.width * self.height}"
-            )
-        mask = self.valid_mask()
-        if not np.isfinite(self.values[mask]).all():
-            raise DomainError("non-finite value outside nodata cells")
-        self.values.setflags(write=False)
-
-    def valid_mask(self) -> np.ndarray:
-        if math.isnan(self.nodata):
-            return ~np.isnan(self.values)
-        return self.values != self.nodata
-
-
-def _valid_values(grid: DensityGrid) -> np.ndarray:
-    vals = grid.values[grid.valid_mask()]
+def grid_stats(grid: np.ndarray) -> tuple[float, float]:
+    """(mean, population std) over the grid's non-NaN pixels."""
+    vals = grid[~np.isnan(grid)]
     if vals.size == 0:
-        raise InsufficientDataError(f"grid {grid.label!r} has no valid pixels")
-    return vals
-
-
-def grid_stats(grid: DensityGrid) -> tuple[float, float, float]:
-    """(mean, population std, valid_fraction) over non-nodata pixels."""
-    vals = _valid_values(grid)
-    return float(vals.mean()), float(vals.std()), vals.size / grid.values.size
+        raise InsufficientDataError("grid has no valid pixels")
+    return float(vals.mean()), float(vals.std())
 
 
 def aggregate_stat_periods(
@@ -91,7 +53,7 @@ def aggregate_stat_periods(
 
 
 def aggregate_periods(
-    grids: list[tuple[dt.date, DensityGrid]],
+    grids: list[tuple[dt.date, np.ndarray]],
     year: int,
     mode: str = "per_grid",
 ) -> np.ndarray:
@@ -101,63 +63,56 @@ def aggregate_periods(
     statistics are averaged within the period, which is robust to grids with
     differing valid-pixel counts. pooled_pixels: all valid pixels of a
     period's grids are pooled and the statistics recomputed over the pool.
+    A grid (per_grid) or a period's pool (pooled_pixels) without a valid
+    pixel raises InsufficientDataError.
     """
     if mode == "per_grid":
         return aggregate_stat_periods(
-            [(date, *grid_stats(grid)[:2]) for date, grid in grids], year)
+            [(date, *grid_stats(grid)) for date, grid in grids], year)
     if mode != "pooled_pixels":
         raise DomainError(f"unknown aggregation mode {mode!r}")
     pools: dict[int, list[np.ndarray]] = {}
     for date, grid in grids:
         if date.year != year:
             raise DomainError(f"date {date} outside year {year}")
-        pools.setdefault(period_of_date(date), []).append(_valid_values(grid))
+        pools.setdefault(period_of_date(date), []).append(grid.ravel())
     out = np.full((periods_in_year(year), 2), np.nan)
     for p, values in pools.items():
-        pool = np.concatenate(values)
-        out[p] = pool.mean(), pool.std()
+        out[p] = grid_stats(np.concatenate(values))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Grid file IO: CSV body + JSON sidecar
+# Grid files
 # ---------------------------------------------------------------------------
 
-def _grid_meta_path(path: str) -> str:
-    return path + ".meta.json"
+def write_grid(grid: np.ndarray, path: str) -> None:
+    """Write a height x width grid as CSV, one line per grid row."""
+    write_csv(path, grid.tolist())
 
 
-def write_grid(grid: DensityGrid, path: str) -> None:
-    """Write the pixel body as CSV (one line per grid row) plus a sidecar."""
-    write_csv(path, grid.values.reshape(grid.height, grid.width).tolist())
-    write_json(_grid_meta_path(path), {
-        "width": grid.width,
-        "height": grid.height,
-        "label": grid.label,
-        "nodata": float(grid.nodata),
-    })
+def read_grid(path: str) -> np.ndarray:
+    """A grid file as a height x width float64 array, NaN where a pixel has
+    no data.
 
-
-def read_grid(path: str) -> DensityGrid:
-    """Read a grid file and its sidecar; a grid that DensityGrid rejects or
-    without a valid pixel raises MalformedInputError naming the file."""
-    meta = read_meta(_grid_meta_path(path), {
-        "width": int,
-        "height": int,
-        "label": str,
-        "nodata": float,
-    })
-    values: list[float] = []
+    A cell that is not a float or is infinite, a row whose length differs
+    from the first row's, and a grid without a finite pixel raise
+    MalformedInputError naming the file.
+    """
+    rows: list[list[float]] = []
     for line, row in read_csv_rows(path):
         try:
-            values.extend([float(c) for c in row])
+            values = [float(c) for c in row]
         except ValueError as exc:
             raise MalformedInputError(path, line, exc) from None
-    try:
-        grid = DensityGrid(values=np.array(values, dtype=np.float64), **meta)
-    except DomainError as exc:
-        raise MalformedInputError(path, None, exc) from None
-    if not grid.valid_mask().any():
+        if rows and len(values) != len(rows[0]):
+            raise MalformedInputError(
+                path, line, f"{len(values)} cells, first row has {len(rows[0])}")
+        if any(math.isinf(v) for v in values):
+            raise MalformedInputError(path, line, "infinite value")
+        rows.append(values)
+    grid = np.array(rows, dtype=np.float64)
+    if np.isnan(grid).all():
         raise MalformedInputError(path, None, "no valid pixels")
     return grid
 
@@ -182,7 +137,8 @@ class PolicyTable:
 def _read_table(path: str, required) -> list[tuple[int, dict[str, str]]]:
     """(line, column -> cell) for each data row of a CSV file with a header.
 
-    Cells missing from a short row read as blank.
+    Cells missing from a short row read as blank; a row longer than the
+    header names its file and line.
     """
     rows = read_csv_rows(path)
     if not rows:
@@ -191,6 +147,9 @@ def _read_table(path: str, required) -> list[tuple[int, dict[str, str]]]:
     missing = [c for c in required if c not in header]
     if missing:
         raise MalformedInputError(path, None, f"missing columns: {', '.join(sorted(missing))}")
+    for line, row in rows[1:]:
+        if len(row) > len(header):
+            raise MalformedInputError(path, line, f"{len(row)} cells, header has {len(header)}")
     return [(line, dict(zip(header, row + [""] * len(header)))) for line, row in rows[1:]]
 
 

@@ -45,7 +45,7 @@ from .dataset import (
     write_json,
 )
 from .errors import DomainError
-from .ingest import DensityGrid, grid_stats, write_grid
+from .ingest import grid_stats, write_grid
 from .rng import SplitMix64
 
 CITY_NAMES = ("city_a", "city_b", "city_c", "city_d")
@@ -192,13 +192,9 @@ def _write_grids(
         r_means, r_stds = [], []
         for t in range(n_periods):
             date = period_start_date(year, t)
-            grid = DensityGrid(
-                width=2, height=1,
-                values=np.array([means[t] - stds[t], means[t] + stds[t]]),
-                label=date.isoformat(),
-            )
+            grid = np.array([[means[t] - stds[t], means[t] + stds[t]]])
             write_grid(grid, os.path.join(gdir, f"{date.isoformat()}.csv"))
-            m, s, _ = grid_stats(grid)
+            m, s = grid_stats(grid)
             r_means.append(m)
             r_stds.append(s)
         realized[p] = (r_means, r_stds)

@@ -31,7 +31,7 @@ from airpolicy.dataset import (
     read_city_csv,
     write_city_csv,
 )
-from airpolicy.ingest import DensityGrid, write_grid
+from airpolicy.ingest import write_grid
 from airpolicy.models import ModelSpec, fit_arrays
 
 from conftest import make_city
@@ -617,7 +617,7 @@ def test_ingest_skips_dates_outside_the_year(tmp_path, capsys):
 
 
 def test_grid_files_outside_the_year_are_skipped(tmp_path):
-    grid = DensityGrid(width=1, height=1, values=np.array([0.5]))
+    grid = np.array([[0.5]])
     os.makedirs(tmp_path / "CO")
     for name in ("2020-03-01", "2021-03-01"):
         write_grid(grid, str(tmp_path / "CO" / f"{name}.csv"))
@@ -640,14 +640,12 @@ def _gappy_grid_config(root):
         for t in (5 + j, 40, 41, 100):
             path = os.path.join(grids, p.value, f"{period_start_date(2020, t)}.csv")
             os.remove(path)
-            os.remove(path + ".meta.json")
         for t in (10, 60 + j, 150):
             src = os.path.join(grids, p.value, f"{period_start_date(2020, t + 1)}.csv")
             dst = os.path.join(grids, p.value,
                                f"{period_start_date(2020, t) + dt.timedelta(days=1)}.csv")
-            for suffix in ("", ".meta.json"):
-                with open(src + suffix, "rb") as fin, open(dst + suffix, "wb") as fout:
-                    fout.write(fin.read())
+            with open(src, "rb") as fin, open(dst, "wb") as fout:
+                fout.write(fin.read())
     density = os.path.join(res.city_dirs[1], "densities.csv")
     with open(density) as fh:
         lines = fh.read().splitlines()
@@ -680,12 +678,12 @@ def _gappy_grid_config(root):
 # city_a reads its gases from grid files; its bad file stops ingest before
 # city_b is built or anything is written.
 @pytest.mark.parametrize("rel, body, says", [
-    ("grids/CO/2020-01-05.csv", "0.1,0.2,0.3\n", "values length (3,) != width*height = 2"),
-    ("grids/CO/2020-01-05.csv", "0.1,inf\n", "non-finite value outside nodata cells"),
-    ("grids/CO/2020-01-05.csv", "nan,nan\n", "no valid pixels"),
-    ("grids/CO/2020-1-5.csv", "0.1,0.2\n", "file name is not an ISO date"),
+    ("grids/CO/2020-01-05.csv", "0.1,0.2\n0.3\n", ", line 2: 1 cells, first row has 2"),
+    ("grids/CO/2020-01-05.csv", "0.1,inf\n", ", line 1: infinite value"),
+    ("grids/CO/2020-01-05.csv", "nan,nan\n", ": no valid pixels"),
+    ("grids/CO/2020-1-5.csv", "0.1,0.2\n", ": file name is not an ISO date"),
     ("policy.csv", "date," + ",".join(m.value for m in MEASURES) + "\n",
-     "a header but no data rows"),
+     ": a header but no data rows"),
 ], ids=["value-count", "inf", "all-nodata", "bad-name", "header-only-policy"])
 def test_malformed_grid_route_input_is_exit_2_and_writes_nothing(tmp_path, rel, body, says):
     cfg = _gappy_grid_config(str(tmp_path / "synth"))
@@ -693,7 +691,7 @@ def test_malformed_grid_route_input_is_exit_2_and_writes_nothing(tmp_path, rel, 
     with open(path, "w") as fh:
         fh.write(body)
     out = str(tmp_path / "run")
-    assert f"input error: {path}: {says}\n" == _cli_input_error(
+    assert f"input error: {path}{says}\n" == _cli_input_error(
         ["ingest", "--config", cfg, "--out", out])
     assert not os.path.exists(os.path.join(out, "cities"))
 
@@ -705,16 +703,27 @@ def test_malformed_grid_route_input_is_exit_2_and_writes_nothing(tmp_path, rel, 
      "bd8f079ec7f18e735ed7df1f72b3985981dba991a7fab6bcca4ad1b168d223d0"),
     ("grids", "pooled_pixels",
      "922c43a13e01ce0dc92b1bf3dd4fe1ce4d1365933f36c6a612c10663c53b0c2d"),
-], ids=["density-csv", "grids-per-grid", "grids-pooled-pixels"])
+    ("old-sidecars", "per_grid",
+     "bd8f079ec7f18e735ed7df1f72b3985981dba991a7fab6bcca4ad1b168d223d0"),
+], ids=["density-csv", "grids-per-grid", "grids-pooled-pixels", "grids-with-old-sidecars"])
 def test_seed_0_city_bytes_match_golden_digest(tmp_path, capsys, route, mode, digest):
     """The cities/*.csv that ingest writes from seed-0 inputs, pinned across
-    rewrites of the period averaging."""
+    rewrites of the period averaging. Grids once came with a JSON sidecar;
+    one left beside each grid, its nodata a value the grids hold, changes
+    nothing."""
     from airpolicy.synth import generate
     from test_synth import tree_sha256
 
     root = str(tmp_path / "synth")
     cfg = (generate(root, seed=0).config_path if route == "csv"
            else _gappy_grid_config(root))
+    if route == "old-sidecars":
+        for d, _, files in os.walk(os.path.join(root, "city_a", "grids")):
+            for f in files:
+                with open(os.path.join(d, f)) as fh:
+                    first = float(fh.read().split(",")[0])
+                with open(os.path.join(d, f + ".meta.json"), "w") as fh:
+                    json.dump({"width": 3, "height": 1, "label": f, "nodata": first}, fh)
     out = str(tmp_path / "run")
     assert main(["ingest", "--config", cfg, "--out", out,
                  f"--set=aggregation_mode={mode}"]) == EXIT_OK

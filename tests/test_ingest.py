@@ -5,6 +5,7 @@ readers' handling of malformed files."""
 import datetime as dt
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from airpolicy.errors import (
     MalformedInputError,
 )
 from airpolicy.ingest import (
-    DensityGrid,
     PolicyTable,
     aggregate_periods,
     aggregate_stat_periods,
@@ -55,50 +55,46 @@ def two_pass_stats(values):
     return mean, math.sqrt(var)
 
 
-def grid_of(values, width=None, height=1, **kw):
-    arr = np.array(values, dtype=np.float64)
-    if width is None:
-        width = arr.size // height
-    return DensityGrid(width=width, height=height, values=arr, **kw)
+def grid_of(values, height=1):
+    return np.array(values, dtype=np.float64).reshape(height, -1)
 
 
 # -- grid stats -------------------------------------------------------------
 
 def test_grid_stats_matches_two_pass_oracle():
     vals = [3.5e-4, 1.2e-4, 9.9e-5, 4.4e-4, 2.0e-4, 3.3e-4]
-    mean, std, frac = grid_stats(grid_of(vals, width=3, height=2))
+    mean, std = grid_stats(grid_of(vals, height=2))
     omean, ostd = two_pass_stats(vals)
     assert mean == pytest.approx(omean, rel=1e-14)
     assert std == pytest.approx(ostd, rel=1e-12)
-    assert frac == 1.0
 
 
 def test_grid_stats_skips_nodata_pixels():
     vals = [1.0, float("nan"), 3.0, float("nan")]
-    mean, std, frac = grid_stats(grid_of(vals))
+    mean, std = grid_stats(grid_of(vals))
     assert mean == 2.0
     assert std == 1.0
-    assert frac == 0.5
-
-
-def test_grid_stats_sentinel_nodata():
-    g = grid_of([1.0, -9999.0, 3.0], nodata=-9999.0)
-    mean, std, frac = grid_stats(g)
-    assert mean == 2.0 and frac == pytest.approx(2 / 3)
 
 
 def test_grid_stats_all_nodata_raises():
     with pytest.raises(InsufficientDataError, match="has no valid pixels"):
         grid_stats(grid_of([float("nan")] * 4))
+    nan_grid = [(dt.date(2021, 1, 1), grid_of([float("nan")] * 4))]
+    for mode in ("per_grid", "pooled_pixels"):
+        with pytest.raises(InsufficientDataError, match="has no valid pixels"):
+            aggregate_periods(nan_grid, 2021, mode)
 
 
-def test_grid_rejects_bad_shape_and_nonfinite():
-    with pytest.raises(DomainError):
-        DensityGrid(width=2, height=2, values=np.zeros(3))
-    with pytest.raises(DomainError):
-        grid_of([1.0, float("inf")])
-    with pytest.raises(DomainError):
-        DensityGrid(width=0, height=1, values=np.zeros(0))
+def test_grid_rejects_bad_shape_and_nonfinite(tmp_path):
+    path = tmp_path / "g.csv"
+    for body, says in [
+        ("0.1,0.2\n0.3\n", ", line 2: 1 cells, first row has 2"),  # ragged row
+        ("0.1,0.2\n0.3,-inf\n", ", line 2: infinite value"),
+        ("", ": no valid pixels"),  # empty file
+    ]:
+        path.write_text(body)
+        with pytest.raises(MalformedInputError, match=f"g.csv{says}$"):
+            read_grid(str(path))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
@@ -108,8 +104,8 @@ def test_grid_stats_mean_permutation_invariant(vals, perm):
     shuffled = arr[[p for p in perm if p < len(vals)]]
     if shuffled.size != arr.size:
         shuffled = arr.copy()
-    m1, s1, _ = grid_stats(grid_of(arr))
-    m2, s2, _ = grid_stats(grid_of(shuffled))
+    m1, s1 = grid_stats(grid_of(arr))
+    m2, s2 = grid_stats(grid_of(shuffled))
     assert m1 == pytest.approx(m2, rel=1e-9, abs=1e-9)
     assert s1 == pytest.approx(s2, rel=1e-9, abs=1e-9)
 
@@ -119,16 +115,7 @@ def test_grid_stats_mean_permutation_invariant(vals, perm):
 def test_grid_stats_invariant_to_added_nodata(vals, extra):
     base = grid_of(vals)
     padded = grid_of(vals + [float("nan")] * extra)
-    m1, s1, f1 = grid_stats(base)
-    m2, s2, f2 = grid_stats(padded)
-    assert m1 == m2 and s1 == s2
-    assert f2 < f1 or f1 == f2 == 0.0 or len(vals) == 0
-
-
-def test_grid_values_read_only():
-    g = grid_of([1.0, 2.0])
-    with pytest.raises(ValueError):
-        g.values[0] = 5.0
+    assert grid_stats(base) == grid_stats(padded)
 
 
 # -- aggregation ------------------------------------------------------------
@@ -187,17 +174,13 @@ def test_aggregate_periods_unknown_mode():
 # -- grid files -------------------------------------------------------------
 
 def test_grid_file_round_trip_exact(tmp_path):
-    g = DensityGrid(width=3, height=2,
-                    values=np.array([0.1, float("nan"), 0.3, 1e-7, 2e-7, 3.3e-4]),
-                    label="week1")
+    g = grid_of([0.1, float("nan"), 0.3, 1e-7, 2e-7, 3.3e-4], height=2)
     path = str(tmp_path / "g.csv")
     write_grid(g, path)
-    with open(path + ".meta.json") as fh:
-        assert sorted(json.load(fh)) == ["height", "label", "nodata", "width"]
+    assert os.listdir(tmp_path) == ["g.csv"]
     back = read_grid(path)
-    assert back.width == 3 and back.height == 2
-    assert np.array_equal(back.values, g.values, equal_nan=True)
-    assert back.label == "week1"
+    assert back.dtype == np.float64 and back.shape == (2, 3)
+    assert back.tobytes() == g.tobytes()
 
 
 # -- policy csv -------------------------------------------------------------
@@ -377,9 +360,9 @@ def _write_density(path):
                  "2021-01-03,NO2,6e-05,1e-06\n")
 
 
-GRID = DensityGrid(width=2, height=2, values=np.array([0.1, float("nan"), 0.3, 0.4]))
+GRID = grid_of([0.1, float("nan"), 0.3, 0.4], height=2)
 
-# name -> (reader, writer of a valid file and any sidecar)
+# name -> (reader, writer of a valid file)
 READERS = {
     "policy": (parse_2021, _write_policy),
     "density": (parse_density_csv, _write_density),
@@ -416,6 +399,7 @@ def test_readers_raise_only_package_errors_on_fuzzed_files(tmp_path, name):
     ("policy", 3, b"2021-01-02", b"2021-13-04"),
     ("policy", 3, b",4,", b",9,"),
     ("policy", 3, b",4,", b",-1,"),
+    ("policy", 3, b"2021-01-02", b"2021-01-02,0"),
     pytest.param("policy", 3, b",4,", b",1" + b"0" * 400 + b",", id="policy-3-level-1e400"),
     ("density", 2, b",CO,", b",XX,"),
     ("density", 3, b"6e-05", b"six"),
@@ -423,6 +407,7 @@ def test_readers_raise_only_package_errors_on_fuzzed_files(tmp_path, name):
     ("density", 2, b"0.03", b"nan"),
     ("density", 2, b"0.001", b"-0.001"),
     ("density", 3, b"1e-06", b"inf"),
+    ("density", 2, b"0.001", b"0.001,0.5"),
     ("grid", 2, b"0.3", b"0.3x"),
     ("city", 3, b"1,", b"one,"),
 ])
@@ -437,32 +422,15 @@ def test_malformed_cell_names_file_and_line(tmp_path, name, line, old, new):
         READERS[name][0](path)
 
 
-@pytest.mark.parametrize("name", ["grid"])
-def test_sidecar_missing_or_bad_key_is_malformed(tmp_path, name):
-    path, _ = _valid_file(tmp_path, name)
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
-    bad = [{k: v for k, v in meta.items() if k != key} for key in meta]
-    bad += [dict(meta, **{key: "x"}) for key in meta if key != "label"]
-    for doc in bad:
-        with open(path + ".meta.json", "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(MalformedInputError, match="missing or bad key"):
-            READERS[name][0](path)
-    with open(path + ".meta.json", "w") as fh:
-        fh.write("{not json")
-    with pytest.raises(MalformedInputError, match="meta.json, line 1"):
-        READERS[name][0](path)
-
-
 def test_grid_sidecar_with_a_box_still_reads(tmp_path):
-    # Grid sidecars once also held the grid's pixel size and lon/lat box.
+    # Grids once came with a JSON sidecar of their shape, label, nodata
+    # sentinel and lon/lat box. A leftover one is ignored: its sentinel
+    # reads as a value and its wrong width changes nothing.
+    grid = grid_of([0.1, -9999.0, float("nan"), 0.4], height=2)
     path = str(tmp_path / "g.csv")
-    write_grid(GRID, path)
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
+    write_grid(grid, path)
     with open(path + ".meta.json", "w") as fh:
-        json.dump({**meta, "pixel_size": 25.0, "bbox": [10.0, 45.0, 10.5, 45.5]}, fh)
-    back = read_grid(path)
-    assert (back.width, back.height, back.label) == (GRID.width, GRID.height, GRID.label)
-    assert np.array_equal(back.values, GRID.values, equal_nan=True)
+        json.dump({"width": 5, "height": 2, "label": "g", "nodata": -9999.0,
+                   "pixel_size": 25.0, "bbox": [10.0, 45.0, 10.5, 45.5]}, fh)
+    assert read_grid(path).tobytes() == grid.tobytes()
+    assert grid_stats(read_grid(path)) == grid_stats(grid)

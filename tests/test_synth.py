@@ -91,7 +91,7 @@ def tree_sha256(root):
 @pytest.mark.parametrize("kwargs, digest", [
     ({}, "fd89aa6e3b955f11106e5a4847e3ca96b34fbe27e16ab4fe42215f1c9c2d62c8"),
     ({"emit_grids": True, "n_cities": 1},
-     "5d766a3354235813aaba2194864c5d08044d17bbf1905f942d5d75a4a96fc162"),
+     "a97f422140c5e32a1f69df0eb58aaca2cafc11dcdaa6d3430cfbc3394cd9b5d1"),
 ], ids=["csv", "grids"])
 def test_seed_0_input_bytes_match_golden_digest(tmp_path, kwargs, digest):
     """The policy, density and grid files of seed 0, pinned across rewrites
@@ -147,7 +147,7 @@ def test_emit_grids_route_matches_csv_route(tmp_path):
         pdir = os.path.join(grids_root, p.value)
         entries = []
         for fname in sorted(os.listdir(pdir)):
-            if not fname.endswith(".csv") or fname.endswith(".meta.json"):
+            if not fname.endswith(".csv"):
                 continue
             date = dt.date.fromisoformat(fname[:-4])
             entries.append((date, read_grid(os.path.join(pdir, fname))))
