@@ -33,10 +33,12 @@ def dtw_accumulate(cost: np.ndarray, window: int = -1,
     with acc[0, 0] = cost[0, 0] and borders accumulated along their axis.
     ``window >= 0`` restricts cells to ``|i - j| <= window`` (others inf).
 
-    The table is written into ``out`` when given, which may be ``cost``
-    itself: a cell's cost is read only when that cell is written. Cells
-    outside the band are then left as they are, so a caller that passes
-    ``out=cost`` fills them with inf. Without ``out`` a new table is
+    The table is written into ``out`` when given: a C-contiguous float64
+    array of the cost's shape, which may be ``cost`` itself (a cell's cost
+    is read only when that cell is written); anything else is a
+    ``ValueError``. Cells outside the band are then left as they are; of
+    them the fill reads only the two diagonals ``j - i = ±(window + 1)``,
+    so those must hold inf. Without ``out`` a new inf-filled table is
     allocated.
 
     Each border is one ``np.cumsum``, which adds strictly left to right.
@@ -52,21 +54,17 @@ def dtw_accumulate(cost: np.ndarray, window: int = -1,
     n, m = cost.shape
     if out is None:
         acc = np.full((n, m), np.inf)
-    elif out.shape != (n, m):
-        raise ValueError(f"out has shape {out.shape}, cost {cost.shape}")
+    elif out.shape != (n, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {cost.shape}")
     else:
-        # A strided or non-float out is filled through a contiguous copy.
-        acc = np.ascontiguousarray(out, dtype=np.float64)
+        acc = out
     jmax = m - 1 if window < 0 else min(m - 1, window)
     imax = n - 1 if window < 0 else min(n - 1, window)
     np.cumsum(cost[0, :jmax + 1], out=acc[0, :jmax + 1])
     np.cumsum(cost[:imax + 1, 0], out=acc[:imax + 1, 0])
     if n > 1 and m > 1:
         _fill_interior(acc.reshape(-1), cost.reshape(-1), n, m, window)
-    if out is None or acc is out:
-        return acc
-    out[...] = acc
-    return out
+    return acc
 
 
 def _fill_interior(A: np.ndarray, C: np.ndarray, n: int, m: int, window: int) -> None:

@@ -37,10 +37,6 @@ def selu_and_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             SELU_SCALE * np.where(pos, 1.0, SELU_ALPHA * e))
 
 
-def selu(z: np.ndarray) -> np.ndarray:
-    return selu_and_grad(z)[0]
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so no exp
     overflows; exp(-|z|) is the exponential either branch needs."""
@@ -72,13 +68,23 @@ def init_params(input_dim: int, output_dim: int, gen: SplitMix64) -> list[tuple[
     return params
 
 
-def forward(params, Xs: np.ndarray) -> np.ndarray:
-    """Scaled-space forward pass; outputs are sigmoid values in (0, 1)."""
+def _forward(params, Xs: np.ndarray):
+    """One pass: the layer inputs (``Xs`` first), the SELU slopes and the
+    sigmoid outputs."""
+    acts = [Xs]
+    slopes = []
     h = Xs
     for W, b in params[:-1]:
-        h = selu(h @ W + b)
+        h, slope = selu_and_grad(h @ W + b)
+        acts.append(h)
+        slopes.append(slope)
     W, b = params[-1]
-    return sigmoid(h @ W + b)
+    return acts, slopes, sigmoid(h @ W + b)
+
+
+def forward(params, Xs: np.ndarray) -> np.ndarray:
+    """Scaled-space forward pass; outputs are sigmoid values in (0, 1)."""
+    return _forward(params, Xs)[2]
 
 
 def stack_params(members) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -96,20 +102,11 @@ def _backprop(params, Xs: np.ndarray, Ys: np.ndarray, grads) -> np.ndarray:
     its own batch and outputs, and each matmul and the bias reduction work
     per member, so member k's gradients are bit for bit those of the lone net.
     """
-    n_layers = len(params)
-    acts = [Xs]
-    slopes = []
-    h = Xs
-    for W, b in params[:-1]:
-        h, slope = selu_and_grad(h @ W + b)
-        acts.append(h)
-        slopes.append(slope)
-    W, b = params[-1]
-    out = sigmoid(h @ W + b)
+    acts, slopes, out = _forward(params, Xs)
     diff = out - Ys
     delta = 2.0 * diff / diff[0].size  # d loss / d z through the sigmoid next
     delta = delta * out * (1.0 - out)
-    for li in range(n_layers - 1, -1, -1):
+    for li in range(len(params) - 1, -1, -1):
         gW, gb = grads[li]
         np.matmul(acts[li].mT, delta, out=gW)
         np.add.reduce(delta, axis=1, keepdims=True, out=gb)

@@ -199,9 +199,11 @@ def pearson(x, y) -> CorrelationResult:
     xa, ya = _unit_scaled(xa)[0], _unit_scaled(ya)[0]
     xc = xa - xa.mean()
     yc = ya - ya.mean()
-    sx = math.sqrt(float(xc @ xc) / n)
-    sy = math.sqrt(float(yc @ yc) / n)
-    r = min(1.0, max(-1.0, float(xc @ yc) / (n * sx * sy)))
+    # _seqsum, not @: a BLAS dot's summation order depends on the CPU core
+    # it picks, which would move r in the last bits from one machine to the next.
+    sx = math.sqrt(kernels._seqsum(xc * xc) / n)
+    sy = math.sqrt(kernels._seqsum(yc * yc) / n)
+    r = min(1.0, max(-1.0, kernels._seqsum(xc * yc) / (n * sx * sy)))
     return CorrelationResult(
         r=r,
         r_squared=r * r,
@@ -263,27 +265,17 @@ def dtw(a, b, cost: str = "absolute", window: int | None = None) -> DtwResult:
 
 
 def _cost_table(aa: np.ndarray, bb: np.ndarray, cost: str, window: int | None) -> np.ndarray:
-    """Pointwise costs inside the Sakoe-Chiba band, inf outside it.
+    """Pointwise costs, the n x m differences made abs or square in place.
 
-    Without a band, or with one that covers the table, the n x m
-    differences become the costs in place. Otherwise only the 2*window + 1
-    diagonal offsets j - i are filled, each through a strided view of the
-    flat table. Either way every cell gets the same subtract and then abs
-    or square, so the bits do not depend on the route.
+    With a band that does not cover the table, the two diagonals just
+    outside it, j - i = ±(window + 1), hold inf instead: they are the only
+    out-of-band cells that the accumulation and the backtrack read.
     """
-    finish = np.square if cost == "squared" else np.abs  # x * x is one rounding either way
-    n, m = aa.size, bb.size
-    if window is None or window >= max(n, m) - 1:
-        c = aa[:, None] - bb[None, :]
-        finish(c, out=c)
-        return c
-    c = np.full((n, m), np.inf)
-    flat = c.reshape(-1)
-    for k in range(max(-window, 1 - n), min(window, m - 1) + 1):
-        i0, i1 = max(0, -k), min(n, m - k)  # rows of the cells (i, i + k)
-        v = flat[i0 * (m + 1) + k:(i1 - 1) * (m + 1) + k + 1:m + 1]
-        np.subtract(aa[i0:i1], bb[i0 + k:i1 + k], out=v)
-        finish(v, out=v)
+    c = aa[:, None] - bb[None, :]
+    (np.square if cost == "squared" else np.abs)(c, out=c)  # x * x is one rounding either way
+    if window is not None:
+        np.fill_diagonal(c[:, window + 1:], np.inf)  # j - i = window + 1
+        np.fill_diagonal(c[window + 1:], np.inf)  # i - j = window + 1
     return c
 
 

@@ -525,6 +525,30 @@ def test_overflowing_density_means_screen_at_scale_and_fail_benchmark_cells(tmp_
     assert all(r["error"] == "" for r in cells if r["pollutant"] != "CO")
 
 
+@pytest.mark.parametrize("platform", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
+], ids=lambda env: "=".join(*env.items()))
+def test_screen_csv_is_the_same_on_other_blas_cores_and_libm_variants(tmp_path, platform):
+    """Pearson adds its products left to right, not through a BLAS dot, so
+    screen.csv keeps its bytes whichever BLAS core or libm variant loads."""
+    cfg = run_synth(tmp_path, seed=0)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+
+    def screen(env):
+        proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", "screen",
+                               "--config", cfg, "--out", out],
+                              capture_output=True, env={**os.environ, **env})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        with open(os.path.join(out, "screen.csv"), "rb") as fh:
+            return fh.read()
+
+    assert screen(platform) == screen({})
+
+
 def test_benchmark_tracer_installs():
     # pipebench/tracing.py wraps package functions by attribute name; a
     # renamed attribute must fail here, not only in a traced benchmark run.

@@ -4,6 +4,7 @@ scan. The acceptance oracles (exhaustive DTW and split enumeration) check
 the kernels against independent references."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -71,17 +72,35 @@ def test_dtw_accumulate_bitwise_equals_row_by_row(problem):
 
 @given(dtw_problems())
 def test_dtw_accumulate_into_its_cost_equals_allocating(problem):
-    """out=cost overwrites each cost with its accumulated cost, on every
-    layout; a banded cost enters with inf outside the band, which the
-    kernel leaves as it is."""
+    """out=cost overwrites a C-contiguous float64 cost with its accumulated
+    cost. Outside a band the fill reads only the fence diagonals
+    j - i = ±(window + 1): with inf there and NaN on every other
+    out-of-band cell, the table equals the allocating one up to the fence,
+    and the NaNs stay as they are."""
     cost, window = problem
+    cost = np.ascontiguousarray(cost)
     want = kernels.dtw_accumulate(cost, window)
-    if window >= 0:
-        i, j = np.indices(cost.shape)
-        cost[np.abs(i - j) > window] = np.inf
+    i, j = np.indices(cost.shape)
+    off = np.abs(i - j)
+    fence = window + 1 if window >= 0 else max(cost.shape)
+    cost[off > fence] = np.nan
+    cost[off == fence] = np.inf
     got = kernels.dtw_accumulate(cost, window, out=cost)
     assert got is cost
-    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert got[off <= fence].tobytes() == want[off <= fence].tobytes()
+    assert np.isnan(got[off > fence]).all()
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda cost: np.asfortranarray(cost),
+    lambda cost: np.zeros((cost.shape[0], 2 * cost.shape[1]))[:, ::2],
+    lambda cost: cost.astype(np.float32),
+    lambda cost: np.zeros((cost.shape[0], cost.shape[1] + 1)),
+], ids=["F-ordered", "strided", "float32", "shape"])
+def test_dtw_accumulate_rejects_an_out_it_cannot_write_in_place(make_out):
+    cost = random_cost(SplitMix64(104), 6, 5)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        kernels.dtw_accumulate(cost, -1, out=make_out(cost))
 
 
 def test_dtw_window_larger_than_needed_equals_unwindowed():

@@ -23,6 +23,7 @@ from airpolicy.rng import SplitMix64
 from airpolicy.similarity import (
     Band,
     _backtrack,
+    _cost_table,
     band_of,
     dtw,
     pearson,
@@ -162,10 +163,12 @@ def test_pearson_gives_the_true_r_at_any_finite_scale():
 
 
 def _unscaled_r(x, y):
-    # The moments without the power-of-two prescale, as before it existed.
+    # The moments without the power-of-two prescale, as before it existed,
+    # from the same left-to-right sums of products that pearson forms.
     xc, yc = x - x.mean(), y - y.mean()
-    sx, sy = math.sqrt(float(xc @ xc) / x.size), math.sqrt(float(yc @ yc) / y.size)
-    return min(1.0, max(-1.0, float(xc @ yc) / (x.size * sx * sy)))
+    sx = math.sqrt(kernels._seqsum(xc * xc) / x.size)
+    sy = math.sqrt(kernels._seqsum(yc * yc) / y.size)
+    return min(1.0, max(-1.0, kernels._seqsum(xc * yc) / (x.size * sx * sy)))
 
 
 def _normal(a):
@@ -380,13 +383,45 @@ def dtw_inputs(draw):
 @example((np.array([1.5]), np.array([0.0, 2.0, 1.0]), "squared", 2))
 @example((np.array([0.0, 2.0, 1.0]), np.array([1.5]), "absolute", 3))
 def test_dtw_equals_full_table_reference(problem):
-    """The band-only cost table and the in-place accumulation give the
+    """The fenced cost table and the in-place accumulation give the
     distance and path of the full cost matrix, bit for bit."""
     a, b, cost, window = problem
     res = dtw(a, b, cost=cost, window=window)
     distance, path = full_table_dtw(a, b, cost, window)
     assert np.float64(res.distance).tobytes() == np.float64(distance).tobytes()
     assert res.path == path
+
+
+@st.composite
+def cost_table_inputs(draw):
+    n, m = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    values = st.floats(-1e200, 1e200, allow_subnormal=False)
+    a = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    top = max(n, m)
+    window = draw(st.sampled_from([None, 0, abs(n - m), top, top + 5])
+                  | st.integers(0, top))
+    return a, b, draw(st.sampled_from(["absolute", "squared"])), window
+
+
+@given(cost_table_inputs())
+def test_cost_table_holds_exact_costs_in_the_band_and_inf_on_its_fence(problem):
+    """Every cell with |i - j| <= window is the subtract-then-abs/square of
+    its pair, and both diagonals |i - j| = window + 1 are inf."""
+    a, b, cost, window = problem
+    with np.errstate(over="ignore"):
+        c = _cost_table(a, b, cost, window)
+    band = math.inf if window is None else window
+    for i in range(a.size):
+        for j in range(b.size):
+            if abs(i - j) <= band:
+                d = float(a[i]) - float(b[j])
+                want = abs(d) if cost == "absolute" else d * d
+            elif abs(i - j) == band + 1:
+                want = math.inf
+            else:
+                continue
+            assert np.float64(c[i, j]).tobytes() == np.float64(want).tobytes()
 
 
 def test_dtw_window_infeasible_raises():
