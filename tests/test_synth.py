@@ -92,11 +92,19 @@ def tree_sha256(root):
     ({}, "fd89aa6e3b955f11106e5a4847e3ca96b34fbe27e16ab4fe42215f1c9c2d62c8"),
     ({"emit_grids": True, "n_cities": 1},
      "a97f422140c5e32a1f69df0eb58aaca2cafc11dcdaa6d3430cfbc3394cd9b5d1"),
-], ids=["csv", "grids"])
+    ({"profile": "null"},
+     "b7aa84d6781201643420e6026c517b6264027b885dbbd089f8c55962bfec519c"),
+    ({"year": 2021},
+     "2c2249aaf493de717f03cd1e02757ba12dbee4c471ba953a60e2be0aee912dd0"),
+    ({"seed": 7, "n_cities": 2},
+     "1f6956ae0e33eeeb84570438ddf96bdebf724b96c2a83b0b514f8c720be7b980"),
+], ids=["csv", "grids", "null", "common-year", "seed-7"])
 def test_seed_0_input_bytes_match_golden_digest(tmp_path, kwargs, digest):
-    """The policy, density and grid files of seed 0, pinned across rewrites
-    of their writers."""
-    generate(str(tmp_path), seed=0, **kwargs)
+    """The policy, density and grid files of seed 0 (seed 7 in one case),
+    pinned across rewrites of their writers and their draws. The null
+    profile, a 365-day year (whose last period is one day) and another seed
+    reach draws the default run does not."""
+    generate(str(tmp_path), **{"seed": 0, **kwargs})
     assert tree_sha256(str(tmp_path)) == digest
 
 
