@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0, help="seed of the generated data")
     p_synth.add_argument("--profile", choices=["linear", "null"], default="linear")
     p_synth.add_argument("--noise", type=float, default=0.01,
-                         help="relative noise level for the linear profile")
+                         help="relative noise level for the linear profile (finite, >= 0)")
     p_synth.add_argument("--emit-grids", action="store_true",
                          help="also write per-period density grid files")
     p_synth.set_defaults(func=cmd_synth)

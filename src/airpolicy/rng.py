@@ -22,7 +22,9 @@ that closed form to produce the next k raw outputs at once as a numpy
 ``uint64`` array, equal to k calls of ``u64()``, and leaves the generator
 where those calls would. ``randints(bound, k)`` is ``u64_block(k) % bound``,
 element for element the values of k ``randint(bound)`` calls, and
-``shuffle`` takes its swap indices from one block.
+``shuffle`` takes its swap indices from one block. ``normals(n)`` takes
+the uniforms of all its Box-Muller pairs from one block and returns the
+values, and leaves the state and the spare, of n ``normal()`` calls.
 """
 
 from __future__ import annotations
@@ -105,5 +107,19 @@ class SplitMix64:
         items[:] = seq
 
     def normals(self, n: int) -> list[float]:
-        """n successive normal() draws."""
-        return [self.normal() for _ in range(n)]
+        """n normal() draws with their uniforms from one u64_block: a pending
+        spare comes first and an odd n leaves one. Each pair uses normal()'s
+        scalar math calls; numpy's vector log, cos and sin move bits."""
+        out = []
+        if n and self._spare_normal is not None:
+            out.append(self._spare_normal)
+            self._spare_normal = None
+        pairs = (n - len(out) + 1) // 2
+        u = ((self.u64_block(2 * pairs) >> np.uint64(11)) * 2.0 ** -53).tolist()
+        for u1, u2 in zip(u[::2], u[1::2]):
+            r = math.sqrt(-2.0 * math.log(1.0 - u1))
+            theta = 2.0 * math.pi * u2
+            out += (r * math.cos(theta), r * math.sin(theta))
+        if len(out) > n:
+            self._spare_normal = out.pop()
+        return out

@@ -38,6 +38,7 @@ from .dataset import (
     POLLUTANTS,
     MeasureKind,
     PollutantKind,
+    days_in_year,
     period_start_date,
     periods_in_year,
     resample_to_periods,
@@ -81,21 +82,36 @@ class SynthResult:
     city_dirs: tuple[str, ...]
 
 
+def _day_dates(year: int) -> list[dt.date]:
+    start = dt.date(year, 1, 1)
+    return [start + dt.timedelta(days=i) for i in range(days_in_year(year))]
+
+
 def _measure_levels(gen: SplitMix64, n_days: int) -> list[int]:
-    level = gen.randint(DEFAULT_MAX_LEVEL + 1)
+    """Daily levels of the loop: level = randint(MAX + 1), then each further
+    day, if uniform() < CHANGE_PROB, level = randint(MAX + 1). Its at most
+    2 * n_days - 1 draws come as one block, and a scan reads the ones the
+    loop would. ``gen`` is spent afterwards."""
+    block = gen.u64_block(2 * n_days - 1)
+    change = ((block >> np.uint64(11)) * 2.0 ** -53 < CHANGE_PROB).tolist()
+    residue = (block % np.uint64(DEFAULT_MAX_LEVEL + 1)).tolist()
+    level, i = residue[0], 1
     out = [level]
     for _ in range(n_days - 1):
-        if gen.uniform() < CHANGE_PROB:
-            level = gen.randint(DEFAULT_MAX_LEVEL + 1)
+        if change[i]:
+            level = residue[i + 1]
+            i += 1
+        i += 1
         out.append(level)
     return out
 
 
-def _period_intensity(levels: list[int], year: int) -> list[float]:
-    start = dt.date(year, 1, 1)
-    dates = [start + dt.timedelta(days=i) for i in range(len(levels))]
-    daily = np.array(levels)[:, None] / DEFAULT_MAX_LEVEL
-    return resample_to_periods(dates, daily, year)[:, 0].tolist()
+def _period_intensity(
+    levels: dict[MeasureKind, list[int]], dates: list[dt.date], year: int
+) -> dict[MeasureKind, list[float]]:
+    daily = np.array([levels[m] for m in MEASURES]).T / DEFAULT_MAX_LEVEL
+    periods = resample_to_periods(dates, daily, year)
+    return {m: periods[:, j].tolist() for j, m in enumerate(MEASURES)}
 
 
 def _pollutant_series(
@@ -108,18 +124,14 @@ def _pollutant_series(
     gen_std: SplitMix64,
     n_periods: int,
 ) -> tuple[list[float], list[float]]:
-    means = []
-    for t in range(n_periods):
-        if profile == "linear":
-            prev = coupled[t - 1] if t > 0 else 0.5
-            eps = noise * 0.5 * abs(slope) * base * gen_mean.normal()
-            means.append(base * (1.0 + slope * (prev - 0.5)) + eps)
-        else:
-            means.append(base * (1.0 + NULL_SPREAD * gen_mean.normal()))
-    stds = [
-        max(0.0, STD_RATIO * m * (1.0 + STD_JITTER * gen_std.normal()))
-        for m in means
-    ]
+    if profile == "linear":
+        prev = [0.5] + coupled[:n_periods - 1]
+        means = [base * (1.0 + slope * (c - 0.5)) + noise * 0.5 * abs(slope) * base * z
+                 for c, z in zip(prev, gen_mean.normals(n_periods))]
+    else:
+        means = [base * (1.0 + NULL_SPREAD * z) for z in gen_mean.normals(n_periods)]
+    stds = [max(0.0, STD_RATIO * m * (1.0 + STD_JITTER * z))
+            for m, z in zip(means, gen_std.normals(n_periods))]
     return means, stds
 
 
@@ -135,12 +147,12 @@ def generate_city(
     order, then two per pollutant (mean noise, std jitter) in canonical
     order, so output is a pure function of the incoming generator state.
     """
-    n_days = (dt.date(year, 12, 31) - dt.date(year, 1, 1)).days + 1
+    dates = _day_dates(year)
     n_periods = periods_in_year(year)
     measure_gens = {m: seed_gen.spawn() for m in MEASURES}
     pollutant_gens = {p: (seed_gen.spawn(), seed_gen.spawn()) for p in POLLUTANTS}
-    levels = {m: _measure_levels(measure_gens[m], n_days) for m in MEASURES}
-    intensity = {m: _period_intensity(levels[m], year) for m in MEASURES}
+    levels = {m: _measure_levels(measure_gens[m], len(dates)) for m in MEASURES}
+    intensity = _period_intensity(levels, dates, year)
     series = {}
     for p in POLLUTANTS:
         measure, slope = PLANTED[p]
@@ -152,12 +164,9 @@ def generate_city(
 
 
 def _write_policy_csv(path: str, levels: dict[MeasureKind, list[int]], year: int) -> None:
-    start = dt.date(year, 1, 1)
-    n_days = len(next(iter(levels.values())))
-    write_csv(path, [["date"] + [m.value for m in MEASURES]] + [
-        [(start + dt.timedelta(days=i)).isoformat()] + [levels[m][i] for m in MEASURES]
-        for i in range(n_days)
-    ])
+    days = [d.isoformat() for d in _day_dates(year)]
+    write_csv(path, [["date"] + [m.value for m in MEASURES],
+                     *zip(days, *(levels[m] for m in MEASURES))])
 
 
 def _write_density_csv(
@@ -165,11 +174,11 @@ def _write_density_csv(
     series: dict[PollutantKind, tuple[list[float], list[float]]],
     year: int,
 ) -> None:
+    dates = [period_start_date(year, t).isoformat() for t in range(periods_in_year(year))]
     rows = [["date", "pollutant", "mean", "std"]]
     for p in POLLUTANTS:
         means, stds = series[p]
-        rows += [[period_start_date(year, t).isoformat(), p.value, means[t], stds[t]]
-                 for t in range(periods_in_year(year))]
+        rows += [[d, p.value, m, s] for d, m, s in zip(dates, means, stds)]
     write_csv(path, rows)
 
 
@@ -215,12 +224,16 @@ def generate(
     Per city: policy.csv (daily ordinals) and densities.csv (per-period
     stats); with emit_grids also per-period two-pixel grid files whose
     statistics the CSV then mirrors exactly. config.json points at the CSV
-    route and carries the seed.
+    route and carries the seed. ``noise`` scales the linear profile's noise
+    std, so it must be finite and at least 0; any fault is a DomainError
+    raised before a directory is made.
     """
     if profile not in ("linear", "null"):
         raise DomainError(f"unknown profile {profile!r}")
     if not (1 <= n_cities <= len(CITY_NAMES)):
         raise DomainError(f"n_cities must be 1..{len(CITY_NAMES)}")
+    if not 0.0 <= noise < float("inf"):
+        raise DomainError(f"noise must be a finite number >= 0, got {noise}")
     os.makedirs(out_dir, exist_ok=True)
     root = SplitMix64(seed)
     city_dirs = []

@@ -590,6 +590,15 @@ def test_bad_override_key_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "o"))
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_synth_bad_noise_is_exit_2_and_writes_nothing(tmp_path, capsys, noise):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--noise", noise]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("input error: noise must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_screen_before_ingest_is_exit_2(tmp_path, capsys):
     cfg = run_synth(tmp_path)
     capsys.readouterr()

@@ -3,7 +3,7 @@ every downstream seed contract depends on it."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airpolicy.rng import SplitMix64
@@ -155,3 +155,31 @@ def test_shuffle_equals_scalar_fisher_yates(n):
         assert as_list == [f"r{i}" for i in want]
         assert as_array.tolist() == want
         assert gen_list.u64() == gen_array.u64() == ref.u64()
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def spare_bits(gen):
+    return None if gen._spare_normal is None else gen._spare_normal.hex()
+
+
+@pytest.mark.parametrize("ns", [(0,), (1,), (7,), (8,), (183, 183), (3, 0, 1)],
+                         ids=["0", "1", "odd", "even", "even-twice", "odd-0-1"])
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "spare-pending"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, M64))
+def test_normals_equal_scalar_normal_calls(ns, pending, seed):
+    """normals(n) draws its uniforms as one block: values, state and spare
+    must be those of n normal() calls, whatever spare is pending before."""
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    if pending:
+        assert block.normal() == scalar.normal()
+        assert block._spare_normal is not None
+    for n in ns:
+        got = block.normals(n)
+        assert isinstance(got, list) and len(got) == n
+        assert bits(got) == bits(scalar.normal() for _ in range(n))
+        assert block._state == scalar._state
+        assert spare_bits(block) == spare_bits(scalar)

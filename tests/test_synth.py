@@ -7,10 +7,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airpolicy.config import load_config
 from airpolicy.dataset import DEFAULT_MAX_LEVEL, MEASURES, POLLUTANTS, periods_in_year
 from airpolicy.errors import DomainError
+from airpolicy.rng import SplitMix64
 from airpolicy.ingest import (
     aggregate_stat_periods,
     build_city_dataset,
@@ -18,7 +21,7 @@ from airpolicy.ingest import (
     parse_policy_csv,
 )
 from airpolicy.similarity import pearson
-from airpolicy.synth import PLANTED, generate
+from airpolicy.synth import CHANGE_PROB, PLANTED, _measure_levels, generate
 
 
 MAX_LEVELS = {m: DEFAULT_MAX_LEVEL for m in MEASURES}
@@ -169,12 +172,34 @@ def test_emit_grids_route_matches_csv_route(tmp_path):
 
 
 def test_generate_rejects_bad_arguments(tmp_path):
-    with pytest.raises(DomainError):
-        generate(str(tmp_path), profile="lorenz")
-    with pytest.raises(DomainError):
-        generate(str(tmp_path), n_cities=0)
-    with pytest.raises(DomainError):
-        generate(str(tmp_path), n_cities=99)
+    out = tmp_path / "out"
+    bad = [{"profile": "lorenz"}, {"n_cities": 0}, {"n_cities": 99},
+           {"noise": float("nan")}, {"noise": float("inf")},
+           {"noise": float("-inf")}, {"noise": -1.0}]
+    for kwargs in bad:
+        with pytest.raises(DomainError):
+            generate(str(out), **kwargs)
+        assert not out.exists()
+
+
+def scalar_measure_levels(gen, n_days):
+    """The day loop _measure_levels must reproduce: one draw at a time."""
+    level = gen.randint(DEFAULT_MAX_LEVEL + 1)
+    out = [level]
+    for _ in range(n_days - 1):
+        if gen.uniform() < CHANGE_PROB:
+            level = gen.randint(DEFAULT_MAX_LEVEL + 1)
+        out.append(level)
+    return out
+
+
+@pytest.mark.parametrize("n_days", [1, 2, 365, 366])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_measure_levels_equal_the_scalar_day_loop(n_days, seed):
+    got = _measure_levels(SplitMix64(seed), n_days)
+    assert got == scalar_measure_levels(SplitMix64(seed), n_days)
+    assert all(type(v) is int for v in got)
 
 
 def test_common_year_calendar(tmp_path):
