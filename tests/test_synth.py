@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from airpolicy.config import load_config
 from airpolicy.dataset import DEFAULT_MAX_LEVEL, MEASURES, POLLUTANTS, periods_in_year
 from airpolicy.errors import DomainError
-from airpolicy.rng import SplitMix64
 from airpolicy.ingest import (
     aggregate_stat_periods,
     build_city_dataset,
     parse_density_csv,
     parse_policy_csv,
 )
+from airpolicy.rng import SplitMix64
 from airpolicy.similarity import pearson
 from airpolicy.synth import CHANGE_PROB, PLANTED, _measure_levels, generate
 
