@@ -16,11 +16,11 @@ from airpolicy.evaluation import (
     EvalCell,
     EvalReport,
     SplitSpec,
-    report_to_json,
     rmse,
     run_benchmark,
     split,
     write_report_csv,
+    write_report_json,
 )
 from airpolicy.models import KINDS, ModelSpec, model_to_json
 from airpolicy.report import render_benchmark_summary
@@ -183,7 +183,7 @@ def test_benchmark_prepares_each_pollutant_once(monkeypatch):
     assert calls == {"build_supervised": 3, "split": 3, "fit_scaling": 3}
 
 
-def test_benchmark_non_finite_predictions_fail_the_cell():
+def test_benchmark_non_finite_predictions_fail_the_cell(tmp_path):
     cities = [make_city("a", n_periods=41, seed=11)]
     specs = [ModelSpec(kind="mgbr", hyperparameters={"eta0": 1000.0}),
              ModelSpec(kind="linreg")]
@@ -193,11 +193,18 @@ def test_benchmark_non_finite_predictions_fail_the_cell():
     assert cell.rmse_mean is None and cell.rmse_joint is None
     assert report.cell(PollutantKind.CO, "linreg").ok
     assert set(trained) == {(PollutantKind.CO, "linreg")}
-    json.loads(report_to_json(report), parse_constant=_reject_constant)
+    json.loads(_report_text(report, tmp_path), parse_constant=_reject_constant)
 
 
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _report_text(report, tmp_path, config_echo=None) -> str:
+    """The text ``write_report_json`` writes for ``report``."""
+    path = tmp_path / "report.json"
+    write_report_json(report, str(path), config_echo=config_echo)
+    return path.read_text()
 
 
 def test_benchmark_records_failures_as_cells():
@@ -228,7 +235,7 @@ def test_relative_error_null_when_targets_zero(tmp_path):
     cell = report.cell(PollutantKind.CO, "knn")
     assert cell.ok and cell.rmse_mean is not None
     assert cell.relative_error is None
-    row = json.loads(report_to_json(report), parse_constant=_reject_constant)["rows"][0]
+    row = json.loads(_report_text(report, tmp_path), parse_constant=_reject_constant)["rows"][0]
     assert row["relative_error"] is None and row["rmse_mean"] == cell.rmse_mean
     path = tmp_path / "report.csv"
     write_report_csv(report, str(path))
@@ -419,20 +426,20 @@ def test_report_csv_round_trip(tmp_path):
     assert len(got) == 3
 
 
-def test_report_json_shape():
+def test_report_json_shape(tmp_path):
     report = EvalReport(rows=(
         EvalCell(pollutant=PollutantKind.CO, kind="knn", rmse_mean=0.5,
                  rmse_std=0.25, rmse_joint=0.4, relative_error=0.02,
                  n_train=8, n_test=2),
     ))
-    blob = json.loads(report_to_json(report, config_echo={"seed": 7}))
+    blob = json.loads(_report_text(report, tmp_path, config_echo={"seed": 7}))
     assert blob["config"] == {"seed": 7}
     row = blob["rows"][0]
     assert row["pollutant"] == "CO" and row["kind"] == "knn"
     assert row["rmse_mean"] == 0.5 and row["error"] == ""
     # Sorted keys keep the serialization byte-stable.
     assert list(row) == sorted(row)
-    assert json.loads(report_to_json(report))["config"] == {}
+    assert json.loads(_report_text(report, tmp_path))["config"] == {}
 
 
 def test_pollutant_canonical_order_matches_report_sort():

@@ -7,7 +7,7 @@ import pytest
 
 from airpolicy.dataset import MEASURES, POOLED_SCOPE, MeasureKind, PollutantKind
 from airpolicy.errors import DomainError
-from airpolicy.evaluation import EvalCell, EvalReport
+from airpolicy.evaluation import EvalCell, EvalReport, write_report_csv, write_report_json
 from airpolicy.report import (
     COD_THRESHOLD,
     FigureData,
@@ -16,7 +16,6 @@ from airpolicy.report import (
     figure_dtw,
     figure_r2,
     figure_rmse,
-    figure_to_dict,
     render_benchmark_summary,
     render_screen_summary,
     write_figure,
@@ -126,7 +125,12 @@ def test_write_figure_round_trip(tmp_path):
                    ["RE_GAT", "CO", "0.25"],
                    ["RE_GAT", "O3", ""]]
     with open(json_path) as fh:
-        assert json.load(fh) == figure_to_dict(fig)
+        assert json.load(fh) == {
+            "figure_id": "R2_bars",
+            "caption": "test caption",
+            "rows": [{"group": "RE_GAT", "category": "CO", "value": 0.25},
+                     {"group": "RE_GAT", "category": "O3", "value": None}],
+        }
     # JSON bytes are deterministic for identical figures.
     with open(json_path) as fh:
         blob1 = fh.read()
@@ -134,6 +138,119 @@ def test_write_figure_round_trip(tmp_path):
     with open(json_path) as fh:
         assert fh.read() == blob1
     assert json.loads(blob1)["caption"] == "test caption"
+
+
+GOLDEN_REPORT_JSON = """\
+{
+  "config": {
+    "dtw": {
+      "cost": "absolute",
+      "normalize": true,
+      "window": null
+    },
+    "pollutants": [
+      "CO",
+      "SO2"
+    ],
+    "split": {
+      "test_fraction": 0.2
+    }
+  },
+  "rows": [
+    {
+      "error": "",
+      "kind": "linreg",
+      "n_test": 3,
+      "n_train": 10,
+      "pollutant": "CO",
+      "relative_error": 0.01,
+      "rmse_joint": 0.1,
+      "rmse_mean": 0.125,
+      "rmse_std": 1e-05,
+      "scope": "pooled"
+    },
+    {
+      "error": "",
+      "kind": "knn",
+      "n_test": 2,
+      "n_train": 8,
+      "pollutant": "O3",
+      "relative_error": null,
+      "rmse_joint": 1.75,
+      "rmse_mean": 2.5,
+      "rmse_std": 0.0,
+      "scope": "pooled"
+    },
+    {
+      "error": "dnn: boom",
+      "kind": "dnn",
+      "n_test": 0,
+      "n_train": 0,
+      "pollutant": "SO2",
+      "relative_error": null,
+      "rmse_joint": null,
+      "rmse_mean": null,
+      "rmse_std": null,
+      "scope": "pooled"
+    }
+  ]
+}
+"""
+
+GOLDEN_REPORT_CSV = """\
+pollutant,kind,scope,rmse_mean,rmse_std,rmse_joint,relative_error,n_train,n_test
+CO,linreg,pooled,0.125,1e-05,0.1,0.01,10,3
+O3,knn,pooled,2.5,0.0,1.75,,8,2
+SO2,dnn,pooled,,,,,0,0
+""".replace("\n", "\r\n")
+
+GOLDEN_FIGURE_JSON = """\
+{
+  "caption": "A caption.",
+  "figure_id": "RMSE_CO_O3",
+  "rows": [
+    {
+      "category": "CO",
+      "group": "knn",
+      "value": 0.5
+    },
+    {
+      "category": "O3",
+      "group": "knn",
+      "value": null
+    }
+  ]
+}
+"""
+
+GOLDEN_FIGURE_CSV = "group,category,value\r\nknn,CO,0.5\r\nknn,O3,\r\n"
+
+
+def test_report_and_figure_files_match_golden_text(tmp_path):
+    """The exact bytes of report.json, report.csv and a figure pair, written
+    from hand-built records: an ok cell, one with no relative error, a failed
+    cell, and a config echo with a nested object, a float, a list, a bool
+    and a null. No learner runs, so the text holds on every CPU."""
+    report = EvalReport(rows=(
+        EvalCell(pollutant=PollutantKind.CO, kind="linreg", rmse_mean=0.125,
+                 rmse_std=1e-05, rmse_joint=0.1, relative_error=0.01,
+                 n_train=10, n_test=3),
+        EvalCell(pollutant=PollutantKind.O3, kind="knn", rmse_mean=2.5, rmse_std=0.0,
+                 rmse_joint=1.75, relative_error=None, n_train=8, n_test=2),
+        EvalCell(pollutant=PollutantKind.SO2, kind="dnn", error="dnn: boom"),
+    ))
+    echo = {"dtw": {"cost": "absolute", "normalize": True, "window": None},
+            "pollutants": ["CO", "SO2"], "split": {"test_fraction": 0.2}}
+    write_report_json(report, str(tmp_path / "report.json"), config_echo=echo)
+    write_report_csv(report, str(tmp_path / "report.csv"))
+    fig = FigureData(figure_id="RMSE_CO_O3", caption="A caption.",
+                     rows=(FigureRow("knn", "CO", 0.5), FigureRow("knn", "O3", None)))
+    write_figure(fig, str(tmp_path))
+    for name, text in (("report.json", GOLDEN_REPORT_JSON),
+                       ("report.csv", GOLDEN_REPORT_CSV),
+                       ("fig_RMSE_CO_O3.json", GOLDEN_FIGURE_JSON),
+                       ("fig_RMSE_CO_O3.csv", GOLDEN_FIGURE_CSV)):
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 def test_all_cod_below_threshold_strict():
