@@ -74,6 +74,10 @@ def _city_csv_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, "cities", f"{name}.csv")
 
 
+def _model_path(out_dir: str, pollutant: PollutantKind, kind: str) -> str:
+    return os.path.join(out_dir, "models", f"{pollutant.value}_{kind}.json")
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -225,13 +229,10 @@ def cmd_benchmark(args) -> int:
     evaluation.write_report_csv(eval_report, os.path.join(config.out_dir, "report.csv"))
     evaluation.write_report_json(eval_report, os.path.join(config.out_dir, "report.json"),
                                  config_echo=config.echo())
-    models_dir = os.path.join(config.out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
+    os.makedirs(os.path.join(config.out_dir, "models"), exist_ok=True)
     for (pollutant, kind) in sorted(trained, key=lambda pk: (pk[0].value, pk[1])):
-        models.save_model(
-            trained[(pollutant, kind)],
-            os.path.join(models_dir, f"{pollutant.value}_{kind}.json"),
-        )
+        models.save_model(trained[(pollutant, kind)],
+                          _model_path(config.out_dir, pollutant, kind))
     fig_a, fig_b = report.figure_rmse(eval_report)
     report.write_figure(fig_a, config.out_dir)
     report.write_figure(fig_b, config.out_dir)
@@ -256,8 +257,7 @@ def cmd_predict(args) -> int:
     city_sets = _read_cities(config)
     forecasts = []
     for pollutant in config.pollutants:
-        path = os.path.join(config.out_dir, "models",
-                            f"{pollutant.value}_{config.predict_kind}.json")
+        path = _model_path(config.out_dir, pollutant, config.predict_kind)
         if not os.path.isfile(path):
             raise ConfigError(
                 f"model file not found: {path} (run the benchmark command first)"
@@ -308,34 +308,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, text in (
+        ("ingest", cmd_ingest, "build per-city period datasets"),
+        ("screen", cmd_screen, "correlation and alignment screening"),
+        ("benchmark", cmd_benchmark, "train and score all learners"),
+        ("predict", cmd_predict, "forecast the next period from saved models"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config and env)")
         p.add_argument("--jobs", type=int, default=_default_jobs(),
                        help="screen and benchmark: worker processes, at most one per "
-                            "pollutant (default: the CPUs this process may use); other "
-                            "commands ignore it")
+                            "pollutant (default: the CPUs this process may use); ingest "
+                            "and predict ignore it")
         p.add_argument("--set", action="append", metavar="K=V",
                        help="dotted config override, e.g. split.test_fraction=0.3")
-
-    p_ingest = sub.add_parser("ingest", help="build per-city period datasets")
-    add_common(p_ingest)
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_screen = sub.add_parser("screen", help="correlation and alignment screening")
-    add_common(p_screen)
-    p_screen.set_defaults(func=cmd_screen)
-
-    p_bench = sub.add_parser("benchmark", help="train and score all learners")
-    add_common(p_bench)
-    p_bench.set_defaults(func=cmd_benchmark)
-
-    p_pred = sub.add_parser("predict", help="forecast the next period from saved models")
-    add_common(p_pred)
-    p_pred.set_defaults(func=cmd_predict)
+        p.set_defaults(func=func)
 
     p_synth = sub.add_parser("synth", help="generate synthetic city inputs")
-    add_common(p_synth)
+    p_synth.add_argument("--out", help="output directory (default: AIRPOLICY_OUT, "
+                                       "else synth)")
     p_synth.add_argument("--seed", type=int, default=0, help="seed of the generated data")
     p_synth.add_argument("--profile", choices=["linear", "null"], default="linear")
     p_synth.add_argument("--noise", type=float, default=0.01,
@@ -350,7 +342,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown

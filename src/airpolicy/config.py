@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dataset import DEFAULT_COLUMN_MAP, DEFAULT_MAX_LEVEL, MeasureKind, PollutantKind
 from .errors import ConfigError, DomainError
@@ -96,11 +96,7 @@ class ModelSpec:
         return self.hyperparameters
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -123,7 +119,7 @@ class SplitSpec:
             )
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "test_fraction": self.test_fraction, "seed": self.seed}
+        return asdict(self)
 
 
 # Each key's default; a required key's value only gives its type. A

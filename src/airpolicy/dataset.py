@@ -16,7 +16,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -222,14 +222,7 @@ class ScalingSpec:
             raise DomainError("scaling spec is not fitted")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "fitted": self.fitted,
-            "input_offset": list(self.input_offset),
-            "input_scale": list(self.input_scale),
-            "target_offset": list(self.target_offset),
-            "target_scale": list(self.target_scale),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingSpec":
@@ -388,10 +381,12 @@ def write_csv(path: str, rows) -> None:
 
 
 def write_json(path: str, doc) -> None:
-    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    """Write ``doc`` as strict JSON, indented with sorted keys, and a final
+    newline. The text is made before the file is opened, so a NaN, an
+    infinity or a value JSON cannot hold raises and leaves ``path`` as it was."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def parse_date(text: str) -> dt.date:

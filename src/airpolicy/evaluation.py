@@ -15,9 +15,8 @@ is recorded in the report instead of aborting the run.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .dataset import (
     build_supervised,
     fit_scaling,
     write_csv,
+    write_json,
 )
 from .errors import AirPolicyError, DomainError, InsufficientDataError, ShapeError
 from .models import KINDS, ModelSpec, TrainedModel
@@ -242,36 +242,15 @@ REPORT_COLUMNS = [
 ]
 
 
+def _report_rows(report: EvalReport) -> list[dict]:
+    """Each cell's fields by name, the pollutant as its value."""
+    return [{**asdict(r), "pollutant": r.pollutant.value} for r in report.rows]
+
+
 def write_report_csv(report: EvalReport, path: str) -> None:
-    write_csv(path, [REPORT_COLUMNS] + [
-        [r.pollutant.value, r.kind, r.scope, r.rmse_mean, r.rmse_std, r.rmse_joint,
-         r.relative_error, r.n_train, r.n_test]
-        for r in report.rows
-    ])
-
-
-def report_to_json(report: EvalReport, config_echo: dict | None = None) -> str:
-    rows = []
-    for r in report.rows:
-        rows.append({
-            "pollutant": r.pollutant.value,
-            "kind": r.kind,
-            "scope": r.scope,
-            "rmse_mean": r.rmse_mean,
-            "rmse_std": r.rmse_std,
-            "rmse_joint": r.rmse_joint,
-            "relative_error": r.relative_error,
-            "n_train": r.n_train,
-            "n_test": r.n_test,
-            "error": r.error,
-        })
-    return json.dumps(
-        {"rows": rows, "config": config_echo or {}},
-        sort_keys=True, indent=2, allow_nan=False,
-    )
+    write_csv(path, [REPORT_COLUMNS] + [[row[c] for c in REPORT_COLUMNS]
+                                        for row in _report_rows(report)])
 
 
 def write_report_json(report: EvalReport, path: str, config_echo: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_to_json(report, config_echo))
-        fh.write("\n")
+    write_json(path, {"rows": _report_rows(report), "config": config_echo or {}})

@@ -29,12 +29,11 @@ class TrainedModel:
     """Common behavior of fitted learners: shape checks, persistence hooks."""
 
     def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int,
-                 scaling: ScalingSpec = IDENTITY_SCALING,
                  metadata: dict | None = None):
         self.spec = spec
         self.input_dim = input_dim
         self.output_dim = output_dim
-        self.scaling = scaling
+        self.scaling = IDENTITY_SCALING
         self.metadata = dict(metadata or {})
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:

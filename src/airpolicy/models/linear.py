@@ -29,14 +29,6 @@ class LinearModel(TrainedModel):
         self.beta = beta  # (input_dim + 1, output_dim); row 0 is the intercept
         self.objective_traces: list[np.ndarray] = []  # lasso diagnostics, not persisted
 
-    @property
-    def intercept(self) -> np.ndarray:
-        return self.beta[0]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.beta[1:]
-
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.beta[1:] + self.beta[0]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .config import KINDS
@@ -109,19 +109,8 @@ def write_figure(fig: FigureData, out_dir: str) -> tuple[str, str]:
     json_path = os.path.join(out_dir, f"fig_{fig.figure_id}.json")
     write_csv(csv_path, [["group", "category", "value"]]
               + [[row.group, row.category, row.value] for row in fig.rows])
-    write_json(json_path, figure_to_dict(fig))
+    write_json(json_path, asdict(fig))
     return csv_path, json_path
-
-
-def figure_to_dict(fig: FigureData) -> dict:
-    return {
-        "figure_id": fig.figure_id,
-        "caption": fig.caption,
-        "rows": [
-            {"group": r.group, "category": r.category, "value": r.value}
-            for r in fig.rows
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

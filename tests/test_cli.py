@@ -861,6 +861,17 @@ def test_null_profile_screen_flag(tmp_path, capsys):
         "all measures CoD < 0.20: yes")
 
 
+@pytest.mark.parametrize("flag", [["--config", "c.json"], ["--set", "seed=1"], ["--jobs", "2"]],
+                         ids=["config", "set", "jobs"])
+def test_synth_refuses_the_pipeline_flags(tmp_path, flag):
+    out = tmp_path / "synth"
+    proc = subprocess.run([sys.executable, "-m", "airpolicy.cli", "synth",
+                           "--out", str(out), *flag], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -26,6 +26,7 @@ from airpolicy.dataset import (
     read_city_csv,
     resample_to_periods,
     write_city_csv,
+    write_json,
 )
 from airpolicy.errors import (
     DomainError,
@@ -334,6 +335,20 @@ def test_supervised_arrays_are_read_only():
 
 
 # -- city csv ---------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, object()],
+                         ids=["nan", "inf", "-inf", "object"])
+def test_write_json_refuses_before_touching_the_file(tmp_path, bad):
+    """A value strict JSON cannot hold raises; an existing target keeps its
+    bytes and a new one is never created."""
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"kept": 1}\n')
+    for path in (old, tmp_path / "new.json"):
+        with pytest.raises((ValueError, TypeError)):
+            write_json(str(path), {"rows": [{"value": bad}]})
+    assert old.read_bytes() == b'{"kept": 1}\n'
+    assert not (tmp_path / "new.json").exists()
+
 
 def test_city_csv_round_trip_exact(tmp_path):
     ds = make_city(n_periods=9)

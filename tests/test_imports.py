@@ -122,12 +122,17 @@ def test_every_error_class_is_caught_or_builds_its_message():
             and node.name not in caught | own_message] == []
 
 
-def fork_calls(source: str) -> int:
-    """How many times the source calls ``os.fork``."""
+def module_calls(source: str, module: str, names: tuple[str, ...]) -> int:
+    """How many times the source calls ``module.<name>`` for a name in ``names``."""
     return sum(1 for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "fork" and isinstance(node.func.value, ast.Name)
-               and node.func.value.id == "os")
+               and node.func.attr in names and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == module)
+
+
+def fork_calls(source: str) -> int:
+    """How many times the source calls ``os.fork``."""
+    return module_calls(source, "os", ("fork",))
 
 
 def test_guard_finds_a_fork_call():
@@ -139,6 +144,23 @@ def test_only_the_worker_helper_forks():
     forking = [str(p.relative_to(PACKAGE)) for p in MODULES
                if fork_calls(p.read_text(encoding="utf-8"))]
     assert forking == ["workers.py"]
+
+
+def test_guard_finds_json_and_csv_writer_calls():
+    source = "import csv, json\n\njson.dump(1, f)\njson.dumps(2)\njson.loads('3')\ncsv.writer(f)\n"
+    assert module_calls(source, "json", ("dump", "dumps")) == 2
+    assert module_calls(source, "csv", ("writer",)) == 1
+
+
+@pytest.mark.parametrize("module, names, writers", [
+    # dataset.write_json and write_csv, plus the streaming model writer.
+    ("json", ("dump", "dumps"), ["dataset.py", "models/base.py"]),
+    ("csv", ("writer",), ["dataset.py"]),
+])
+def test_only_the_dataset_writers_format_json_and_csv(module, names, writers):
+    calling = [str(p.relative_to(PACKAGE)) for p in MODULES
+               if module_calls(p.read_text(encoding="utf-8"), module, names)]
+    assert calling == writers
 
 
 # A command prints the package modules it loaded to stderr as it exits.
