@@ -4,7 +4,8 @@ Every command validates its configuration and inputs fully before writing
 anything, so a config error never leaves partial outputs, and prints
 only after its last write. Exit codes: 0 success, 1 some cells failed but
 the run completed, or standard output closed before the summary was
-printed, 2 config or input error, 130 interrupted (Ctrl-C). The output
+printed, 2 config or input error, 130 interrupted (Ctrl-C), 143
+terminated (SIGTERM). The output
 directory comes from --out, else the AIRPOLICY_OUT environment variable,
 else the config.
 
@@ -21,7 +22,9 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -48,6 +51,16 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_TERMINATED = 143  # 128 + SIGTERM
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread so that the clean-up Ctrl-C gets
+    runs too: ``workers.run_shares`` kills and reaps its workers."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 def _resolve_out(args) -> str | None:
@@ -195,8 +208,6 @@ def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
     later city in config order when two cities end on that period; None
     when there is none.
     """
-    from . import models
-
     found = None
     for ds in ds_list:
         rows = ds.features(pollutant)
@@ -206,7 +217,7 @@ def _forecast(model, ds_list: list[CityDataset], pollutant: PollutantKind):
     if found is None:
         return None
     city, period, x = found
-    return city, period, x, models.predict(model, x)[0]
+    return city, period, x, model.predict(x)[0]
 
 
 def _print_forecast(pollutant: PollutantKind, forecast) -> None:
@@ -262,7 +273,11 @@ def cmd_predict(args) -> int:
             raise ConfigError(
                 f"model file not found: {path} (run the benchmark command first)"
             )
-        forecast = _forecast(models.load_model(path), city_sets, pollutant)
+        model = models.load_model(path)
+        if model.spec.kind != config.predict_kind:
+            raise ConfigError(f"{path}: holds a {model.spec.kind} model, but "
+                              f"predict.kind is {config.predict_kind}")
+        forecast = _forecast(model, city_sets, pollutant)
         if forecast is None:
             raise ConfigError(f"no complete period found for {pollutant.value}")
         forecasts.append((pollutant, forecast))
@@ -341,6 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only the main thread may set a handler; the caller's comes back on return.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
@@ -363,6 +382,12 @@ def main(argv=None) -> int:
         # run_shares has already killed and reaped its workers.
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

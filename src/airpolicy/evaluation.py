@@ -130,8 +130,9 @@ def _run_cell(
     prepared: list[tuple[SupervisedSet, SupervisedSet]], spec: ModelSpec
 ) -> list[tuple[EvalCell, TrainedModel | None]]:
     """One learner over a share's prepared pollutants: one fit call for all
-    of their training sets, then each model is scored on its own test set."""
-    fitted = models.fit(spec, [train for train, _ in prepared])
+    of their training sets, then each model takes its set's scaling and is
+    scored on its own test set."""
+    fitted = models.fit(spec, [(train.inputs, train.targets) for train, _ in prepared])
     return [_score(train, test, spec, model)
             for (train, test), model in zip(prepared, fitted)]
 
@@ -143,7 +144,8 @@ def _score(
     try:
         if isinstance(model, Exception):
             raise model
-        m, s, joint = rmse(models.predict(model, test.inputs), test.targets)
+        model.scaling = train.scaling
+        m, s, joint = rmse(model.predict(test.inputs), test.targets)
         if not math.isfinite(joint):
             raise DomainError(f"{spec.kind}: predictions or RMSE not finite")
         denom = float(np.abs(test.targets[:, 0]).mean())

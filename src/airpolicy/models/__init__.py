@@ -8,15 +8,12 @@ from ..config import HYPER_DEFAULTS, KINDS, ModelSpec
 from .base import (
     TrainedModel,
     fit,
-    fit_arrays,
     load_model,
     model_from_json,
     model_to_json,
-    predict,
     save_model,
 )
 from . import boost, forest, knn, linear, nnet, tree  # noqa: F401  (registration)
-from .nnet import gradient_check
 
 __all__ = [
     "HYPER_DEFAULTS",
@@ -24,11 +21,8 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "fit",
-    "fit_arrays",
-    "gradient_check",
     "load_model",
     "model_from_json",
     "model_to_json",
-    "predict",
     "save_model",
 ]

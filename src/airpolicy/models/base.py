@@ -18,7 +18,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..config import ModelSpec
-from ..dataset import IDENTITY_SCALING, ScalingSpec, SupervisedSet
+from ..dataset import IDENTITY_SCALING, ScalingSpec
 from ..errors import AirPolicyError, ConfigError, ShapeError
 
 MODEL_FORMAT = "airpolicy-model"
@@ -26,7 +26,7 @@ MODEL_VERSION = 2
 
 
 class TrainedModel:
-    """Common behavior of fitted learners: shape checks, persistence hooks."""
+    """Common behavior of fitted learners: shape checks, scaling, persistence hooks."""
 
     def __init__(self, spec: ModelSpec, input_dim: int, output_dim: int,
                  metadata: dict | None = None):
@@ -37,6 +37,9 @@ class TrainedModel:
         self.metadata = dict(metadata or {})
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
+        """Predictions in the data's units. A fitted ``scaling``, the one the
+        model was trained in (saved in its file), transforms the inputs
+        before the learner and inverts its outputs after."""
         X = np.asarray(inputs, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
@@ -44,9 +47,13 @@ class TrainedModel:
             raise ShapeError(
                 f"inputs must be M x {self.input_dim}, got {X.shape}"
             )
+        scaling = self.scaling
+        if scaling.fitted:
+            X = scaling.transform_inputs(X)
         if X.size and not np.isfinite(X).all():
             raise ShapeError("inputs contain non-finite values")
-        return self._predict(X)
+        Y = self._predict(X)
+        return scaling.invert_targets(Y) if scaling.fitted else Y
 
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
@@ -94,7 +101,7 @@ _FITTERS: dict[str, object] = {}
 _LOADERS: dict[str, object] = {}
 _LOCKSTEP: set[str] = set()
 
-# The errors that fail one set's fit in ``fit`` and leave the other sets' fits standing.
+# The errors that fail one pair's fit in ``fit`` and leave the other pairs' fits standing.
 _FIT_ERRORS = (AirPolicyError, np.linalg.LinAlgError, FloatingPointError)
 
 
@@ -108,8 +115,16 @@ def register_kind(kind: str, fitter, loader, lockstep: bool = False) -> None:
         _LOCKSTEP.add(kind)
 
 
-def _fit_each(spec: ModelSpec, pairs) -> list:
-    """Per (X, Y) pair, the model ``spec`` trains on it or the error that stopped it."""
+def fit(spec: ModelSpec, pairs) -> list[TrainedModel | Exception]:
+    """Train one learner on each (X, Y) pair; Y may be any column count the kind supports.
+
+    Returns one entry per pair, in order: its model, or the package, linear
+    algebra or floating-point error that stopped its fit. A failed pair
+    leaves the others as they would be alone. dnn trains the pairs in
+    lockstep; the other kinds fit one pair at a time. Either way each
+    model has the bytes of a fit on its pair alone. A model's ``scaling``
+    is the identity until its caller sets the one its pair was fitted in.
+    """
     checked = []
     for X, Y in pairs:
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -128,32 +143,6 @@ def _fit_each(spec: ModelSpec, pairs) -> list:
             results.append(fitter(spec, X, Y))
         except _FIT_ERRORS as exc:
             results.append(exc)
-    return results
-
-
-def fit_arrays(spec: ModelSpec, X: np.ndarray, Y: np.ndarray,
-               scaling: ScalingSpec = IDENTITY_SCALING) -> TrainedModel:
-    """Train on raw matrices; Y may be any column count the kind supports."""
-    (model,) = _fit_each(spec, [(X, Y)])
-    if isinstance(model, Exception):
-        raise model
-    model.scaling = scaling
-    return model
-
-
-def fit(spec: ModelSpec, trains: list[SupervisedSet]) -> list[TrainedModel | Exception]:
-    """Train one learner on each supervised set; each model remembers its set's scaling.
-
-    Returns one entry per set, in order: its model, or the package, linear
-    algebra or floating-point error that stopped its fit. A failed set
-    leaves the others as they would be alone. dnn trains the sets in
-    lockstep; the other kinds fit one set at a time. Either way each
-    model has the bytes of a fit on its set alone.
-    """
-    results = _fit_each(spec, [(train.inputs, train.targets) for train in trains])
-    for train, model in zip(trains, results):
-        if not isinstance(model, Exception):
-            model.scaling = train.scaling
     return results
 
 
@@ -204,18 +193,6 @@ def _load_scaling(d: dict, input_dim: int, output_dim: int) -> ScalingSpec:
                          ("target_offset", output_dim), ("target_scale", output_dim)):
             float_array(d[key], (dim,), f"scaling {key}")
     return ScalingSpec.from_dict(d)
-
-
-def predict(model: TrainedModel, inputs: np.ndarray) -> np.ndarray:
-    """Predict in original units.
-
-    A model fitted under a scaling mode expects transformed inputs and emits
-    transformed targets; its fitted spec travels with it and its file.
-    """
-    scaling = model.scaling
-    if not scaling.fitted:
-        return model.predict(inputs)
-    return scaling.invert_targets(model.predict(scaling.transform_inputs(inputs)))
 
 
 def _json_pieces(value) -> Iterator[str]:

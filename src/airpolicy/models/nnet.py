@@ -115,16 +115,6 @@ def _backprop(params, Xs: np.ndarray, Ys: np.ndarray, grads) -> np.ndarray:
     return diff
 
 
-def loss_and_gradients(params, Xs: np.ndarray, Ys: np.ndarray):
-    """Each member's MSE loss (mean over batch and outputs), shape (K,), and the
-    stack's parameter gradients; shapes as in ``_backprop``."""
-    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
-    diff = _backprop(params, Xs, Ys, grads)
-    # np.add.reduce is what ndarray.mean/sum call, minus their Python layer.
-    loss = np.array([np.add.reduce(d * d, axis=None) / d.size for d in diff])
-    return loss, grads
-
-
 def _views(flat: np.ndarray, params) -> list[tuple[np.ndarray, np.ndarray]]:
     """``params``' shapes laid over consecutive parts of ``flat``."""
     out, at = [], 0
@@ -248,46 +238,6 @@ def _fit_dnn(spec: ModelSpec, pairs) -> list:
             results[i] = DnnModel(spec, input_dim, output_dim, *scale,
                                   [(W[k].copy(), b[k, 0].copy()) for W, b in params])
     return results
-
-
-def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
-                   step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The network is built from the spec's seed, then the output layer is
-    filled with LeCun-normal draws from the same generator: at the standard
-    zero output layer most gradients vanish identically and the comparison
-    would check nothing. Relative error per parameter is
-    |a - n| / max(|a| + |n|, 1e-8).
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, 1, -1)
-    y = np.asarray(y, dtype=np.float64).reshape(1, 1, -1)
-    gen = SplitMix64(spec.seed)
-    params = init_params(x.shape[2], y.shape[2], gen)
-    fan_in, fan_out = params[-1][0].shape
-    std = 1.0 / math.sqrt(fan_in)
-    W_out = (std * np.array(gen.normals(fan_in * fan_out))).reshape(fan_in, fan_out)
-    params[-1] = (W_out, params[-1][1])
-    params = stack_params([params])
-    _, grads = loss_and_gradients(params, x, y)
-    worst = 0.0
-    for li in range(len(params)):
-        for slot in range(2):
-            arr = params[li][slot]
-            analytic = grads[li][slot]
-            flat = arr.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                lp = loss_and_gradients(params, x, y)[0][0]
-                flat[idx] = orig - step
-                lm = loss_and_gradients(params, x, y)[0][0]
-                flat[idx] = orig
-                numeric = (lp - lm) / (2.0 * step)
-                a = float(analytic.ravel()[idx])
-                rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
-                worst = max(worst, rel)
-    return worst
 
 
 register_kind("dnn", _fit_dnn, DnnModel.load, lockstep=True)

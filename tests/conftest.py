@@ -4,7 +4,9 @@ import signal
 import numpy as np
 import pytest
 
+from airpolicy import models
 from airpolicy.dataset import (
+    IDENTITY_SCALING,
     MEASURES,
     POLLUTANTS,
     CityDataset,
@@ -70,3 +72,13 @@ def rng():
 
 def random_series(gen, n, scale=1.0):
     return np.array(gen.normals(n)) * scale
+
+
+def fit_arrays(spec, X, Y, scaling=IDENTITY_SCALING):
+    """The model ``spec`` fits on one (X, Y) pair through ``models.fit``,
+    with ``scaling`` as the scaling it was fitted in; a failed fit raises."""
+    (model,) = models.fit(spec, [(X, Y)])
+    if isinstance(model, Exception):
+        raise model
+    model.scaling = scaling
+    return model

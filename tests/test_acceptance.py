@@ -28,15 +28,15 @@ from airpolicy.dataset import (
     build_supervised,
     periods_in_year,
 )
-from airpolicy.models import ModelSpec, fit_arrays, model_to_json
+from airpolicy.models import ModelSpec, model_to_json
 from airpolicy.models.forest import ForestModel
-from airpolicy.models.nnet import gradient_check
 from airpolicy.models.tree import grow_tree, tree_predict
 from airpolicy.report import render_screen_summary
 from airpolicy.rng import SplitMix64
 from airpolicy.similarity import Band, band_of, dtw, pearson, screen_all
 
-from test_models import exhaustive_root_split, lasso_lambda_max
+from conftest import fit_arrays
+from test_models import exhaustive_root_split, gradient_check, lasso_lambda_max
 from test_similarity import check_path_valid, dtw_oracle, p_oracle, pearson_oracle
 from test_synth import ingest_city, pooled_r
 

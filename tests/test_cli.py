@@ -7,8 +7,12 @@ import importlib.util
 import json
 import math
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +23,7 @@ from airpolicy.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_TERMINATED,
     _collect_grids,
     _forecast,
     build_parser,
@@ -32,9 +37,9 @@ from airpolicy.dataset import (
     write_city_csv,
 )
 from airpolicy.ingest import write_grid
-from airpolicy.models import ModelSpec, fit_arrays
+from airpolicy.models import ModelSpec
 
-from conftest import make_city
+from conftest import fit_arrays, make_city
 
 SMALL_KINDS = '--set=models.kinds=["knn","linreg"]'
 PREDICT_LINREG = "--set=predict.kind=linreg"
@@ -344,6 +349,22 @@ def test_malformed_model_contents_are_exit_2_without_traceback(model_run, kind, 
         with open(path, "w") as fh:
             fh.write(good)
     assert path in stderr and says in stderr
+
+
+def test_predict_refuses_a_model_of_another_kind(model_run):
+    cfg, out = model_run
+    knn, rfr = (os.path.join(out, "models", f"CO_{k}.json") for k in ("knn", "rfr"))
+    forecast = os.path.join(out, "forecast.csv")
+    before = os.path.exists(forecast) and os.stat(forecast).st_mtime_ns
+    shutil.copyfile(rfr, rfr + ".good")
+    try:
+        shutil.copyfile(knn, rfr)
+        stderr = _cli_input_error(["predict", "--config", cfg, "--out", out,
+                                   "--set=predict.kind=rfr"])
+    finally:
+        os.replace(rfr + ".good", rfr)
+    assert rfr in stderr and "holds a knn model, but predict.kind is rfr" in stderr
+    assert (os.path.exists(forecast) and os.stat(forecast).st_mtime_ns) == before
 
 
 def test_unwritable_out_dir_is_exit_2_without_traceback(tmp_path):
@@ -850,6 +871,73 @@ def test_interrupt_is_exit_130_without_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evaluation, "run_benchmark", interrupted)
     assert main(["benchmark", "--config", cfg, "--out", out]) == EXIT_INTERRUPTED
     assert capsys.readouterr().err == "interrupted\n"
+
+
+def _children(pid):
+    """The pids whose parent is ``pid``, from each process's /proc stat line."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):  # gone, or not readable
+            continue
+        if ppid == pid:
+            kids.append(int(entry))
+    return kids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads workers' pids from /proc")
+def test_sigterm_is_exit_143_and_reaps_the_workers(tmp_path, capsys):
+    cfg = run_synth(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["ingest", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    proc = subprocess.Popen([sys.executable, "-m", "airpolicy.cli", "benchmark",
+                             "--config", cfg, "--out", out, "--jobs", "2"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        give_up = time.monotonic() + 60
+        while not (workers := _children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < give_up
+            time.sleep(0.01)
+        time.sleep(0.3)  # into the fits, past the fork's bookkeeping
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+        alive = []
+        for pid in workers:
+            try:
+                os.kill(pid, 0)
+                alive.append(pid)
+            except ProcessLookupError:
+                pass
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        stderr = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert (code, stderr, alive) == (EXIT_TERMINATED, "terminated\n", [])
+
+
+def test_main_restores_the_callers_sigterm_handler(capsys):
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        assert main(["screen"]) == EXIT_CONFIG
+        assert signal.getsignal(signal.SIGTERM) is mine
+        codes = []  # off the main thread, main sets no handler and still runs
+        thread = threading.Thread(target=lambda: codes.append(main(["screen"])))
+        thread.start()
+        thread.join(timeout=60)
+        assert codes == [EXIT_CONFIG]
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    capsys.readouterr()
 
 
 def test_null_profile_screen_flag(tmp_path, capsys):

@@ -308,15 +308,15 @@ def test_benchmark_results_do_not_depend_on_jobs(deadline, no_child_left):
         assert list(runs[jobs][1].items()) == list(models.items()), jobs
 
 
-def _fit_failing_on(pollutant, fail):
-    from airpolicy import models
+def _cell_failing_on(pollutant, fail):
+    from airpolicy import evaluation
 
-    fit = models.fit
+    run_cell = evaluation._run_cell
 
-    def failing(spec, trains):
-        if spec.kind == "linreg" and any(t.pollutant is pollutant for t in trains):
+    def failing(prepared, spec):
+        if spec.kind == "linreg" and any(t.pollutant is pollutant for t, _ in prepared):
             fail()
-        return fit(spec, trains)
+        return run_cell(prepared, spec)
 
     return failing
 
@@ -339,10 +339,10 @@ def _kill():
                          ids=["raises", "exits", "killed"])
 def test_benchmark_worker_failure_raises_in_parent(monkeypatch, deadline, no_child_left,
                                                    fail, says):
-    from airpolicy import models
+    from airpolicy import evaluation
 
     # NO2 is a worker's whole share at jobs=3; its linreg cell is the second of four.
-    monkeypatch.setattr(models, "fit", _fit_failing_on(PollutantKind.NO2, fail))
+    monkeypatch.setattr(evaluation, "_run_cell", _cell_failing_on(PollutantKind.NO2, fail))
     cities = [make_city("a", n_periods=21, seed=11)]
     specs = FAST_SPECS + [ModelSpec(kind="lasso")]
     with pytest.raises(RuntimeError, match=says):
@@ -373,9 +373,9 @@ def test_benchmark_worker_killed_mid_record_raises_in_parent(monkeypatch, deadli
 
 
 def test_benchmark_parent_failure_reaps_workers(monkeypatch, deadline, no_child_left):
-    from airpolicy import models
+    from airpolicy import evaluation
 
-    monkeypatch.setattr(models, "fit", _fit_failing_on(PollutantKind.CO, _raise_boom))
+    monkeypatch.setattr(evaluation, "_run_cell", _cell_failing_on(PollutantKind.CO, _raise_boom))
     cities = [make_city("a", n_periods=21, seed=11)]
     with pytest.raises(RuntimeError, match="^boom$"):
         run_benchmark(cities, list(POLLUTANTS), POOL_SPECS, SplitSpec(), jobs=4)

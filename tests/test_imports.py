@@ -48,6 +48,14 @@ def test_every_export_resolves(module):
     assert set(mod.__all__) <= set(namespace)
 
 
+def test_models_exports_one_fit_and_no_test_helpers():
+    import airpolicy.models
+
+    assert sorted(airpolicy.models.__all__) == [
+        "HYPER_DEFAULTS", "KINDS", "ModelSpec", "TrainedModel", "fit",
+        "load_model", "model_from_json", "model_to_json", "save_model"]
+
+
 def raised_names(source: str) -> set[str]:
     """The names the source raises: ``X`` of ``raise X``, ``raise X(...)`` and
     ``raise m.X(...)``."""

@@ -28,16 +28,15 @@ from airpolicy.dataset import (
     fit_scaling,
 )
 from airpolicy.errors import ConfigError, DomainError, InsufficientDataError, ShapeError
-from airpolicy.models import ModelSpec, fit_arrays, model_from_json, model_to_json
+from airpolicy.models import ModelSpec, model_from_json, model_to_json
 from airpolicy.models.boost import _weighted_median
 from airpolicy.models.forest import ForestModel
 from airpolicy.models.nnet import (
     HIDDEN_SIZES,
     SELU_ALPHA,
     SELU_SCALE,
-    gradient_check,
+    _backprop,
     init_params,
-    loss_and_gradients,
     selu_and_grad,
     sigmoid,
     stack_params,
@@ -45,7 +44,7 @@ from airpolicy.models.nnet import (
 from airpolicy.models.tree import Tree, grow_tree, tree_predict
 from airpolicy.rng import SplitMix64
 
-from conftest import make_city
+from conftest import fit_arrays, make_city
 from test_synth import ingest_city
 
 
@@ -571,6 +570,52 @@ def reference_loss_and_gradients(params, Xs, Ys):
     return loss, grads
 
 
+def loss_and_gradients(params, Xs, Ys):
+    """Each member's MSE loss (mean over batch and outputs), shape (K,), and the
+    stack's parameter gradients, from the training step's ``_backprop``."""
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
+    diff = _backprop(params, Xs, Ys, grads)
+    loss = np.array([np.add.reduce(d * d, axis=None) / d.size for d in diff])
+    return loss, grads
+
+
+def gradient_check(spec, x, y, step=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    The network is built from the spec's seed, then the output layer is
+    filled with LeCun-normal draws from the same generator: at the standard
+    zero output layer most gradients vanish identically and the comparison
+    would check nothing. Relative error per parameter is
+    |a - n| / max(|a| + |n|, 1e-8).
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(1, 1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, 1, -1)
+    gen = SplitMix64(spec.seed)
+    params = init_params(x.shape[2], y.shape[2], gen)
+    fan_in, fan_out = params[-1][0].shape
+    std = 1.0 / math.sqrt(fan_in)
+    W_out = (std * np.array(gen.normals(fan_in * fan_out))).reshape(fan_in, fan_out)
+    params[-1] = (W_out, params[-1][1])
+    params = stack_params([params])
+    _, grads = loss_and_gradients(params, x, y)
+    worst = 0.0
+    for li in range(len(params)):
+        for slot in range(2):
+            flat = params[li][slot].ravel()
+            analytic = grads[li][slot].ravel()
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                lp = loss_and_gradients(params, x, y)[0][0]
+                flat[idx] = orig - step
+                lm = loss_and_gradients(params, x, y)[0][0]
+                flat[idx] = orig
+                numeric = (lp - lm) / (2.0 * step)
+                a = float(analytic[idx])
+                worst = max(worst, abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8))
+    return worst
+
+
 def test_fused_activations_equal_reference_formulas_bitwise():
     gen = SplitMix64(335)
     z = np.concatenate([
@@ -669,11 +714,11 @@ def test_dnn_sets_fitted_together_match_each_fitted_alone():
               build_supervised([a], PollutantKind.NO2)]
     assert [t.n for t in trains] == [40, 1, 29, 40]
     spec = ModelSpec(kind="dnn", hyperparameters={"epochs": 3})
-    together = models.fit(spec, trains)
+    together = models.fit(spec, [(t.inputs, t.targets) for t in trains])
     assert isinstance(together[1], InsufficientDataError)
     for train, model in zip(trains, together):
         if train is not one:
-            (alone,) = models.fit(spec, [train])
+            (alone,) = models.fit(spec, [(train.inputs, train.targets)])
             assert model_to_json(model) == model_to_json(alone)
 
 
@@ -804,7 +849,7 @@ SWAPS = [None, True, "x", "1.5", 1.5, 0, -1, 1, 99, 10**400, math.nan, math.inf,
 @given(data=st.data())
 def test_mutated_model_files_raise_only_config_errors(saved_models, index, data):
     """Type swaps, out-of-range numbers and indices, wrong lengths, NaN and
-    deep nesting anywhere in a saved model: load_model and models.predict
+    deep nesting anywhere in a saved model: load_model and predict
     either work or raise ConfigError."""
     docs, path = saved_models
     doc = json.loads(docs[index])
@@ -836,25 +881,31 @@ def test_mutated_model_files_raise_only_config_errors(saved_models, index, data)
         return
     probe, _ = random_problem(334, n=7, d=model.input_dim)
     with np.errstate(all="ignore"):
-        models.predict(model, probe)
+        model.predict(probe)
 
 
 @pytest.mark.parametrize("mode", ["z_score", "none"])
 def test_scaled_predict_matches_manual_path(mode):
+    """predict answers in the data's units: the fitted scaling's transform,
+    the learner, then its inverse; a wrong width is a ShapeError before any
+    transform runs."""
     sset = build_supervised([make_city(n_periods=40, seed=17)], PollutantKind.NO2)
     train = sset
     if mode != "none":
         train = apply_scaling(sset, fit_scaling(sset, mode))
     for kind in ("knn", "linreg"):
-        (model,) = models.fit(ModelSpec(kind=kind), [train])
-        got = models.predict(model, sset.inputs)
+        model = fit_arrays(ModelSpec(kind=kind), train.inputs, train.targets, train.scaling)
+        got = model.predict(sset.inputs)
+        sc = model.scaling
         if mode == "none":
-            assert not model.scaling.fitted
-            want = model.predict(sset.inputs)
+            assert not sc.fitted
+            want = model._predict(sset.inputs)
         else:
-            sc = model.scaling
-            want = sc.invert_targets(model.predict(sc.transform_inputs(sset.inputs)))
+            want = sc.invert_targets(model._predict(sc.transform_inputs(sset.inputs)))
         assert got.tobytes() == want.tobytes()
+        for wrong in (np.zeros((1, 11)), np.zeros(11), np.zeros((1, 9))):
+            with pytest.raises(ShapeError, match="inputs must be M x 10"):
+                model.predict(wrong)
 
 
 def test_predict_validates_shape_and_finiteness():
@@ -868,10 +919,9 @@ def test_predict_validates_shape_and_finiteness():
         model.predict(np.array([[1.0, np.nan, 2.0]]))
 
 
-def test_fit_arrays_validates_shapes():
+def test_fit_validates_shapes():
     with pytest.raises(ShapeError):
-        fit_arrays(ModelSpec(kind="linreg"), np.zeros((5, 3)), np.zeros((4, 2)),
-                   IDENTITY_SCALING)
+        models.fit(ModelSpec(kind="linreg"), [(np.zeros((5, 3)), np.zeros((4, 2)))])
 
 
 @pytest.mark.parametrize("kind", ["knn", "dtr", "rfr", "linreg", "ridge",
@@ -927,6 +977,6 @@ def golden_train(tmp_path_factory):
 
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.kind)
 def test_model_bytes_match_golden_digest(spec, golden_train):
-    (model,) = models.fit(spec, [golden_train])
+    model = fit_arrays(spec, golden_train.inputs, golden_train.targets, golden_train.scaling)
     text = model_to_json(model)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[spec.kind]
